@@ -43,10 +43,7 @@ from .model import (
     ModelSpec,
     PriorSpec,
     default_priors,
-    log_likelihood,
-    log_posterior,
     log_posterior_and_gradient,
-    log_prior,
     logit_link,
     probit_link,
 )
@@ -91,10 +88,7 @@ __all__ = [
     "holdout_split",
     "initialize_chain",
     "load_chain_file",
-    "log_likelihood",
-    "log_posterior",
     "log_posterior_and_gradient",
-    "log_prior",
     "logit_link",
     "parse_dataset",
     "pointwise_loglik",

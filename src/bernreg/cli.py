@@ -27,7 +27,7 @@ from .data import (
     write_records,
     HOLDOUT_STREAM,
 )
-from .diagnostics import summarize
+from .diagnostics import MIN_DRAWS, summarize
 from .errors import DataError, DatasetMismatch, MismatchError, NumericalError
 from .loo import compare as loo_compare, pointwise_loglik, psis_loo
 from .model import LINKS, ModelSpec, PriorSpec, default_priors
@@ -47,7 +47,11 @@ RHAT_WARNING_LEVEL = 1.01
 
 @dataclasses.dataclass
 class RunConfig:
-    """Everything a fit depends on; only `data` is required."""
+    """Everything a fit depends on; only `data` is required.
+
+    These defaults are also the `fit` command's, and the sampler's come
+    from SamplerConfig.
+    """
 
     data: str
     delimiter: str = ";"
@@ -56,11 +60,11 @@ class RunConfig:
     holdout: int = 0
     link: str = "logit"
     prior: dict = None
-    chains: int = 4
-    warmup: int = 1000
-    draws: int = 1000
-    seed: int = 0
-    target_accept: float = 0.8
+    chains: int = SamplerConfig.n_chains
+    warmup: int = SamplerConfig.n_warmup
+    draws: int = SamplerConfig.n_draws
+    seed: int = SamplerConfig.seed
+    target_accept: float = SamplerConfig.target_accept
     standardize: bool = True
     out: str = None
 
@@ -71,6 +75,10 @@ class RunConfig:
             raise ValueError(f"unknown balance mode {self.balance!r}")
         if self.subsample < 0 or self.holdout < 0:
             raise ValueError("subsample and holdout must be non-negative")
+        if self.draws < MIN_DRAWS:
+            raise ValueError(
+                f"draws must be at least {MIN_DRAWS}, the diagnostics' minimum"
+            )
         if self.prior is None:
             self.prior = default_priors(self.link).to_dict()
         if self.out is None:
@@ -155,49 +163,45 @@ def _build_training_set(table, config):
     return prepared, balance_report, holdout_table
 
 
+# RunConfig fields that `fit` takes verbatim from its namespace; the prior
+# is assembled from --prior-intercept and --prior-slopes.
+_FIT_FIELDS = tuple(f.name for f in dataclasses.fields(RunConfig) if f.name != "prior")
+
+
+def _prior_override(args):
+    """Prior dict from --prior-intercept/--prior-slopes, None if neither."""
+    if not (args.prior_intercept or args.prior_slopes):
+        return None
+    prior = default_priors(args.link).to_dict()
+    if args.prior_intercept:
+        prior["intercept_mean"], prior["intercept_sd"] = args.prior_intercept
+    if args.prior_slopes:
+        prior["slope_mean"], prior["slope_sd"] = args.prior_slopes
+    return prior
+
+
 def cmd_fit(args):
     config = RunConfig(
-        data=args.data,
-        delimiter=args.delimiter,
-        subsample=args.subsample,
-        balance=args.balance,
-        holdout=args.holdout,
-        link=args.link,
-        prior=(
-            {
-                "intercept_mean": args.prior_intercept[0],
-                "intercept_sd": args.prior_intercept[1],
-                "slope_mean": args.prior_slopes[0],
-                "slope_sd": args.prior_slopes[1],
-            }
-            if args.prior_intercept or args.prior_slopes
-            else None
-        ),
-        chains=args.chains,
-        warmup=args.warmup,
-        draws=args.draws,
-        seed=args.seed,
-        target_accept=args.target_accept,
-        standardize=not args.no_standardize,
-        out=args.out,
+        prior=_prior_override(args),
+        **{name: getattr(args, name) for name in _FIT_FIELDS},
     )
-    os.makedirs(config.out, exist_ok=True)
+    # Everything that can reject the run happens before the first write.
+    sampler_config = config.sampler_config()
+    prior = config.prior_spec()
     log = _RunLog(os.path.join(config.out, "run.log"))
     log.note(f"fit started: link={config.link} seed={config.seed}")
-
-    with open(os.path.join(config.out, "config.json"), "w", encoding="utf-8") as h:
-        h.write(json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n")
-
     table = parse_dataset(config.data, config.delimiter)
     log.note(f"parsed {table.n_rows} rows")
     train, balance_report, holdout_table = _build_training_set(table, config)
     log.note(f"training rows: {train.n_rows}")
-
     design, target = encode(train, standardize=config.standardize)
-    model = ModelSpec(
-        link=config.link, prior=config.prior_spec(), design=design, target=target
-    )
-    draws = sample(model, config.sampler_config(), threads=args.threads)
+    model = ModelSpec(link=config.link, prior=prior, design=design, target=target)
+
+    os.makedirs(config.out, exist_ok=True)
+    with open(os.path.join(config.out, "config.json"), "w", encoding="utf-8") as h:
+        h.write(json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n")
+
+    draws = sample(model, sampler_config, threads=args.threads)
     log.note("sampling finished")
 
     model_info = {"link": config.link, "prior": config.prior, "design": design.metadata()}
@@ -298,8 +302,8 @@ def cmd_compare(args):
     for path in args.chains:
         draws, header = chainfile.load_chain_file(path)
         model = _rebuild_model(header, table)
-        loglik = pointwise_loglik(draws, model)
-        loo_result = psis_loo(loglik)
+        # No name holds the S x N matrix, so it is freed before the next one.
+        loo_result = psis_loo(pointwise_loglik(draws, model))
         total_high_k += loo_result.n_high_k
         base = f"{model.link}_model"
         name = base
@@ -369,27 +373,29 @@ def build_parser():
 
     fit = sub.add_parser("fit", help="fit a model and write a run directory")
     fit.add_argument("--data", required=True, help="delimited input file")
-    fit.add_argument("--delimiter", default=";")
-    fit.add_argument("--subsample", type=int, default=10000,
+    fit.add_argument("--delimiter")
+    fit.add_argument("--subsample", type=int,
                      help="rows to draw before fitting; 0 keeps the whole table")
-    fit.add_argument("--balance", choices=("before", "after", "off"), default="after")
-    fit.add_argument("--holdout", type=int, default=0,
+    fit.add_argument("--balance", choices=("before", "after", "off"))
+    fit.add_argument("--holdout", type=int,
                      help="rows held out of training and written to holdout.csv")
-    fit.add_argument("--link", choices=LINKS, default="logit")
+    fit.add_argument("--link", choices=LINKS)
     fit.add_argument("--prior-intercept", nargs=2, type=float, metavar=("MEAN", "SD"))
     fit.add_argument("--prior-slopes", nargs=2, type=float, metavar=("MEAN", "SD"))
-    fit.add_argument("--chains", type=int, default=4)
-    fit.add_argument("--warmup", type=int, default=1000)
-    fit.add_argument("--draws", type=int, default=1000)
-    fit.add_argument("--seed", type=int, default=0)
-    fit.add_argument("--target-accept", type=float, default=0.8)
-    fit.add_argument("--no-standardize", action="store_true")
+    fit.add_argument("--chains", type=int)
+    fit.add_argument("--warmup", type=int)
+    fit.add_argument("--draws", type=int)
+    fit.add_argument("--seed", type=int)
+    fit.add_argument("--target-accept", type=float)
+    fit.add_argument("--no-standardize", dest="standardize", action="store_false")
     fit.add_argument("--threads", type=int, default=1,
                      help="chain scheduling only; never changes results")
     fit.add_argument("--format", choices=("text", "json", "both"), default="both")
-    fit.add_argument("--out", default=None,
-                     help="output directory (default runs/<link>-seed<seed>)")
-    fit.set_defaults(func=cmd_fit)
+    fit.add_argument("--out", help="output directory (default runs/<link>-seed<seed>)")
+    fit.set_defaults(
+        func=cmd_fit,
+        **{name: getattr(RunConfig, name) for name in _FIT_FIELDS if name != "data"},
+    )
 
     diag = sub.add_parser("diagnose", help="summaries and diagnostics of a saved fit")
     diag.add_argument("chain", help="chain file from a fit")

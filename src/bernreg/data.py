@@ -27,7 +27,7 @@ from .errors import (
     UnparseableNumber,
     UnseenLevel,
 )
-from .rngutil import substream_seed, substream_rng
+from .rngutil import seeded_rng, substream_seed
 
 CATEGORICAL_COLUMNS = (
     "job", "marital", "education", "default", "housing", "loan",
@@ -109,8 +109,7 @@ def _open_text(source):
     return open(source, "r", encoding="utf-8-sig", newline="")
 
 
-def _parse_header(row, expected):
-    names = [c.strip().strip('"') for c in row]
+def _check_header(names, expected):
     missing = [c for c in expected if c not in names]
     extra = [c for c in names if c not in expected]
     if missing or extra:
@@ -122,68 +121,14 @@ def _parse_header(row, expected):
         raise UnknownColumn("; ".join(parts))
     if len(names) != len(expected):
         raise UnknownColumn("duplicate columns in header")
-    return names
 
 
-def parse_dataset(source, delimiter=";"):
-    """Read the full 21-column table from a path, stream, or bytes."""
-    expected = list(PREDICTOR_ORDER) + [TARGET_COLUMN]
-    stream = _open_text(source)
-    try:
-        reader = csv.reader(stream, delimiter=delimiter)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise UnknownColumn("empty input: no header row") from None
-        names = _parse_header(header, expected)
-        pos = {c: names.index(c) for c in names}
+def _read_table(source, delimiter, columns, categorical, require_target):
+    """RecordTable of `columns` (file order is free) plus the yes/no response.
 
-        cat = {c: [] for c in CATEGORICAL_COLUMNS}
-        num = {c: [] for c in NUMERIC_COLUMNS}
-        target = []
-        for row_number, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(expected):
-                raise MissingField(
-                    f"row {row_number}: expected {len(expected)} fields, got {len(row)}"
-                )
-            for c in CATEGORICAL_COLUMNS:
-                cat[c].append(row[pos[c]].strip())
-            for c in NUMERIC_COLUMNS:
-                text = row[pos[c]].strip()
-                try:
-                    num[c].append(float(text))
-                except ValueError:
-                    raise UnparseableNumber(
-                        f"row {row_number}, column {c!r}: {text!r} is not a number"
-                    ) from None
-            label = row[pos[TARGET_COLUMN]].strip()
-            if label not in TARGET_LABELS:
-                raise UnknownTargetLabel(
-                    f"row {row_number}: target label {label!r} is not yes/no"
-                )
-            target.append(TARGET_LABELS[label])
-    finally:
-        stream.close()
-
-    n = len(target)
-    return RecordTable(
-        categorical=cat,
-        numeric={c: np.asarray(v, dtype=np.float64) for c, v in num.items()},
-        target=np.asarray(target, dtype=np.int8),
-        source_indices=np.arange(n, dtype=np.int64),
-    )
-
-
-def parse_new_rows(source, delimiter, metadata):
-    """Read predictor-only rows for scoring, using stored design metadata.
-
-    The response column is optional; when present its labels are kept so
-    callers can report them alongside predictions.
+    Without `require_target` the response column is optional; a file that
+    lacks it gets an all-zero target.
     """
-    columns = list(metadata["column_names"])
-    cat_names = set(metadata["encoding_map"])
     stream = _open_text(source)
     try:
         reader = csv.reader(stream, delimiter=delimiter)
@@ -192,24 +137,15 @@ def parse_new_rows(source, delimiter, metadata):
         except StopIteration:
             raise UnknownColumn("empty input: no header row") from None
         names = [c.strip().strip('"') for c in header]
-        has_target = TARGET_COLUMN in names
-        expected = columns + ([TARGET_COLUMN] if has_target else [])
-        missing = [c for c in expected if c not in names]
-        extra = [c for c in names if c not in expected]
-        if missing or extra:
-            raise UnknownColumn(
-                "new-data header does not match the stored design: "
-                + "; ".join(
-                    filter(None, [
-                        "missing: " + ", ".join(missing) if missing else "",
-                        "unexpected: " + ", ".join(extra) if extra else "",
-                    ])
-                )
-            )
+        has_target = require_target or TARGET_COLUMN in names
+        _check_header(names, list(columns) + ([TARGET_COLUMN] if has_target else []))
         pos = {c: names.index(c) for c in names}
 
-        cat = {c: [] for c in columns if c in cat_names}
-        num = {c: [] for c in columns if c not in cat_names}
+        cat = {c: [] for c in columns if c in categorical}
+        num = {c: [] for c in columns if c not in categorical}
+        cat_fields = [(pos[c], cat[c].append) for c in cat]
+        num_fields = [(pos[c], c, num[c].append) for c in num]
+        target_pos = pos.get(TARGET_COLUMN)
         target = []
         for row_number, row in enumerate(reader, start=2):
             if not row:
@@ -218,34 +154,50 @@ def parse_new_rows(source, delimiter, metadata):
                 raise MissingField(
                     f"row {row_number}: expected {len(names)} fields, got {len(row)}"
                 )
-            for c in columns:
-                text = row[pos[c]].strip()
-                if c in cat_names:
-                    cat[c].append(text)
-                else:
-                    try:
-                        num[c].append(float(text))
-                    except ValueError:
-                        raise UnparseableNumber(
-                            f"row {row_number}, column {c!r}: {text!r} is not a number"
-                        ) from None
-            if has_target:
-                label = row[pos[TARGET_COLUMN]].strip()
-                if label not in TARGET_LABELS:
-                    raise UnknownTargetLabel(
-                        f"row {row_number}: target label {label!r} is not yes/no"
-                    )
-                target.append(TARGET_LABELS[label])
+            for i, append in cat_fields:
+                append(row[i].strip())
+            for i, c, append in num_fields:
+                text = row[i].strip()
+                try:
+                    append(float(text))
+                except ValueError:
+                    raise UnparseableNumber(
+                        f"row {row_number}, column {c!r}: {text!r} is not a number"
+                    ) from None
+            if target_pos is None:
+                target.append(0)
+                continue
+            label = row[target_pos].strip()
+            if label not in TARGET_LABELS:
+                raise UnknownTargetLabel(
+                    f"row {row_number}: target label {label!r} is not yes/no"
+                )
+            target.append(TARGET_LABELS[label])
     finally:
         stream.close()
 
-    n = len(next(iter(cat.values()), [])) if cat else len(next(iter(num.values()), []))
     return RecordTable(
         categorical=cat,
         numeric={c: np.asarray(v, dtype=np.float64) for c, v in num.items()},
-        target=np.asarray(target if has_target else [0] * n, dtype=np.int8),
-        source_indices=np.arange(n, dtype=np.int64),
+        target=np.asarray(target, dtype=np.int8),
+        source_indices=np.arange(len(target), dtype=np.int64),
         predictor_order=tuple(columns),
+    )
+
+
+def parse_dataset(source, delimiter=";"):
+    """Read the full 21-column table from a path, stream, or bytes."""
+    return _read_table(source, delimiter, PREDICTOR_ORDER, CATEGORICAL_COLUMNS, True)
+
+
+def parse_new_rows(source, delimiter, metadata):
+    """Read predictor-only rows for scoring, using stored design metadata.
+
+    The response column is optional; when present its labels are kept so
+    callers can report them alongside predictions.
+    """
+    return _read_table(
+        source, delimiter, metadata["column_names"], metadata["encoding_map"], False
     )
 
 
@@ -283,7 +235,7 @@ def subsample(table, n, seed):
         raise SampleTooLarge(f"sample size must be positive, got {n}")
     if n > table.n_rows:
         raise SampleTooLarge(f"sample size {n} exceeds table size {table.n_rows}")
-    rng = np.random.Generator(np.random.PCG64(int(seed) & ((1 << 64) - 1)))
+    rng = seeded_rng(seed)
     return table.take(_partial_shuffle_take(table.n_rows, n, rng))
 
 
@@ -319,7 +271,7 @@ def balance_oversample(table, seed):
     minority = 1 if n_pos < n_neg else 0
     deficit = abs(n_neg - n_pos)
     positions = np.flatnonzero(table.target == minority)
-    rng = np.random.Generator(np.random.PCG64(int(seed) & ((1 << 64) - 1)))
+    rng = seeded_rng(seed)
     if deficit == 0:
         duplicated = np.empty(0, dtype=np.int64)
     else:
@@ -342,7 +294,7 @@ def stratified_trim(table, n, seed):
         raise SampleTooLarge(f"trim size {n} out of range for {table.n_rows} rows")
     n_pos_target = n // 2
     n_neg_target = n - n_pos_target
-    rng = np.random.Generator(np.random.PCG64(int(seed) & ((1 << 64) - 1)))
+    rng = seeded_rng(seed)
     keep = []
     for label, want in ((0, n_neg_target), (1, n_pos_target)):
         positions = np.flatnonzero(table.target == label)
@@ -361,7 +313,7 @@ def holdout_split(table, n_holdout, seed):
         raise SampleTooLarge(
             f"holdout size {n_holdout} out of range for {table.n_rows} rows"
         )
-    rng = np.random.Generator(np.random.PCG64(int(seed) & ((1 << 64) - 1)))
+    rng = seeded_rng(seed)
     perm = _partial_shuffle_take(table.n_rows, table.n_rows, rng)
     return table.take(perm[n_holdout:]), table.take(perm[:n_holdout])
 

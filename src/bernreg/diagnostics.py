@@ -5,7 +5,8 @@ are replaced by normal scores of their average ranks (with the (r - 3/8)
 / (S + 1/4) offset), and the classic between/within ratio is computed on
 the scores. Effective sample size divides total draws by an
 autocorrelation time estimated with Geyer's initial-positive and
-monotone truncation rules; the tail variant takes the smaller ESS of the
+monotone truncation rules from FFT autocovariances (the O(n^2) direct
+sum is kept in the oracle module as the reference); the tail variant takes the smaller ESS of the
 0.05/0.95 exceedance indicators. Constant input raises Degenerate, and
 the summary layer reports those fields as NA instead of inventing 1.00.
 """
@@ -18,6 +19,9 @@ from scipy import fft as sp_fft
 from scipy import special, stats as sp_stats
 
 from .errors import Degenerate, EmptyInput, TooFewDraws
+
+# Fewest draws per chain the split-chain diagnostics accept.
+MIN_DRAWS = 4
 
 
 def quantile(samples, p):
@@ -43,9 +47,9 @@ def _as_chain_matrix(chains):
         raise ValueError("chains must be a (n_chains, n_draws) array")
     if arr.shape[0] < 1:
         raise TooFewDraws("at least one chain is required")
-    if arr.shape[1] < 4:
+    if arr.shape[1] < MIN_DRAWS:
         raise TooFewDraws(
-            f"diagnostics need at least 4 draws per chain, got {arr.shape[1]}"
+            f"diagnostics need at least {MIN_DRAWS} draws per chain, got {arr.shape[1]}"
         )
     if not np.all(np.isfinite(arr)):
         raise ValueError("chains contain non-finite values")
@@ -80,15 +84,6 @@ def split_rhat(chains):
     return math.sqrt(((n - 1.0) / n * within + between / n) / within)
 
 
-def _autocovariance_direct(x):
-    n = len(x)
-    centered = x - x.mean()
-    out = np.empty(n)
-    for lag in range(n):
-        out[lag] = np.dot(centered[: n - lag], centered[lag:]) / n
-    return out
-
-
 def _autocovariance_fft(x):
     n = len(x)
     m = sp_fft.next_fast_len(2 * n)
@@ -98,11 +93,10 @@ def _autocovariance_fft(x):
     return np.real(acov) / n
 
 
-def _tau_estimate(split, use_fft):
+def _tau_estimate(split):
     """Autocorrelation time from split chains; Geyer truncation rules."""
     m, n = split.shape
-    acov_fn = _autocovariance_fft if use_fft else _autocovariance_direct
-    acov = np.vstack([acov_fn(split[c]) for c in range(m)])
+    acov = np.vstack([_autocovariance_fft(split[c]) for c in range(m)])
     mean_acov = acov.mean(axis=0)
     mean_var = float(mean_acov[0]) * n / (n - 1.0)
     var_plus = mean_var * (n - 1.0) / n
@@ -140,27 +134,27 @@ def _tau_estimate(split, use_fft):
     return -1.0 + 2.0 * float(np.sum(rho[: max_t + 1])) + float(rho[max_t + 1])
 
 
-def _ess_from_split(split, use_fft):
+def _ess_from_split(split):
     """Core estimator on already-split chains; never raises on constants."""
     size = split.size
     if np.ptp(split) == 0.0:
         return float(size)
-    tau = _tau_estimate(split, use_fft)
+    tau = _tau_estimate(split)
     if tau is None:
         return float(size)
     tau = max(tau, 1.0 / math.log10(size))
     return min(float(size / tau), 2.0 * size)
 
 
-def ess_bulk(chains, use_fft=False):
+def ess_bulk(chains):
     """Effective sample size of rank-normalized split chains."""
     arr = _as_chain_matrix(chains)
     _check_degenerate(arr)
     split = _rank_normalize(_split_chains(arr))
-    return _ess_from_split(split, use_fft)
+    return _ess_from_split(split)
 
 
-def ess_tail(chains, use_fft=False):
+def ess_tail(chains):
     """Smaller ESS of the 5% and 95% exceedance indicator chains."""
     arr = _as_chain_matrix(chains)
     _check_degenerate(arr)
@@ -168,7 +162,7 @@ def ess_tail(chains, use_fft=False):
     for p in (0.05, 0.95):
         cut = quantile(arr.ravel(), p)
         indicator = (arr <= cut).astype(np.float64)
-        out = min(out, _ess_from_split(_split_chains(indicator), use_fft))
+        out = min(out, _ess_from_split(_split_chains(indicator)))
     return out
 
 

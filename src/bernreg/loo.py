@@ -17,8 +17,8 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .data import dataset_fingerprint
-from .errors import DatasetMismatch, DimensionMismatch, TooLarge
-from .model import ModelSpec, bernoulli_loglik_terms
+from .errors import DatasetMismatch, TooLarge
+from .model import ModelSpec, bernoulli_loglik_terms, linear_predictor
 from .rngutil import substream_seed
 
 HIGH_K_THRESHOLD = 0.7
@@ -50,10 +50,6 @@ class LogLikMatrix:
 def pointwise_loglik(draws, model):
     """S x N per-observation log-likelihood over pooled draws, chunked."""
     beta = draws.pooled()
-    if beta.shape[1] != model.n_params:
-        raise DimensionMismatch(
-            f"draws have {beta.shape[1]} parameters, model has {model.n_params}"
-        )
     x = model.design.values
     y = model.target
     n_draws, n_obs = beta.shape[0], x.shape[0]
@@ -61,7 +57,7 @@ def pointwise_loglik(draws, model):
     step = max(1, int(4_000_000 // max(n_draws, 1)))
     for start in range(0, n_obs, step):
         stop = min(start + step, n_obs)
-        eta = beta[:, 1:] @ x[start:stop].T + beta[:, :1]
+        eta = linear_predictor(beta, x[start:stop])
         out[:, start:stop] = bernoulli_loglik_terms(model.link, eta, y[start:stop])
     return LogLikMatrix(
         values=out, fingerprint=dataset_fingerprint(model.design, model.target)

@@ -94,7 +94,10 @@ class Coefficients:
 
 @dataclass
 class ModelSpec:
-    """Link + prior + encoded design + 0/1 target; the sampler's input."""
+    """Link + prior + encoded design + 0/1 target; the sampler's input.
+
+    `dim`, `param_names` and `logp_grad` make it a sampler target.
+    """
 
     link: str
     prior: PriorSpec
@@ -121,6 +124,14 @@ class ModelSpec:
     @property
     def param_names(self):
         return ("Intercept",) + tuple(self.design.column_names)
+
+    @property
+    def dim(self):
+        return self.n_params
+
+    def logp_grad(self, beta):
+        """The sampler's target protocol: (log posterior, gradient)."""
+        return log_posterior_and_gradient(beta, self)
 
 
 def logit_link(eta):
@@ -169,23 +180,14 @@ def bernoulli_loglik_terms(link, eta, y):
     raise ValueError(f"unknown link {link!r}")
 
 
-def log_likelihood(beta, model):
-    """Sum of per-observation Bernoulli log-likelihood terms."""
-    eta = linear_predictor(np.asarray(beta, dtype=np.float64), model.design.values)
-    return float(np.sum(bernoulli_loglik_terms(model.link, eta, model.target)))
-
-
-def log_prior(beta, prior):
-    """Normal log-density of the packed coefficients, constants included."""
-    beta = np.asarray(beta, dtype=np.float64).ravel()
+def _log_prior_and_gradient(beta, prior):
+    """Normal log-density of the packed coefficients, constants included,
+    and its gradient."""
     means = prior.means(len(beta))
     sds = prior.sds(len(beta))
     z = (beta - means) / sds
-    return float(-0.5 * np.dot(z, z) - np.sum(np.log(sds)) - len(beta) * _HALF_LOG_2PI)
-
-
-def log_posterior(beta, model):
-    return log_likelihood(beta, model) + log_prior(beta, model.prior)
+    value = float(-0.5 * np.dot(z, z) - np.sum(np.log(sds)) - len(beta) * _HALF_LOG_2PI)
+    return value, -z / sds
 
 
 def log_posterior_and_gradient(beta, model):
@@ -193,11 +195,7 @@ def log_posterior_and_gradient(beta, model):
     beta = np.asarray(beta, dtype=np.float64).ravel()
     x = model.design.values
     y = model.target
-    if len(beta) != x.shape[1] + 1:
-        raise DimensionMismatch(
-            f"{len(beta)} coefficients for {x.shape[1]} design columns"
-        )
-    eta = beta[0] + x @ beta[1:]
+    eta = linear_predictor(beta, x)
 
     if model.link == LOGIT:
         value = float(np.dot(y, eta) - np.sum(np.logaddexp(0.0, eta)))
@@ -214,13 +212,11 @@ def log_posterior_and_gradient(beta, model):
             -np.exp(log_pdf - log_cdf_neg),
         )
 
-    means = model.prior.means(len(beta))
-    sds = model.prior.sds(len(beta))
-    z = (beta - means) / sds
-    value += float(-0.5 * np.dot(z, z) - np.sum(np.log(sds)) - len(beta) * _HALF_LOG_2PI)
+    prior_value, prior_grad = _log_prior_and_gradient(beta, model.prior)
+    value += prior_value
 
     grad = np.empty_like(beta)
     grad[0] = np.sum(score)
     grad[1:] = x.T @ score
-    grad -= z / sds
+    grad += prior_grad
     return value, grad

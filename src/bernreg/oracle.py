@@ -4,7 +4,8 @@ Everything here is deliberately naive: plain Python loops, math-module
 scalar functions, fsum accumulation, no shared code with the modules
 being validated. The grid integrator handles at most three parameters
 and re-integrates on widened axes as a self-check; the finite-difference
-gradient is a plain central difference.
+gradient is a plain central difference; the autocovariance is a direct
+sum over every lag, the reference for the diagnostics' FFT path.
 """
 
 import itertools
@@ -60,6 +61,16 @@ def finite_diff_gradient(fn, point, h=1e-5):
             )
         out.append((f_plus - f_minus) / (2.0 * h))
     return np.asarray(out)
+
+
+def autocovariance_direct(x):
+    """Biased autocovariance at every lag by direct O(n^2) summation."""
+    n = len(x)
+    centered = x - x.mean()
+    out = np.empty(n)
+    for lag in range(n):
+        out[lag] = np.dot(centered[: n - lag], centered[lag:]) / n
+    return out
 
 
 def _log_sigmoid(eta):
@@ -190,7 +201,7 @@ def _synthetic_model(link, n_rows, n_slopes, seed, prior=None):
 
 
 def _check_gradients(link, seed, n_points=100):
-    from .model import log_posterior, log_posterior_and_gradient
+    from .model import log_posterior_and_gradient
 
     rng = np.random.Generator(np.random.PCG64(seed))
     worst = 0.0
@@ -200,7 +211,9 @@ def _check_gradients(link, seed, n_points=100):
         model = _synthetic_model(link, n_rows, n_slopes, int(rng.integers(2**32)))
         beta = rng.normal(0.0, 2.0, n_slopes + 1)
         _, grad = log_posterior_and_gradient(beta, model)
-        fd = finite_diff_gradient(lambda b: log_posterior(b, model), beta)
+        fd = finite_diff_gradient(
+            lambda b: log_posterior_and_gradient(b, model)[0], beta
+        )
         rel = np.max(np.abs(grad - fd) / np.maximum(1.0, np.abs(fd)))
         worst = max(worst, float(rel))
     return worst

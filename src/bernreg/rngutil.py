@@ -26,6 +26,11 @@ def substream_seed(seed, index):
     return splitmix64((int(seed) + (int(index) + 1) * _GOLDEN) & _MASK64)
 
 
+def seeded_rng(seed):
+    """PCG64 Generator on the low 64 bits of `seed`."""
+    return np.random.Generator(np.random.PCG64(int(seed) & _MASK64))
+
+
 def substream_rng(seed, index):
     """numpy Generator seeded on substream `index` of `seed`."""
-    return np.random.Generator(np.random.PCG64(substream_seed(seed, index)))
+    return seeded_rng(substream_seed(seed, index))

@@ -11,6 +11,9 @@ averaging restart), and a step-size-only closing run.
 Chain c draws from substream c of the configured seed, so any chain's
 output is independent of how many chains run, of thread count, and of
 scheduling order.
+
+The target is a ModelSpec or any object with `dim`, `param_names` and
+`logp_grad(theta) -> (log density, gradient)`.
 """
 
 import math
@@ -20,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdaptationFailure, NonFiniteGradient
-from .model import log_posterior_and_gradient
 from .rngutil import substream_rng
 
 DIVERGENCE_THRESHOLD = 1000.0
@@ -119,18 +121,6 @@ class PosteriorDraws:
     def pooled(self):
         """All chains stacked: (n_chains * n_draws, n_params)."""
         return self.draws.reshape(-1, self.draws.shape[2])
-
-
-class _ModelTarget:
-    """Adapts a ModelSpec to the (dim, param_names, logp_grad) protocol."""
-
-    def __init__(self, model):
-        self._model = model
-        self.dim = model.n_params
-        self.param_names = model.param_names
-
-    def logp_grad(self, beta):
-        return log_posterior_and_gradient(beta, self._model)
 
 
 class _Stats:
@@ -382,22 +372,23 @@ def _warmup_schedule(n_warmup):
     return opening, ends, opening + span
 
 
+def _find_start(target, config, chain_index, rng):
+    """First finite (theta, logp, grad) among uniform draws in the init box."""
+    for _ in range(100):
+        candidate = rng.uniform(-config.init_radius, config.init_radius, target.dim)
+        value, gradient = target.logp_grad(candidate)
+        if math.isfinite(value) and np.all(np.isfinite(gradient)):
+            return candidate, value, gradient
+    raise NonFiniteGradient(
+        f"chain {chain_index}: no finite starting point within "
+        f"radius {config.init_radius} after 100 attempts"
+    )
+
+
 def _run_chain(target, config, chain_index):
     rng = substream_rng(config.seed, chain_index)
     dim = target.dim
-
-    theta = logp = grad = None
-    for _ in range(100):
-        candidate = rng.uniform(-config.init_radius, config.init_radius, dim)
-        value, gradient = target.logp_grad(candidate)
-        if math.isfinite(value) and np.all(np.isfinite(gradient)):
-            theta, logp, grad = candidate, value, gradient
-            break
-    if theta is None:
-        raise NonFiniteGradient(
-            f"chain {chain_index}: no finite starting point within "
-            f"radius {config.init_radius} after 100 attempts"
-        )
+    theta, logp, grad = _find_start(target, config, chain_index, rng)
 
     inv_mass = np.ones(dim)
     sqrt_mass = np.ones(dim)
@@ -445,33 +436,18 @@ def _run_chain(target, config, chain_index):
     return draws, eps, tuple(divergence_iterations), alpha_total / config.n_draws
 
 
-def initialize_chain(target_or_model, config, chain_index):
+def initialize_chain(target, config, chain_index):
     """The exact starting point chain `chain_index` would use."""
-    target = _as_target(target_or_model)
     rng = substream_rng(config.seed, chain_index)
-    for _ in range(100):
-        candidate = rng.uniform(-config.init_radius, config.init_radius, target.dim)
-        value, gradient = target.logp_grad(candidate)
-        if math.isfinite(value) and np.all(np.isfinite(gradient)):
-            return candidate
-    raise NonFiniteGradient(
-        f"chain {chain_index}: no finite starting point within "
-        f"radius {config.init_radius} after 100 attempts"
-    )
+    return _find_start(target, config, chain_index, rng)[0]
 
 
-def _as_target(target_or_model):
-    if hasattr(target_or_model, "logp_grad"):
-        return target_or_model
-    return _ModelTarget(target_or_model)
-
-
-def sample(model, config, *, threads=1):
-    """Draw from the posterior of a ModelSpec (or any logp_grad target).
+def sample(target, config, *, threads=1):
+    """Draw from a target: a ModelSpec, or any object with `dim`,
+    `param_names` and `logp_grad(theta) -> (logp, grad)`.
 
     `threads` only schedules independent chains; it never changes results.
     """
-    target = _as_target(model)
     indices = list(range(config.n_chains))
     if threads is None or threads <= 1:
         results = [_run_chain(target, config, i) for i in indices]

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from bernreg.model import bernoulli_loglik_terms, linear_predictor
 from bernreg.sampler import PosteriorDraws, SamplerConfig
 
 import bankgen
@@ -53,3 +54,9 @@ def make_draws(array, param_names=None, seed=0):
         divergence_iterations=((),) * n_chains,
         accept_rates=(0.9,) * n_chains,
     )
+
+
+def total_loglik(beta, model):
+    """Summed pointwise log-likelihood of a model at one coefficient vector."""
+    eta = linear_predictor(beta, model.design.values)
+    return float(np.sum(bernoulli_loglik_terms(model.link, eta, model.target)))

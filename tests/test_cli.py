@@ -1,14 +1,17 @@
 """Command-line behavior: artifacts, reruns, exit codes, output formats."""
 
 import csv
+import dataclasses
 import datetime
 import json
 import os
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import bankgen
-from bernreg import chainfile
+from bernreg import chainfile, cli
 from bernreg.cli import (
     EXIT_DATA,
     EXIT_MISMATCH,
@@ -176,6 +179,20 @@ class TestFitArtifacts:
         assert header["dataset"]["n_rows"] == 170
         assert header["dataset"]["pipeline"]["holdout"] == 30
 
+    def test_one_prior_flag_keeps_the_other_default(self, small_bank_csv, tmp_path):
+        out = str(tmp_path / "run")
+        code = main(
+            ["fit", "--data", small_bank_csv, "--out", out, "--subsample", "200",
+             "--chains", "1", "--warmup", "20", "--draws", "10",
+             "--prior-intercept", "0", "2"]
+        )
+        assert code == EXIT_OK
+        config = json.loads(_read_text(os.path.join(out, "config.json")))
+        assert config["prior"] == {
+            "intercept_mean": 0.0, "intercept_sd": 2.0,
+            "slope_mean": 0.0, "slope_sd": 0.5,
+        }
+
 
 class TestRerunIdentity:
     def test_identical_config_gives_identical_artifacts(
@@ -255,6 +272,45 @@ class TestCompare:
         payload = json.loads(capsys.readouterr().out)
         names = {r["name"] for r in payload["rows"]}
         assert names == {"logit_model", "logit_model_2"}
+
+    def test_previous_loglik_matrix_freed_before_next(
+        self, logit_dir, probit_dir, small_bank_csv, tmp_path, monkeypatch
+    ):
+        # 10,000 draws x 200 rows makes each log-likelihood matrix 16 MB, far
+        # more than anything else compare holds, so the memory held on
+        # entering the second build shows whether the first is still alive.
+        paths = []
+        for run_dir, link in ((logit_dir, "logit"), (probit_dir, "probit")):
+            draws, header = chainfile.load_chain_file(
+                os.path.join(run_dir, f"{link}.chain")
+            )
+            many = np.tile(draws.draws, (1, 50, 1))
+            big = dataclasses.replace(
+                draws,
+                draws=many,
+                config=dataclasses.replace(draws.config, n_draws=many.shape[1]),
+            )
+            path = str(tmp_path / f"{link}.chain")
+            chainfile.save_chain_file(path, big, header["model"], header["dataset"])
+            paths.append(path)
+        matrix_bytes = 2 * 5000 * 200 * 8
+
+        held = []
+        pointwise_loglik = cli.pointwise_loglik
+
+        def measured(draws, model):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return pointwise_loglik(draws, model)
+
+        monkeypatch.setattr(cli, "pointwise_loglik", measured)
+        tracemalloc.start()
+        try:
+            code = main(["compare", *paths, "--data", small_bank_csv])
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert len(held) == 2
+        assert held[1] - held[0] < matrix_bytes / 2
 
     def test_single_chain_exits_2(self, logit_dir, small_bank_csv):
         code = main([
@@ -378,6 +434,23 @@ class TestUsageErrors:
         code = main(["fit", "--data", small_bank_csv, "--subsample", "-1"])
         assert code == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra, expected",
+        [
+            (["--chains", "0"], EXIT_USAGE),
+            (["--subsample", "5000"], EXIT_DATA),
+            (["--draws", "3"], EXIT_USAGE),
+        ],
+    )
+    def test_rejected_fit_writes_nothing(self, small_bank_csv, tmp_path, extra, expected):
+        out = tmp_path / "run"
+        code = main(
+            ["fit", "--data", small_bank_csv, "--out", str(out), "--subsample", "500",
+             "--chains", "1", "--warmup", "10", "--draws", "10"] + extra
+        )
+        assert code == expected
+        assert not out.exists()
 
     def test_missing_data_file_exits_3(self, tmp_path, capsys):
         code = main([

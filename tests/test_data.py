@@ -375,6 +375,13 @@ class TestEncodeNew:
         with pytest.raises(UnknownColumn):
             parse_new_rows(io.StringIO("\n".join(bad)), ";", design.metadata())
 
+    def test_parse_new_rows_duplicate_column(self, tiny_csv, tiny_table):
+        design, _ = encode(tiny_table)
+        lines = _csv_lines(tiny_csv)
+        doubled = [lines[0] + ';"age"'] + [line + ";41" for line in lines[1:]]
+        with pytest.raises(UnknownColumn, match="duplicate"):
+            parse_new_rows(io.StringIO("\n".join(doubled)), ";", design.metadata())
+
 
 class TestFingerprint:
     def test_row_order_independent(self, tiny_table):

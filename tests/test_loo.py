@@ -16,11 +16,11 @@ from bernreg.loo import (
     psis_smooth,
     tail_length,
 )
-from bernreg.model import ModelSpec, PriorSpec, log_likelihood
+from bernreg.model import ModelSpec, PriorSpec
 from bernreg.oracle import _synthetic_model
 from bernreg.sampler import SamplerConfig, sample
 
-from conftest import make_draws
+from conftest import make_draws, total_loglik
 
 
 def _fitted(link="logit", n=40, k=1, seed=3, draws_seed=11):
@@ -44,7 +44,7 @@ class TestPointwiseLoglik:
                     design=type(model.design).from_values(model.design.values[i : i + 1]),
                     target=model.target[i : i + 1],
                 )
-                expected[i] = log_likelihood(pooled[s], single)
+                expected[i] = total_loglik(pooled[s], single)
             assert np.allclose(matrix.values[s], expected, atol=1e-10)
 
     def test_rows_sum_to_total_loglik(self):
@@ -52,7 +52,7 @@ class TestPointwiseLoglik:
         matrix = pointwise_loglik(draws, model)
         pooled = draws.pooled()
         for s in (0, 100):
-            total = log_likelihood(pooled[s], model)
+            total = total_loglik(pooled[s], model)
             assert matrix.values[s].sum() == pytest.approx(total, abs=1e-9)
 
     def test_chunking_invariant(self, monkeypatch):

@@ -13,14 +13,13 @@ from bernreg.model import (
     bernoulli_loglik_terms,
     default_priors,
     linear_predictor,
-    log_likelihood,
-    log_posterior,
     log_posterior_and_gradient,
-    log_prior,
     logit_link,
     probit_link,
 )
 from bernreg.oracle import finite_diff_gradient
+
+from conftest import total_loglik
 
 # High-precision reference values (60-digit arithmetic, frozen).
 PROBIT_REFERENCE = (
@@ -48,6 +47,13 @@ LOGIT_REFERENCE = (
 )
 LOG_PHI_MINUS_40 = -804.6084420137537881666
 LOG_PHI_MINUS_10 = -53.23128515051247057835
+
+
+def _log_prior(beta, prior):
+    """The prior term alone: the log posterior of a model with no rows."""
+    design = DesignMatrix.from_values(np.empty((0, len(beta) - 1)))
+    model = ModelSpec("logit", prior, design, np.empty(0))
+    return log_posterior_and_gradient(beta, model)[0]
 
 
 def _simple_model(link, n=20, k=2, seed=0, prior=None):
@@ -123,7 +129,7 @@ class TestPriors:
 
     def test_log_prior_single_intercept_at_mean(self):
         # Density of N(3.5, 1) at its mean: -log(sqrt(2 pi)).
-        value = log_prior(np.array([3.5]), PriorSpec(3.5, 1.0, 0.0, 0.5))
+        value = _log_prior(np.array([3.5]), PriorSpec(3.5, 1.0, 0.0, 0.5))
         assert abs(value - (-0.5 * math.log(2 * math.pi))) < 1e-14
 
     def test_log_prior_matches_scalar_sum(self):
@@ -139,7 +145,7 @@ class TestPriors:
                 - math.log(sd)
                 - 0.5 * math.log(2 * math.pi)
             )
-        assert abs(log_prior(beta, prior) - expected) < 1e-12
+        assert abs(_log_prior(beta, prior) - expected) < 1e-12
 
     def test_round_trip_dict(self):
         prior = PriorSpec(3.5, 1.0, 0.0, 0.5)
@@ -181,10 +187,10 @@ class TestModelSpec:
 class TestLogLikelihood:
     def test_zero_coefficients_give_n_log_half(self):
         model = _simple_model("logit", n=17)
-        value = log_likelihood(np.zeros(3), model)
+        value = total_loglik(np.zeros(3), model)
         assert abs(value - 17 * math.log(0.5)) < 1e-12
         model = _simple_model("probit", n=17)
-        value = log_likelihood(np.zeros(3), model)
+        value = total_loglik(np.zeros(3), model)
         assert abs(value - 17 * math.log(0.5)) < 1e-12
 
     def test_matches_naive_loop(self):
@@ -200,7 +206,7 @@ class TestLogLikelihood:
                 else:
                     p = 0.5 * (1.0 + math.erf(eta / math.sqrt(2)))
                 expected += math.log(p if model.target[i] else 1.0 - p)
-            assert abs(log_likelihood(beta, model) - expected) < 1e-10
+            assert abs(total_loglik(beta, model) - expected) < 1e-10
 
     def test_extreme_eta_stays_finite(self):
         y = np.array([1.0, 0.0])
@@ -230,7 +236,9 @@ class TestGradient:
             model = _simple_model(link, n=n, k=k, seed=int(rng.integers(2**32)))
             beta = rng.normal(0, 2, k + 1)
             _, grad = log_posterior_and_gradient(beta, model)
-            approx = finite_diff_gradient(lambda b: log_posterior(b, model), beta)
+            approx = finite_diff_gradient(
+                lambda b: log_posterior_and_gradient(b, model)[0], beta
+            )
             rel = np.max(np.abs(grad - approx) / np.maximum(1.0, np.abs(approx)))
             worst = max(worst, float(rel))
         assert worst < 1e-6
@@ -240,7 +248,7 @@ class TestGradient:
         model = _simple_model(link, n=30, k=2, seed=9)
         beta = np.array([0.4, -1.1, 0.7])
         value, _ = log_posterior_and_gradient(beta, model)
-        parts = log_likelihood(beta, model) + log_prior(beta, model.prior)
+        parts = total_loglik(beta, model) + _log_prior(beta, model.prior)
         assert abs(value - parts) < 1e-10 * max(1.0, abs(parts))
 
     def test_gradient_finite_at_extreme_coefficients(self):
