@@ -17,7 +17,11 @@ import numpy as np
 from .errors import CorruptChainFile
 from .sampler import PosteriorDraws, SamplerConfig
 
-FORMAT_TAG = "bernreg-chain/1"
+FORMAT_TAG = "bernreg-chain/2"
+# Format 1 differs only in its dataset fingerprint, a hash of the row and
+# class counts; such files are still read.
+LEGACY_FORMAT_TAG = "bernreg-chain/1"
+_READABLE_TAGS = (LEGACY_FORMAT_TAG, FORMAT_TAG)
 
 
 def save_chain_file(path, draws, model_info, dataset_info):
@@ -60,8 +64,8 @@ def load_chain_file(path):
         header = json.loads(lines[0].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         fail(f"unreadable header: {exc}")
-    if not isinstance(header, dict) or header.get("format") != FORMAT_TAG:
-        fail(f"not a {FORMAT_TAG} file")
+    if not isinstance(header, dict) or header.get("format") not in _READABLE_TAGS:
+        fail(f"not a {' or '.join(_READABLE_TAGS)} file")
 
     required = (
         "param_names", "config", "step_sizes", "divergence_iterations",

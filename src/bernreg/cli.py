@@ -10,6 +10,7 @@ directories are derived from the link and seed. Exit codes: 0 success
 import argparse
 import dataclasses
 import datetime
+import hashlib
 import json
 import os
 import sys
@@ -260,6 +261,17 @@ def cmd_diagnose(args):
     return EXIT_OK
 
 
+def _count_fingerprint(design, target):
+    """The bernreg-chain/1 fingerprint: a hash of (n, k, #ones, #zeros) only."""
+    n, k = design.values.shape
+    ones = int((target == 1).sum())
+    payload = json.dumps(
+        {"n": int(n), "k": int(k), "ones": ones, "zeros": int(n - ones)},
+        sort_keys=True,
+    )
+    return hashlib.sha256(payload.encode("ascii")).hexdigest()[:16]
+
+
 def _rebuild_model(header, table):
     """Recreate the training design a chain file header describes."""
     pipeline = header["dataset"]["pipeline"]
@@ -281,7 +293,10 @@ def _rebuild_model(header, table):
             "rebuilt design does not match the design stored in the chain file; "
             "the data file differs from the one used to fit"
         )
-    fingerprint = dataset_fingerprint(design, target)
+    if header["format"] == chainfile.LEGACY_FORMAT_TAG:
+        fingerprint = _count_fingerprint(design, target)
+    else:
+        fingerprint = dataset_fingerprint(design, target)
     if fingerprint != header["dataset"]["fingerprint"]:
         raise DatasetMismatch(
             f"rebuilt dataset fingerprint {fingerprint} differs from stored "

@@ -11,7 +11,6 @@ same way later.
 import csv
 import hashlib
 import io
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -495,13 +494,25 @@ def design_from_metadata(metadata, values):
     )
 
 
+# Decimals of the raw design values that a dataset fingerprint tells apart.
+_FINGERPRINT_DECIMALS = 6
+
+
 def dataset_fingerprint(design, target):
-    """Row-order-independent identity of (size, class counts, design shape)."""
-    target = np.asarray(target)
-    n, k = design.values.shape
-    ones = int(np.sum(target == 1))
-    payload = json.dumps(
-        {"n": int(n), "k": int(k), "ones": ones, "zeros": int(n - ones)},
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode("ascii")).hexdigest()[:16]
+    """Row-order-independent content hash of the rows of [design | target].
+
+    Design columns are un-standardized and rounded to _FINGERPRINT_DECIMALS
+    decimals: that removes the last-bit noise the standardizing sums pick up
+    from the row order. The rows are then sorted lexicographically and their
+    bytes hashed, so the same rows in any order fingerprint alike.
+    """
+    center, scale = np.array(
+        [design.scaling.get(name, (0.0, 1.0)) for name in design.column_names],
+        dtype=np.float64,
+    ).reshape(-1, 2).T
+    raw = np.rint((design.values * scale + center) * 10.0**_FINGERPRINT_DECIMALS)
+    table = np.column_stack([raw, np.asarray(target, dtype=np.float64)]) + 0.0  # no -0.0
+    rows = np.ascontiguousarray(table[np.lexsort(table.T[::-1])], dtype="<f8")
+    digest = hashlib.sha256(f"{rows.shape[0]}x{rows.shape[1]}:".encode("ascii"))
+    digest.update(rows.tobytes())
+    return digest.hexdigest()[:16]

@@ -8,6 +8,10 @@ weights and a light prior on the shape; everything is truncated at the
 raw maximum. Small draw counts (S < 25) pass through unsmoothed with the
 shape reported as NaN. Aggregates use the population-variance standard
 error, and comparisons subtract the best model's pointwise values.
+
+`psis_loo` smooths _LOO_BLOCK observations at a time as arrays, so
+beside the S x N log-likelihood matrix it holds a few MB whatever N is;
+`psis_smooth` is the same smoothing for one observation.
 """
 
 import math
@@ -24,6 +28,9 @@ from .rngutil import substream_seed
 HIGH_K_THRESHOLD = 0.7
 _MIN_TAIL_DRAWS = 25
 _MIN_TAIL_LENGTH = 5
+# Observations per psis_loo block. At S = 4,000 the block's GPD grid
+# (64 x 43 x 190) is 4 MB and each (64, S) copy 2 MB.
+_LOO_BLOCK = 64
 
 
 @dataclass
@@ -78,10 +85,11 @@ def _gpd_fit(exceedances):
     m_est = 30 + int(math.sqrt(n))
 
     b_ary = 1.0 - np.sqrt(m_est / (np.arange(1, m_est + 1, dtype=np.float64) - 0.5))
-    b_ary /= prior_bs * ary[int(n / 4 + 0.5) - 1]
-    b_ary += 1.0 / ary[-1]
-
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # A tail tied with the cutoff has zero exceedances: b is infinite
+        # and the fit comes out NaN.
+        b_ary /= prior_bs * ary[int(n / 4 + 0.5) - 1]
+        b_ary += 1.0 / ary[-1]
         k_ary = np.log1p(-b_ary[:, None] * ary[None, :]).mean(axis=1)
         len_scale = n * (np.log(-(b_ary / k_ary)) - k_ary - 1.0)
         weights = 1.0 / np.exp(len_scale - len_scale[:, None]).sum(axis=1)
@@ -152,9 +160,107 @@ def psis_smooth(raw_log_weights):
     return out + shift, float(k)
 
 
+def _gpd_fit_rows(ary):
+    """`_gpd_fit` for every row of a (rows, n) array of sorted exceedances.
+
+    Returns (k, sigma) arrays, NaN in the rows where `_gpd_fit` gives NaN.
+    """
+    n = ary.shape[1]
+    prior_bs = 3.0
+    prior_k = 10.0
+    m_est = 30 + int(math.sqrt(n))
+    b_grid = 1.0 - np.sqrt(m_est / (np.arange(1, m_est + 1, dtype=np.float64) - 0.5))
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        b_ary = b_grid / (prior_bs * ary[:, int(n / 4 + 0.5) - 1, None])
+        b_ary += 1.0 / ary[:, -1:]
+        terms = np.multiply(b_ary[:, :, None], ary[:, None, :])
+        np.negative(terms, out=terms)
+        np.log1p(terms, out=terms)
+        k_ary = terms.mean(axis=2)
+        del terms
+        len_scale = n * (np.log(-(b_ary / k_ary)) - k_ary - 1.0)
+        weights = 1.0 / np.exp(len_scale[:, None, :] - len_scale[:, :, None]).sum(axis=2)
+        weights[~np.isfinite(weights)] = 0.0
+        weights[weights < 10.0 * np.finfo(np.float64).eps] = 0.0
+        total = weights.sum(axis=1)
+        weights /= total[:, None]
+
+        b_post = np.sum(b_ary * weights, axis=1)
+        k_post = np.log1p(-b_post[:, None] * ary).mean(axis=1)
+        sigma = -k_post / b_post
+    k_post = (n * k_post + prior_k * 0.5) / (n + prior_k)
+    k_post[total == 0.0] = np.nan
+    sigma[total == 0.0] = np.nan
+    return k_post, sigma
+
+
+def _logsumexp_rows(a):
+    """Max-shifted logsumexp along axis 1; half the time of scipy's on a block."""
+    a_max = a.max(axis=1, keepdims=True)
+    a_max[~np.isfinite(a_max)] = 0.0
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(a - a_max).sum(axis=1)) + a_max[:, 0]
+
+
+def _psis_block(loglik):
+    """(elpd, lppd, Pareto k) of each row of a contiguous (rows, S) block.
+
+    Row by row this is `psis_smooth` of the negated log-likelihood
+    followed by a self-normalized logsumexp, with the same tail order
+    (stable sort) and the same fall-backs to the raw weights.
+    """
+    rows, n = loglik.shape
+    lw = np.negative(loglik)
+    lw -= lw.max(axis=1, keepdims=True)
+    pareto_k = np.full(rows, np.nan)
+    m = tail_length(n)
+    if n >= _MIN_TAIL_DRAWS and m >= _MIN_TAIL_LENGTH:
+        order = np.argsort(lw, axis=1, kind="stable")
+        tail_ids = order[:, n - m:]
+        tail = np.take_along_axis(lw, tail_ids, axis=1)
+        cutoff = np.take_along_axis(lw, order[:, n - m - 1:n - m], axis=1)
+        fit = np.flatnonzero(np.ptp(tail, axis=1) > 0.0)
+
+        exp_cutoff = np.exp(cutoff[fit])
+        k, sigma = _gpd_fit_rows(np.exp(tail[fit]) - exp_cutoff)
+        with np.errstate(invalid="ignore"):
+            good = np.isfinite(k) & np.isfinite(sigma) & (sigma > 0)
+        smooth = fit[good]
+        k, sigma, exp_cutoff = k[good, None], sigma[good, None], exp_cutoff[good]
+
+        log1m_pos = np.log1p(-(np.arange(m, dtype=np.float64) + 0.5) / m)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            quantiles = np.where(
+                np.abs(k) < np.finfo(np.float64).eps,
+                -log1m_pos,
+                np.expm1(-k * log1m_pos) / k,
+            )
+        smoothed = lw[smooth]
+        np.put_along_axis(
+            smoothed, tail_ids[smooth], np.log(quantiles * sigma + exp_cutoff), axis=1
+        )
+        np.minimum(smoothed, 0.0, out=smoothed)
+        lw[smooth] = smoothed
+        pareto_k[smooth] = k[:, 0]
+
+    lw -= _logsumexp_rows(lw)[:, None]
+    lw += loglik
+    lppd = _logsumexp_rows(loglik) - math.log(n)
+    return _logsumexp_rows(lw), lppd, pareto_k
+
+
+# Pareto k bins (Vehtari et al., arXiv:1507.02646): name and upper edge.
+K_BINS = (("good", 0.5), ("ok", HIGH_K_THRESHOLD), ("bad", 1.0), ("very_bad", math.inf))
+
+
 @dataclass
 class LooResult:
-    """PSIS-LOO expected log pointwise predictive density."""
+    """PSIS-LOO expected log pointwise predictive density.
+
+    `p_loo` is the in-sample lppd minus elpd_loo, the effective number
+    of parameters.
+    """
 
     elpd_loo: float
     se_elpd: float
@@ -163,43 +269,63 @@ class LooResult:
     n_obs: int
     n_draws: int
     fingerprint: str
+    p_loo: float = math.nan
 
     @property
     def n_high_k(self):
         finite = self.pareto_k[np.isfinite(self.pareto_k)]
         return int(np.sum(finite > HIGH_K_THRESHOLD))
 
+    @property
+    def k_counts(self):
+        """Observations per K_BINS bin (each includes its upper edge), and NaN k."""
+        k = self.pareto_k[~np.isnan(self.pareto_k)]
+        counts = {}
+        lower = -math.inf
+        for name, upper in K_BINS:
+            counts[name] = int(np.sum((k > lower) & (k <= upper)))
+            lower = upper
+        counts["nan"] = int(self.pareto_k.size - k.size)
+        return counts
+
     def to_dict(self):
         return {
             "elpd_loo": self.elpd_loo,
             "se_elpd": self.se_elpd,
+            "p_loo": self.p_loo,
             "n_obs": self.n_obs,
             "n_draws": self.n_draws,
             "n_high_k": self.n_high_k,
+            "pareto_k_counts": self.k_counts,
             "fingerprint": self.fingerprint,
         }
 
 
 def psis_loo(loglik):
-    """Smooth each observation's weights and aggregate the pointwise elpd."""
+    """Smooth each observation's weights and aggregate the pointwise elpd.
+
+    Observations are taken _LOO_BLOCK at a time, so the temporaries stay
+    at a few MB whatever N is.
+    """
     values = loglik.values
     n_draws, n_obs = values.shape
     pointwise = np.empty(n_obs)
+    lppd = np.empty(n_obs)
     pareto_k = np.empty(n_obs)
-    for i in range(n_obs):
-        column = values[:, i]
-        smoothed, k = psis_smooth(-column)
-        log_norm = logsumexp(smoothed)
-        pointwise[i] = logsumexp(smoothed - log_norm + column)
-        pareto_k[i] = k
+    for start in range(0, n_obs, _LOO_BLOCK):
+        stop = min(start + _LOO_BLOCK, n_obs)
+        block = np.ascontiguousarray(values[:, start:stop].T)
+        pointwise[start:stop], lppd[start:stop], pareto_k[start:stop] = _psis_block(block)
+    elpd_loo = float(np.sum(pointwise))
     return LooResult(
-        elpd_loo=float(np.sum(pointwise)),
+        elpd_loo=elpd_loo,
         se_elpd=float(math.sqrt(n_obs * np.var(pointwise))),
         pointwise_elpd=pointwise,
         pareto_k=pareto_k,
         n_obs=n_obs,
         n_draws=n_draws,
         fingerprint=loglik.fingerprint,
+        p_loo=float(np.sum(lppd)) - elpd_loo,
     )
 
 
@@ -211,6 +337,8 @@ class ComparisonRow:
     elpd_loo: float
     se_elpd: float
     n_high_k: int
+    p_loo: float
+    k_counts: dict
 
     def to_dict(self):
         return {
@@ -220,6 +348,8 @@ class ComparisonRow:
             "elpd_loo": self.elpd_loo,
             "se_elpd": self.se_elpd,
             "n_high_k": self.n_high_k,
+            "p_loo": self.p_loo,
+            "pareto_k_counts": self.k_counts,
         }
 
 
@@ -266,6 +396,8 @@ def compare(results):
                 elpd_loo=res.elpd_loo,
                 se_elpd=res.se_elpd,
                 n_high_k=res.n_high_k,
+                p_loo=res.p_loo,
+                k_counts=res.k_counts,
             )
         )
     return ComparisonResult(rows=rows)

@@ -176,7 +176,8 @@ def bernoulli_loglik_terms(link, eta, y):
         # y*log(sigma(eta)) + (1-y)*log(sigma(-eta)) = y*eta - log(1+e^eta)
         return y * eta - np.logaddexp(0.0, eta)
     if link == PROBIT:
-        return y * special.log_ndtr(eta) + (1.0 - y) * special.log_ndtr(-eta)
+        # log Phi of the signed margin: one log_ndtr, and no 0 * (-inf).
+        return special.log_ndtr((2.0 * y - 1.0) * eta)
     raise ValueError(f"unknown link {link!r}")
 
 

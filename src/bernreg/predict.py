@@ -8,6 +8,9 @@ mixture statistics over draws (population sd, inverse-ECDF quantiles),
 which makes probability-scale output exactly invariant to duplicating
 the posterior draws and keeps outcome-scale est_error at
 sqrt(p * (1 - p)), inside the binomial bound checked on every row.
+
+Rows are scored in blocks of about _PREDICT_BLOCK_VALUES link values, so
+the array temporaries stay at a few hundred KB for any number of rows.
 """
 
 import math
@@ -21,6 +24,10 @@ from .model import link_function
 from .rngutil import substream_rng
 
 SCALES = ("outcome", "probability")
+# Link values per posterior_predict block (rows x draws), 256 KB of
+# float64: a block's temporaries stay in cache. Blocks of 1,024 rows at
+# S = 2,000 ran slower than one row at a time.
+_PREDICT_BLOCK_VALUES = 32_768
 
 
 @dataclass
@@ -45,10 +52,14 @@ class PredictionRow:
         }
 
 
+def _ecdf_index(n, p):
+    """Index of the smallest of n order statistics whose ECDF reaches p."""
+    return min(max(1, math.ceil(n * p)), n) - 1
+
+
 def _ecdf_quantile(ordered, p):
     """Smallest order statistic whose ECDF reaches p (duplication-proof)."""
-    h = max(1, math.ceil(len(ordered) * p))
-    return float(ordered[min(h, len(ordered)) - 1])
+    return float(ordered[_ecdf_index(len(ordered), p)])
 
 
 def posterior_predict(draws, new_rows, link, *, scale="outcome", seed=0,
@@ -77,33 +88,38 @@ def posterior_predict(draws, new_rows, link, *, scale="outcome", seed=0,
             f"{beta.shape[1] - 1} slopes"
         )
     link_fn = link_function(link)
+    intercept = beta[:, 0]
+    slopes_t = np.ascontiguousarray(beta[:, 1:].T)
     n_draws = beta.shape[0]
     bound_slack = 1e-12
+    quantile_ids = [_ecdf_index(n_draws, 0.025), _ecdf_index(n_draws, 0.975)]
 
+    block = max(1, _PREDICT_BLOCK_VALUES // n_draws)
     rows = []
-    for i in range(values.shape[0]):
-        eta = beta[:, 0] + beta[:, 1:] @ values[i]
-        pi = link_fn(eta)
+    for start in range(0, values.shape[0], block):
+        pi = link_fn(values[start:start + block] @ slopes_t + intercept)
         if scale == "probability":
             sample = pi
         else:
-            rng = substream_rng(seed, i)
-            sample = (rng.random(n_draws) < pi).astype(np.float64)
-        estimate = float(sample.mean())
-        est_error = float(sample.std(ddof=0))
-        if est_error**2 > estimate * (1.0 - estimate) + 1.0 / n_draws + bound_slack:
+            sample = np.empty_like(pi)
+            for r in range(pi.shape[0]):
+                sample[r] = substream_rng(seed, start + r).random(n_draws) < pi[r]
+        estimate = sample.mean(axis=1)
+        est_error = sample.std(axis=1)
+        over = est_error**2 > estimate * (1.0 - estimate) + 1.0 / n_draws + bound_slack
+        if over.any():
             raise NumericalError(
-                f"row {i}: est_error squared exceeds the binomial bound"
+                f"row {start + int(np.argmax(over))}: est_error squared exceeds "
+                "the binomial bound"
             )
-        ordered = np.sort(sample)
-        rows.append(
-            PredictionRow(
-                index=i,
-                estimate=estimate,
-                est_error=est_error,
-                ci_lower=_ecdf_quantile(ordered, 0.025),
-                ci_upper=_ecdf_quantile(ordered, 0.975),
-                scale=scale,
-            )
-        )
+        if scale == "probability":
+            sample.partition(quantile_ids, axis=1)
+            lower, upper = sample[:, quantile_ids].T
+        else:
+            # Order statistic j of 0/1 draws is 1 exactly when j >= #zeros.
+            zeros = n_draws - sample.sum(axis=1)
+            lower, upper = (np.array(quantile_ids)[:, None] >= zeros).astype(np.float64)
+        for r, fields in enumerate(zip(estimate.tolist(), est_error.tolist(),
+                                       lower.tolist(), upper.tolist())):
+            rows.append(PredictionRow(start + r, *fields, scale))
     return rows

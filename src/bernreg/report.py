@@ -46,17 +46,21 @@ def render_summary_json(rows):
 
 
 def render_comparison_text(comparison):
-    """Model ranking, best first, differences against the best."""
+    """Model ranking, best first, differences against the best, then each
+    model's p_loo and its observations per Pareto k bin."""
     name_width = max(
         len("model"), max((len(r.name) for r in comparison.rows), default=0)
     )
     lines = [
-        f"{'model'.ljust(name_width)}  {'elpd_diff':>10}  {'se_diff':>8}"
+        f"{'model'.ljust(name_width)}  {'elpd_diff':>10}  {'se_diff':>8}  "
+        f"{'p_loo':>7}  {'k<=0.5':>7}  {'0.5-0.7':>7}  {'0.7-1':>7}  {'k>1':>7}  "
+        f"{'k=NA':>7}"
     ]
     for r in comparison.rows:
+        counts = "  ".join(f"{n:>7}" for n in r.k_counts.values())
         lines.append(
             f"{r.name.ljust(name_width)}  {_fmt(r.elpd_diff, 1, 10)}  "
-            f"{_fmt(r.se_diff, 1, 8)}"
+            f"{_fmt(r.se_diff, 1, 8)}  {_fmt(r.p_loo, 1, 7)}  {counts}"
         )
     return "\n".join(lines) + "\n"
 

@@ -3,7 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from bernreg.chainfile import FORMAT_TAG, load_chain_file, save_chain_file
+from bernreg.chainfile import (
+    FORMAT_TAG,
+    LEGACY_FORMAT_TAG,
+    load_chain_file,
+    save_chain_file,
+)
 from bernreg.errors import CorruptChainFile
 
 from conftest import make_draws
@@ -51,6 +56,18 @@ class TestRoundTrip:
         header = json.loads(first)
         assert header["format"] == FORMAT_TAG
         assert list(header) == sorted(header)
+
+    def test_format_1_file_still_reads(self, sample_draws, tmp_path):
+        path = str(tmp_path / "fit.chain")
+        save_chain_file(path, sample_draws, MODEL_INFO, DATASET_INFO)
+        lines = open(path, "rb").read().split(b"\n")
+        header = json.loads(lines[0])
+        header["format"] = LEGACY_FORMAT_TAG
+        lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        open(path, "wb").write(b"\n".join(lines))
+        restored, header = load_chain_file(path)
+        assert header["format"] == "bernreg-chain/1"
+        assert np.array_equal(restored.draws, sample_draws.draws)
 
     def test_divergence_iterations_preserved(self, sample_draws, tmp_path):
         from dataclasses import replace

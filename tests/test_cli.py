@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import datetime
+import hashlib
 import json
 import os
 import tracemalloc
@@ -20,6 +21,7 @@ from bernreg.cli import (
     RunConfig,
     main,
 )
+from bernreg.data import parse_dataset, prepare_training_table
 from bernreg.diagnostics import summarize
 from bernreg.report import render_summary_text
 
@@ -261,6 +263,25 @@ class TestCompare:
         assert rows[0]["se_diff"] == 0.0
         assert rows[1]["elpd_diff"] <= 0.0
 
+    def test_reports_p_loo_and_k_bins(self, logit_dir, probit_dir, small_bank_csv, capsys):
+        chains = [os.path.join(logit_dir, "logit.chain"),
+                  os.path.join(probit_dir, "probit.chain")]
+        assert main(["compare", *chains, "--data", small_bank_csv, "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        for row in rows:
+            assert 0.0 < row["p_loo"] < 200.0
+            counts = row["pareto_k_counts"]
+            assert list(counts) == ["bad", "good", "nan", "ok", "very_bad"]
+            assert sum(counts.values()) == 200
+            assert counts["bad"] + counts["very_bad"] == row["n_high_k"]
+        assert main(["compare", *chains, "--data", small_bank_csv]) == EXIT_OK
+        header, *lines = capsys.readouterr().out.splitlines()
+        assert header.split() == [
+            "model", "elpd_diff", "se_diff", "p_loo", "k<=0.5", "0.5-0.7", "0.7-1",
+            "k>1", "k=NA",
+        ]
+        assert len(lines) == 2 and all(len(line.split()) == 9 for line in lines)
+
     def test_duplicate_links_get_distinct_names(
         self, logit_dir, small_bank_csv, capsys
     ):
@@ -331,6 +352,82 @@ class TestCompare:
         ])
         assert code == EXIT_MISMATCH
         assert "error:" in capsys.readouterr().err
+
+
+def _write_format_1(run_dir, link, data_path, out_path):
+    """Rewrite a fit's chain file as format 1 wrote it: the old tag and the
+    fingerprint that hashed only (n, k, #ones, #zeros)."""
+    raw = open(os.path.join(run_dir, f"{link}.chain"), "rb").read()
+    first, rest = raw.split(b"\n", 1)
+    header = json.loads(first)
+    pipeline = header["dataset"]["pipeline"]
+    train, _ = prepare_training_table(
+        parse_dataset(data_path, pipeline["delimiter"]),
+        pipeline["subsample"], pipeline["balance"], pipeline["seed"],
+    )
+    n, ones = train.n_rows, int(np.sum(train.target == 1))
+    counts = {"k": len(header["param_names"]) - 1, "n": n, "ones": ones, "zeros": n - ones}
+    header["format"] = "bernreg-chain/1"
+    header["dataset"]["fingerprint"] = hashlib.sha256(
+        json.dumps(counts, sort_keys=True).encode("ascii")
+    ).hexdigest()[:16]
+    with open(out_path, "wb") as handle:
+        handle.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode())
+        handle.write(b"\n" + rest)
+    return header
+
+
+class TestFormatOneChainFiles:
+    @pytest.fixture
+    def v1_chains(self, logit_dir, probit_dir, small_bank_csv, tmp_path):
+        paths = {}
+        for run_dir, link in ((logit_dir, "logit"), (probit_dir, "probit")):
+            paths[link] = str(tmp_path / f"{link}-v1.chain")
+            _write_format_1(run_dir, link, small_bank_csv, paths[link])
+        return paths
+
+    def test_loads_like_format_2(self, logit_dir, v1_chains):
+        draws, header = chainfile.load_chain_file(v1_chains["logit"])
+        current, _ = chainfile.load_chain_file(os.path.join(logit_dir, "logit.chain"))
+        assert header["format"] == "bernreg-chain/1"
+        assert np.array_equal(draws.draws, current.draws)
+
+    def test_predicts_like_format_2(self, logit_dir, v1_chains, score_csv, capsys):
+        outputs = []
+        for chain in (v1_chains["logit"], os.path.join(logit_dir, "logit.chain")):
+            assert main(["predict", chain, "--data", score_csv, "--format", "json"]) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    def test_compares_like_format_2(
+        self, logit_dir, probit_dir, v1_chains, small_bank_csv, capsys
+    ):
+        current = [os.path.join(logit_dir, "logit.chain"),
+                   os.path.join(probit_dir, "probit.chain")]
+        outputs = []
+        for chains in ([v1_chains["logit"], v1_chains["probit"]],
+                       [v1_chains["logit"], current[1]],
+                       current):
+            code = main(["compare", *chains, "--data", small_bank_csv, "--format", "json"])
+            assert code == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_stored_count_fingerprint_is_checked(
+        self, logit_dir, v1_chains, small_bank_csv, tmp_path, capsys
+    ):
+        header = _write_format_1(
+            logit_dir, "logit", small_bank_csv, str(tmp_path / "bad.chain")
+        )
+        raw = open(tmp_path / "bad.chain", "rb").read()
+        fingerprint = header["dataset"]["fingerprint"].encode()
+        open(tmp_path / "bad.chain", "wb").write(raw.replace(fingerprint, b"0" * 16))
+        code = main([
+            "compare", str(tmp_path / "bad.chain"), v1_chains["probit"],
+            "--data", small_bank_csv,
+        ])
+        assert code == EXIT_MISMATCH
+        assert "fingerprint" in capsys.readouterr().err
 
 
 class TestPredict:

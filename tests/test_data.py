@@ -9,6 +9,7 @@ from bernreg.data import (
     CATEGORICAL_COLUMNS,
     NUMERIC_COLUMNS,
     PREDICTOR_ORDER,
+    DesignMatrix,
     RecordTable,
     balance_oversample,
     dataset_fingerprint,
@@ -396,6 +397,23 @@ class TestFingerprint:
         flipped = target.copy()
         flipped[0] = 1.0 - flipped[0]
         assert dataset_fingerprint(design, target) != dataset_fingerprint(design, flipped)
+
+    def test_changes_with_rows_at_equal_counts(self, tiny_table):
+        design, target = encode(tiny_table)
+        base = dataset_fingerprint(design, target)
+        # Same shape and class counts, different rows.
+        swapped = target.copy()
+        zero, one = np.flatnonzero(target == 0)[0], np.flatnonzero(target == 1)[0]
+        swapped[[zero, one]] = swapped[[one, zero]]
+        assert dataset_fingerprint(design, swapped) != base
+        moved = DesignMatrix(
+            values=design.values.copy(),
+            column_names=design.column_names,
+            scaling=design.scaling,
+            standardized=design.standardized,
+        )
+        moved.values[5, 2] += 0.5
+        assert dataset_fingerprint(moved, target) != base
 
     def test_changes_with_size(self, tiny_table):
         design, target = encode(tiny_table)

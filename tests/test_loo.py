@@ -6,6 +6,7 @@ from scipy.special import logsumexp
 
 from bernreg.errors import DatasetMismatch, DimensionMismatch, TooLarge
 from bernreg.loo import (
+    _LOO_BLOCK,
     LogLikMatrix,
     LooResult,
     _gp_inverse_cdf,
@@ -21,6 +22,8 @@ from bernreg.oracle import _synthetic_model
 from bernreg.sampler import SamplerConfig, sample
 
 from conftest import make_draws, total_loglik
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def _fitted(link="logit", n=40, k=1, seed=3, draws_seed=11):
@@ -196,6 +199,102 @@ class TestPsisLoo:
             fingerprint="z",
         )
         assert result.n_high_k == 2
+
+
+def _scalar_psis_loo(values):
+    """(pointwise elpd, Pareto k, lppd) column by column via psis_smooth."""
+    n_draws, n_obs = values.shape
+    pointwise, pareto_k, lppd = np.empty(n_obs), np.empty(n_obs), np.empty(n_obs)
+    for i in range(n_obs):
+        column = values[:, i]
+        smoothed, pareto_k[i] = psis_smooth(-column)
+        pointwise[i] = logsumexp(smoothed - logsumexp(smoothed) + column)
+        lppd[i] = logsumexp(column) - math.log(n_draws)
+    return pointwise, pareto_k, lppd
+
+
+def _assert_matches_scalar(values):
+    result = psis_loo(LogLikMatrix(values=values, fingerprint="f"))
+    pointwise, pareto_k, lppd = _scalar_psis_loo(values)
+    np.testing.assert_allclose(result.pointwise_elpd, pointwise, rtol=0, atol=1e-12)
+    assert np.array_equal(np.isnan(result.pareto_k), np.isnan(pareto_k))
+    finite = ~np.isnan(pareto_k)
+    np.testing.assert_allclose(result.pareto_k[finite], pareto_k[finite], rtol=0, atol=1e-8)
+    assert result.p_loo == pytest.approx(np.sum(lppd) - np.sum(pointwise), abs=1e-9)
+    return result
+
+
+class TestPsisLooBlocks:
+    """The block path against psis_smooth + logsumexp, one column at a time."""
+
+    def test_repeated_draws_and_ragged_last_block(self):
+        rng = np.random.default_rng(21)
+        n_obs = 2 * _LOO_BLOCK + 5
+        values = rng.standard_normal((400, n_obs)) * rng.uniform(0.1, 3.0, n_obs) - 1.0
+        # NUTS repeats a draw when it rejects: whole rows of ties.
+        values[1::10] = values[0::10]
+        values[2::10] = values[0::10]
+        result = _assert_matches_scalar(values)
+        assert np.isfinite(result.pareto_k).all()
+
+    def test_fewer_than_25_draws_pass_through(self):
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal((20, _LOO_BLOCK + 3))
+        result = _assert_matches_scalar(values)
+        assert np.isnan(result.pareto_k).all()
+
+    def test_flat_columns_pass_through(self):
+        rng = np.random.default_rng(8)
+        values = rng.standard_normal((300, 10))
+        m = tail_length(300)
+        values[:, 3] = -0.7  # every draw equal
+        # The weights' tail is the lowest log-likelihoods.
+        values[:, 6] = np.maximum(values[:, 6], -0.5)  # the whole tail at the cutoff
+        ranks = np.argsort(values[:, 7])
+        values[ranks[:m], 7] = values[:, 7].min() - 1.0  # the whole tail tied above it
+        ranks = np.argsort(values[:, 8])
+        values[ranks[m // 2 : m], 8] = values[ranks[m], 8]  # half the tail at the cutoff
+        result = _assert_matches_scalar(values)
+        nan_columns = np.flatnonzero(np.isnan(result.pareto_k))
+        assert list(nan_columns) == [3, 6, 7, 8]
+
+    def test_heavy_tails_fill_every_k_bin(self):
+        rng = np.random.default_rng(13)
+        scales = np.linspace(0.05, 40.0, 150)
+        values = -rng.standard_exponential((1000, 150)) * scales
+        result = _assert_matches_scalar(values)
+        counts = result.k_counts
+        assert counts["good"] and counts["bad"] and counts["very_bad"]
+        assert sum(counts.values()) == 150
+
+
+class TestLooDiagnostics:
+    def test_k_bins_include_their_upper_edge(self):
+        result = LooResult(
+            elpd_loo=0.0,
+            se_elpd=0.0,
+            pointwise_elpd=np.zeros(8),
+            pareto_k=np.array([0.2, 0.5, 0.6, 0.7, 0.71, 1.0, 1.5, np.nan]),
+            n_obs=8,
+            n_draws=100,
+            fingerprint="k",
+        )
+        assert result.k_counts == {"good": 2, "ok": 2, "bad": 2, "very_bad": 1, "nan": 1}
+        assert result.n_high_k == result.k_counts["bad"] + result.k_counts["very_bad"]
+
+    def test_p_loo_zero_when_draws_agree(self):
+        values = np.tile(np.log([0.5, 0.25, 0.8]), (100, 1))
+        result = psis_loo(LogLikMatrix(values=values, fingerprint="p"))
+        assert result.p_loo == pytest.approx(0.0, abs=1e-12)
+
+    def test_p_loo_positive_and_in_comparison_output(self):
+        model, draws = _fitted(n=30)
+        result = psis_loo(pointwise_loglik(draws, model))
+        assert 0.0 < result.p_loo < 5.0
+        rows = compare({"a": result, "b": result}).to_dict()["rows"]
+        for row in rows:
+            assert row["p_loo"] == result.p_loo
+            assert row["pareto_k_counts"] == result.k_counts
 
 
 class TestCompare:

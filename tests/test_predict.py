@@ -3,11 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from bernreg import predict
 from bernreg.data import DesignMatrix
-from bernreg.errors import DimensionMismatch, EncodingMismatch
+from bernreg.errors import DimensionMismatch, EncodingMismatch, NumericalError
+from bernreg.model import link_function
 from bernreg.predict import PredictionRow, _ecdf_quantile, posterior_predict
+from bernreg.rngutil import substream_rng
 
 from conftest import make_draws
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def _coef_draws(intercepts, slopes=None, n_chains=2):
@@ -155,6 +160,55 @@ class TestOutcomeScale:
         assert any(
             r1.to_dict() != r2.to_dict() for r1, r2 in zip(a, c)
         ) or a[0].estimate == c[0].estimate  # seeds may rarely coincide in value
+
+
+def _naive_predict(draws, values, link, scale, seed):
+    """One row at a time: the reference for the block path."""
+    beta = draws.pooled()
+    link_fn = link_function(link)
+    out = []
+    for i, row in enumerate(values):
+        pi = link_fn(beta[:, 0] + beta[:, 1:] @ row)
+        if scale == "probability":
+            sample = pi
+        else:
+            sample = (substream_rng(seed, i).random(len(pi)) < pi).astype(np.float64)
+        ordered = np.sort(sample)
+        out.append((i, float(sample.mean()), float(sample.std()),
+                    _ecdf_quantile(ordered, 0.025), _ecdf_quantile(ordered, 0.975)))
+    return out
+
+
+class TestBlocksAgainstRowLoop:
+    @pytest.mark.parametrize("link", ["logit", "probit"])
+    @pytest.mark.parametrize("scale", ["outcome", "probability"])
+    def test_matches_naive_rows(self, link, scale):
+        rng = np.random.default_rng(17)
+        n_draws = 1000
+        arr = rng.normal([-0.5, 0.8, -1.2, 0.3], 0.4, size=(n_draws, 4))
+        arr[1::7] = arr[0::7][: len(arr[1::7])]  # repeated draws
+        draws = make_draws(arr.reshape(2, n_draws // 2, 4), ("Intercept", "a", "b", "c"))
+        block_rows = predict._PREDICT_BLOCK_VALUES // n_draws
+        values = rng.standard_normal((3 * block_rows + 5, 3)) * 2.0
+        rows = posterior_predict(draws, values, link, scale=scale, seed=23)
+        expected = _naive_predict(draws, values, link, scale, seed=23)
+        got = [(r.index, r.estimate, r.est_error, r.ci_lower, r.ci_upper) for r in rows]
+        assert len(got) == len(expected)
+        if scale == "outcome":
+            assert got == expected
+        else:
+            np.testing.assert_allclose(np.array(got), np.array(expected), rtol=0, atol=1e-12)
+
+    def test_binomial_bound_names_the_first_bad_row(self, monkeypatch):
+        # An unbounded "link" makes a row's spread exceed any probability's.
+        monkeypatch.setattr(predict, "link_function", lambda link: lambda eta: eta)
+        slopes = np.tile([1.0, -1.0], 50)
+        draws = _coef_draws(np.full(100, 0.5), slopes=slopes)
+        block_rows = predict._PREDICT_BLOCK_VALUES // 100
+        values = np.zeros((2 * block_rows, 1))
+        values[block_rows + 3] = 3.0
+        with pytest.raises(NumericalError, match=f"row {block_rows + 3}:"):
+            posterior_predict(draws, values, "logit", scale="probability")
 
 
 class TestValidation:
