@@ -121,14 +121,17 @@ class _RunLog:
             handle.write("\n".join(self._entries) + "\n")
 
 
-def _emit(text_body, json_body, fmt, out_dir=None, stem=None):
-    """Print and optionally write the selected formats."""
+def _emit(render_text, render_json, value, fmt, out_dir=None, stem=None):
+    """Print `value` in the selected format ("both" prints text) and, with
+    `out_dir`, write every selected format; render no other format."""
     if fmt in ("text", "both"):
+        text_body = render_text(value)
         sys.stdout.write(text_body)
         if out_dir is not None:
             with open(os.path.join(out_dir, f"{stem}.txt"), "w", encoding="utf-8") as h:
                 h.write(text_body)
-    if fmt in ("json", "both"):
+    if fmt == "json" or (fmt == "both" and out_dir is not None):
+        json_body = render_json(value)
         if fmt == "json":
             sys.stdout.write(json_body)
         if out_dir is not None:
@@ -227,8 +230,9 @@ def cmd_fit(args):
 
     rows = summarize(draws)
     _emit(
-        report.render_summary_text(rows),
-        report.render_summary_json(rows),
+        report.render_summary_text,
+        report.render_summary_json,
+        rows,
         args.format,
         out_dir=config.out,
         stem="summary",
@@ -250,11 +254,7 @@ def cmd_fit(args):
 def cmd_diagnose(args):
     draws, _ = chainfile.load_chain_file(args.chain)
     rows = summarize(draws)
-    _emit(
-        report.render_summary_text(rows),
-        report.render_summary_json(rows),
-        args.format,
-    )
+    _emit(report.render_summary_text, report.render_summary_json, rows, args.format)
     bad_rhat = [r.name for r in rows if r.rhat == r.rhat and r.rhat > RHAT_WARNING_LEVEL]
     if bad_rhat:
         _warn(f"rhat above {RHAT_WARNING_LEVEL} for: " + ", ".join(bad_rhat))
@@ -330,8 +330,9 @@ def cmd_compare(args):
         results.append((name, loo_result))
     comparison = loo_compare(results)
     _emit(
-        report.render_comparison_text(comparison),
-        report.render_comparison_json(comparison),
+        report.render_comparison_text,
+        report.render_comparison_json,
+        comparison,
         args.format,
     )
     if total_high_k:
@@ -356,20 +357,14 @@ def cmd_predict(args):
         training_metadata=metadata,
     )
     _emit(
-        report.render_predictions_text(rows),
-        report.render_predictions_json(rows),
-        args.format,
+        report.render_predictions_text, report.render_predictions_json, rows, args.format
     )
     return EXIT_OK
 
 
 def cmd_verify(args):
     checks = run_verification(seed=args.seed)
-    _emit(
-        report.render_checks_text(checks),
-        report.render_checks_json(checks),
-        args.format,
-    )
+    _emit(report.render_checks_text, report.render_checks_json, checks, args.format)
     if all(c.passed for c in checks):
         return EXIT_OK
     return EXIT_NUMERICAL

@@ -2,8 +2,9 @@
 
 Rhat is the rank-normalized split form: chains are halved, pooled draws
 are replaced by normal scores of their average ranks (with the (r - 3/8)
-/ (S + 1/4) offset), and the classic between/within ratio is computed on
-the scores. Effective sample size divides total draws by an
+/ (S + 1/4) offset; ties share the mean of their ranks, computed in
+numpy and exact in float64), and the classic between/within ratio is
+computed on the scores. Effective sample size divides total draws by an
 autocorrelation time estimated with Geyer's initial-positive and
 monotone truncation rules from FFT autocovariances (the O(n^2) direct
 sum is kept in the oracle module as the reference); the tail variant takes the smaller ESS of the
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sp_fft
-from scipy import special, stats as sp_stats
+from scipy import special
 
 from .errors import Degenerate, EmptyInput, TooFewDraws
 
@@ -63,9 +64,23 @@ def _split_chains(arr):
 
 
 def _rank_normalize(arr):
-    """Normal scores of pooled average ranks, reshaped like the input."""
-    ranks = sp_stats.rankdata(arr, method="average").reshape(arr.shape)
-    return special.ndtri((ranks - 0.375) / (arr.size + 0.25))
+    """Normal scores of pooled average ranks, reshaped like the input.
+
+    Tied draws share the mean of their 1-based ranks. Each rank is half
+    the sum of two tie-group boundaries plus one, a whole or half
+    integer, so it is exact in float64.
+    """
+    flat = arr.ravel()
+    order = np.argsort(flat, kind="mergesort")
+    ordered = flat[order]
+    starts = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    # dense[i]: 1-based tie group of sorted position i; group g holds
+    # sorted positions bounds[g - 1] to bounds[g] - 1.
+    dense = np.cumsum(starts)
+    bounds = np.append(np.flatnonzero(starts), flat.size)
+    ranks = np.empty(flat.size)
+    ranks[order] = 0.5 * (bounds[dense] + bounds[dense - 1] + 1)
+    return special.ndtri((ranks.reshape(arr.shape) - 0.375) / (arr.size + 0.25))
 
 
 def _check_degenerate(arr):

@@ -203,6 +203,37 @@ def _logsumexp_rows(a):
         return np.log(np.exp(a - a_max).sum(axis=1)) + a_max[:, 0]
 
 
+def _stable_tail(lw, m):
+    """(tail ids, tail values, cutoff) of each row of a (rows, n) array.
+
+    The tail is the last m entries of the row's stable ascending sort, in
+    that order, and the cutoff the value just before them. Each row's
+    tail is selected with argpartition and only the tail is sorted. A row
+    whose tail holds a value equal to the cutoff (ties across the
+    boundary, where the stable sort picks by index) or that has a
+    non-finite value is sorted whole instead.
+    """
+    n = lw.shape[1]
+    part = np.argpartition(lw, n - m - 1, axis=1)
+    cutoff = np.take_along_axis(lw, part[:, n - m - 1:n - m], axis=1)
+    # Tail ids in index order, then a stable sort by value: the order
+    # the full stable sort gives these entries.
+    tail_ids = np.sort(part[:, n - m:], axis=1)
+    tail = np.take_along_axis(lw, tail_ids, axis=1)
+    by_value = np.argsort(tail, axis=1, kind="stable")
+    tail_ids = np.take_along_axis(tail_ids, by_value, axis=1)
+    tail = np.take_along_axis(tail, by_value, axis=1)
+
+    full = np.flatnonzero(~(tail[:, 0] > cutoff[:, 0]) | ~np.isfinite(lw).all(axis=1))
+    if full.size:
+        rows = lw[full]
+        order = np.argsort(rows, axis=1, kind="stable")
+        tail_ids[full] = order[:, n - m:]
+        tail[full] = np.take_along_axis(rows, order[:, n - m:], axis=1)
+        cutoff[full] = np.take_along_axis(rows, order[:, n - m - 1:n - m], axis=1)
+    return tail_ids, tail, cutoff
+
+
 def _psis_block(loglik):
     """(elpd, lppd, Pareto k) of each row of a contiguous (rows, S) block.
 
@@ -216,10 +247,7 @@ def _psis_block(loglik):
     pareto_k = np.full(rows, np.nan)
     m = tail_length(n)
     if n >= _MIN_TAIL_DRAWS and m >= _MIN_TAIL_LENGTH:
-        order = np.argsort(lw, axis=1, kind="stable")
-        tail_ids = order[:, n - m:]
-        tail = np.take_along_axis(lw, tail_ids, axis=1)
-        cutoff = np.take_along_axis(lw, order[:, n - m - 1:n - m], axis=1)
+        tail_ids, tail, cutoff = _stable_tail(lw, m)
         fit = np.flatnonzero(np.ptp(tail, axis=1) > 0.0)
 
         exp_cutoff = np.exp(cutoff[fit])
@@ -426,8 +454,7 @@ def exact_loo(model, config):
         )
         config_i = dc_replace(config, seed=substream_seed(config.seed, i))
         draws = sample(model_i, config_i)
-        beta = draws.pooled()
-        eta = beta[:, 0] + beta[:, 1:] @ x[i]
+        eta = linear_predictor(draws.pooled(), x[i:i + 1])[:, 0]
         terms = bernoulli_loglik_terms(model.link, eta, y[i])
         lpds.append(float(logsumexp(terms) - math.log(len(terms))))
     return math.fsum(lpds)

@@ -2,9 +2,13 @@
 
 Two links: the logistic sigmoid and the standard-normal CDF. All
 likelihood and gradient code works in log space with the usual stable
-forms, so etas of magnitude several hundred stay finite. Priors apply
-verbatim on whatever scale the design is in (the default pipeline
-standardizes, and the hyperparameters below are stated for that scale).
+forms, so etas of magnitude several hundred stay finite. The probit
+terms work on the signed margin t = (2y - 1) * eta: log p(y | eta) is
+log Phi(t) and the score is (2y - 1) * phi(t) / Phi(t), one log_ndtr
+and one exp per row, bit for bit what log Phi(eta) and log Phi(-eta)
+give for 0/1 targets. Priors apply verbatim on whatever scale the
+design is in (the default pipeline standardizes, and the hyperparameters
+below are stated for that scale).
 """
 
 import math
@@ -176,9 +180,19 @@ def bernoulli_loglik_terms(link, eta, y):
         # y*log(sigma(eta)) + (1-y)*log(sigma(-eta)) = y*eta - log(1+e^eta)
         return y * eta - np.logaddexp(0.0, eta)
     if link == PROBIT:
-        # log Phi of the signed margin: one log_ndtr, and no 0 * (-inf).
-        return special.log_ndtr((2.0 * y - 1.0) * eta)
+        return _probit_signed_margin(eta, y)[2]
     raise ValueError(f"unknown link {link!r}")
+
+
+def _probit_signed_margin(eta, y):
+    """(sign, margin, log Phi(margin)) with sign = 2y - 1, margin = sign * eta.
+
+    For 0/1 targets log p(y | eta) = log Phi(margin): one log_ndtr per
+    row, and no 0 * (-inf).
+    """
+    sign = 2.0 * y - 1.0
+    margin = sign * eta
+    return sign, margin, special.log_ndtr(margin)
 
 
 def _log_prior_and_gradient(beta, prior):
@@ -202,16 +216,14 @@ def log_posterior_and_gradient(beta, model):
         value = float(np.dot(y, eta) - np.sum(np.logaddexp(0.0, eta)))
         score = y - logit_link(eta)
     else:
-        log_cdf = special.log_ndtr(eta)
-        log_cdf_neg = special.log_ndtr(-eta)
-        value = float(np.dot(y, log_cdf) + np.dot(1.0 - y, log_cdf_neg))
-        log_pdf = -0.5 * eta * eta - _HALF_LOG_2PI
-        # Inverse Mills ratio in log space keeps both tails finite.
-        score = np.where(
-            y > 0.5,
-            np.exp(log_pdf - log_cdf),
-            -np.exp(log_pdf - log_cdf_neg),
-        )
+        sign, margin, log_cdf = _probit_signed_margin(eta, y)
+        # Two dots, not one sum: the same additions in the same order as
+        # dot(y, log Phi(eta)) + dot(1 - y, log Phi(-eta)), so every bit
+        # of the value is kept.
+        value = float(np.dot(y, log_cdf) + np.dot(1.0 - y, log_cdf))
+        # Inverse Mills ratio phi(margin) / Phi(margin) in log space keeps
+        # both tails finite.
+        score = sign * np.exp(-0.5 * margin * margin - _HALF_LOG_2PI - log_cdf)
 
     prior_value, prior_grad = _log_prior_and_gradient(beta, model.prior)
     value += prior_value

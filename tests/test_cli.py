@@ -6,13 +6,15 @@ import datetime
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import bankgen
-from bernreg import chainfile, cli
+from bernreg import chainfile, cli, report
 from bernreg.cli import (
     EXIT_DATA,
     EXIT_MISMATCH,
@@ -509,6 +511,26 @@ class TestPredict:
         assert main(["predict", chain, "--data", str(target)]) == EXIT_MISMATCH
         assert "astronaut" in capsys.readouterr().err
 
+    def test_renders_only_the_printed_format(
+        self, logit_dir, score_csv, monkeypatch, capsys
+    ):
+        chain = os.path.join(logit_dir, "logit.chain")
+        printed = {}
+        for fmt in ("text", "json", "both"):
+            assert main(["predict", chain, "--data", score_csv, "--format", fmt]) == EXIT_OK
+            printed[fmt] = capsys.readouterr().out
+
+        def refuse(rows):
+            raise AssertionError("rendered a format that is not printed")
+
+        for fmt, unused in (("text", "json"), ("json", "text"), ("both", "json")):
+            with monkeypatch.context() as patch:
+                patch.setattr(report, f"render_predictions_{unused}", refuse)
+                code = main(["predict", chain, "--data", score_csv, "--format", fmt])
+            assert code == EXIT_OK
+            assert capsys.readouterr().out == printed[fmt]
+        assert printed["both"] == printed["text"]
+
     def test_foreign_header_exits_3(self, logit_dir, tmp_path):
         target = tmp_path / "foreign.csv"
         target.write_text('"alpha";"beta"\n1;2\n')
@@ -585,3 +607,19 @@ class TestVerify:
         assert all(
             line.startswith(("PASS", "FAIL")) for line in out.splitlines()
         )
+
+
+class TestStartup:
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # Importing scipy.stats would more than double every command's start-up.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        probe = "import sys, bernreg.cli; print('scipy.stats' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"

@@ -6,6 +6,7 @@ import pytest
 from bernreg import diagnostics
 from bernreg.diagnostics import (
     _autocovariance_fft,
+    _rank_normalize,
     ess_bulk,
     ess_tail,
     quantile,
@@ -91,6 +92,29 @@ class TestSplitRhat:
         chains[0, 0] = np.nan
         with pytest.raises(ValueError):
             split_rhat(chains)
+
+
+class TestRankNormalize:
+    """The numpy average ranks against scipy.stats.rankdata, bit for bit."""
+
+    def test_matches_rankdata_average_with_ties(self):
+        from scipy import special, stats
+
+        rng = np.random.default_rng(29)
+        repeated = rng.standard_normal((4, 250))
+        repeated[:, 1::3] = repeated[:, 0::3][:, : repeated[:, 1::3].shape[1]]
+        inputs = [
+            rng.standard_normal((4, 1000)),
+            np.round(rng.standard_normal((8, 100)), 1),  # many ties of many sizes
+            rng.integers(0, 3, size=(3, 7)).astype(float),  # three tie groups
+            repeated,  # NUTS-style repeated draws
+            np.full((2, 6), 0.25),  # one tie group
+            np.array([[2.0, -0.0, 0.0, 1.0], [0.0, -1.0, 2.0, 2.0]]),  # -0 ties +0
+        ]
+        for arr in inputs:
+            ranks = stats.rankdata(arr, method="average").reshape(arr.shape)
+            expected = special.ndtri((ranks - 0.375) / (arr.size + 0.25))
+            assert np.array_equal(_rank_normalize(arr), expected)
 
 
 class TestEss:

@@ -10,6 +10,7 @@ from bernreg.loo import (
     LogLikMatrix,
     LooResult,
     _gp_inverse_cdf,
+    _stable_tail,
     compare,
     exact_loo,
     pointwise_loglik,
@@ -102,6 +103,47 @@ class TestTailLength:
     def test_small_counts(self):
         assert tail_length(25) == 5
         assert tail_length(24) == 5
+
+
+def _tail_by_full_sort(lw, m):
+    """(tail ids, tail, cutoff) from each row's whole stable argsort."""
+    n = lw.shape[1]
+    order = np.argsort(lw, axis=1, kind="stable")
+    return (
+        order[:, n - m:],
+        np.take_along_axis(lw, order[:, n - m:], axis=1),
+        np.take_along_axis(lw, order[:, n - m - 1:n - m], axis=1),
+    )
+
+
+class TestStableTail:
+    """argpartition tail selection against the whole stable sort, exactly."""
+
+    def test_matches_full_stable_sort(self):
+        rng = np.random.default_rng(31)
+        n = 400
+        m = tail_length(n)
+        lw = rng.standard_normal((10, n))
+        order = np.argsort(lw, axis=1, kind="stable")
+
+        def tie(row, lo, hi):
+            lw[row, order[row, lo:hi]] = lw[row, order[row, lo]]
+
+        tie(1, n - m + 5, n - m + 15)  # ties inside the tail
+        tie(1, n - 4, n)  # ... at its top too
+        tie(2, n - m - 3, n - m + 4)  # ties across the cutoff
+        tie(3, n - m - 6, n - m)  # the cutoff tied with values below it only
+        tie(4, n - m, n)  # the whole tail tied, above the cutoff
+        tie(5, n - m - 1, n)  # the whole tail tied with the cutoff
+        lw[6] = -0.5  # a constant row
+        lw[7, 1::10] = lw[7, 0::10]  # repeated draws, ties everywhere
+        lw[8, 17] = np.nan
+        lw[9, 3] = -np.inf
+        tail_ids, tail, cutoff = _stable_tail(lw.copy(), m)
+        ref_ids, ref_tail, ref_cutoff = _tail_by_full_sort(lw, m)
+        assert np.array_equal(tail_ids, ref_ids)
+        assert np.array_equal(tail, ref_tail, equal_nan=True)
+        assert np.array_equal(cutoff, ref_cutoff, equal_nan=True)
 
 
 class TestPsisSmooth:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special
 
 from bernreg.data import DesignMatrix
 from bernreg.errors import DimensionMismatch
@@ -262,3 +263,65 @@ class TestGradient:
         model = _simple_model("logit", n=10, k=2)
         with pytest.raises(DimensionMismatch):
             log_posterior_and_gradient(np.zeros(5), model)
+
+
+def _two_log_ndtr_posterior(beta, model):
+    """The probit posterior as log Phi(eta) and log Phi(-eta) for every row,
+    each tail's inverse Mills ratio picked by y."""
+    x, y = model.design.values, model.target
+    eta = linear_predictor(beta, x)
+    log_cdf = special.log_ndtr(eta)
+    log_cdf_neg = special.log_ndtr(-eta)
+    value = float(np.dot(y, log_cdf) + np.dot(1.0 - y, log_cdf_neg))
+    log_pdf = -0.5 * eta * eta - 0.5 * math.log(2.0 * math.pi)
+    score = np.where(y > 0.5, np.exp(log_pdf - log_cdf), -np.exp(log_pdf - log_cdf_neg))
+    # The prior alone: the posterior of the same model with no rows.
+    empty = ModelSpec("probit", model.prior, DesignMatrix.from_values(x[:0]), y[:0])
+    prior_value, prior_grad = log_posterior_and_gradient(beta, empty)
+    grad = np.empty_like(beta)
+    grad[0] = np.sum(score)
+    grad[1:] = x.T @ score
+    return value + prior_value, grad + prior_grad
+
+
+class TestProbitSignedMargin:
+    """The one-log_ndtr probit posterior keeps every bit of the two-log_ndtr form."""
+
+    def _assert_same_bits(self, beta, model):
+        value, grad = log_posterior_and_gradient(beta, model)
+        ref_value, ref_grad = _two_log_ndtr_posterior(beta, model)
+        assert value == ref_value
+        assert np.array_equal(grad, ref_grad)
+
+    def test_eta_grid_both_targets(self):
+        # eta = 0 + 1 * x exactly, so each row sits at a chosen eta.
+        etas = np.concatenate((
+            np.linspace(-40.0, 40.0, 1601),
+            [-39.999, -37.5, -20.0, -8.3, -6.0, -1e-300, 0.0, 6.0, 8.3, 20.0, 37.5, 40.0],
+        ))
+        for y in (0.0, 1.0):
+            model = ModelSpec(
+                "probit", default_priors("probit"),
+                DesignMatrix.from_values(etas[:, None]), np.full(etas.size, y),
+            )
+            self._assert_same_bits(np.array([0.0, 1.0]), model)
+        mixed = ModelSpec(
+            "probit", default_priors("probit"),
+            DesignMatrix.from_values(np.tile(etas, 2)[:, None]),
+            np.repeat([0.0, 1.0], etas.size),
+        )
+        self._assert_same_bits(np.array([0.0, 1.0]), mixed)
+
+    def test_random_coefficients(self):
+        rng = np.random.default_rng(17)
+        model = _simple_model("probit", n=400, k=4, seed=3)
+        for scale in (0.5, 3.0, 15.0):
+            for _ in range(20):
+                self._assert_same_bits(rng.normal(0.0, scale, 5), model)
+
+    def test_pointwise_terms_match_log_ndtr_of_signed_eta(self):
+        eta = np.linspace(-40.0, 40.0, 801)
+        for y in (0.0, 1.0):
+            terms = bernoulli_loglik_terms("probit", eta, np.full(eta.size, y))
+            expected = special.log_ndtr(eta) if y else special.log_ndtr(-eta)
+            assert np.array_equal(terms, expected)
