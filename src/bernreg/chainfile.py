@@ -23,6 +23,27 @@ FORMAT_TAG = "bernreg-chain/2"
 LEGACY_FORMAT_TAG = "bernreg-chain/1"
 _READABLE_TAGS = (LEGACY_FORMAT_TAG, FORMAT_TAG)
 
+# Header keys, dotted for nesting, that loading and the commands read.
+_REQUIRED_KEYS = (
+    "param_names", "config", "step_sizes", "divergence_iterations",
+    "accept_rates", "model", "dataset",
+    "model.link", "model.prior", "model.design",
+    "model.design.column_names", "model.design.encoding_map", "model.design.scaling",
+    "dataset.fingerprint", "dataset.pipeline",
+    "dataset.pipeline.delimiter", "dataset.pipeline.subsample",
+    "dataset.pipeline.balance", "dataset.pipeline.holdout",
+    "dataset.pipeline.seed", "dataset.pipeline.standardize",
+)
+
+
+def _has_key(header, dotted):
+    node = header
+    for part in dotted.split("."):
+        if not isinstance(node, dict) or part not in node:
+            return False
+        node = node[part]
+    return True
+
 
 def save_chain_file(path, draws, model_info, dataset_info):
     """Write a fit; model_info and dataset_info are JSON-ready dicts."""
@@ -67,11 +88,7 @@ def load_chain_file(path):
     if not isinstance(header, dict) or header.get("format") not in _READABLE_TAGS:
         fail(f"not a {' or '.join(_READABLE_TAGS)} file")
 
-    required = (
-        "param_names", "config", "step_sizes", "divergence_iterations",
-        "accept_rates", "model", "dataset",
-    )
-    missing = [k for k in required if k not in header]
+    missing = [k for k in _REQUIRED_KEYS if not _has_key(header, k)]
     if missing:
         fail("header missing keys: " + ", ".join(missing))
     try:

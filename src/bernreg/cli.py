@@ -18,7 +18,6 @@ import sys
 from . import chainfile, report
 from .data import (
     dataset_fingerprint,
-    design_from_metadata,
     encode,
     encode_new,
     holdout_split,
@@ -44,6 +43,7 @@ EXIT_NUMERICAL = 4
 EXIT_MISMATCH = 5
 
 RHAT_WARNING_LEVEL = 1.01
+FORMATS = ("text", "json")
 
 
 @dataclasses.dataclass
@@ -121,26 +121,19 @@ class _RunLog:
             handle.write("\n".join(self._entries) + "\n")
 
 
-def _emit(render_text, render_json, value, fmt, out_dir=None, stem=None):
-    """Print `value` in the selected format ("both" prints text) and, with
-    `out_dir`, write every selected format; render no other format."""
-    if fmt in ("text", "both"):
-        text_body = render_text(value)
-        sys.stdout.write(text_body)
-        if out_dir is not None:
-            with open(os.path.join(out_dir, f"{stem}.txt"), "w", encoding="utf-8") as h:
-                h.write(text_body)
-    if fmt == "json" or (fmt == "both" and out_dir is not None):
-        json_body = render_json(value)
-        if fmt == "json":
-            sys.stdout.write(json_body)
-        if out_dir is not None:
-            with open(os.path.join(out_dir, f"{stem}.json"), "w", encoding="utf-8") as h:
-                h.write(json_body)
+def _emit(render_text, render_json, value, fmt):
+    """Print `value` in the selected format; render no other format."""
+    sys.stdout.write((render_json if fmt == "json" else render_text)(value))
 
 
 def _warn(message):
     print(f"warning: {message}", file=sys.stderr)
+
+
+def _warn_rhat(rows):
+    bad_rhat = [r.name for r in rows if r.rhat == r.rhat and r.rhat > RHAT_WARNING_LEVEL]
+    if bad_rhat:
+        _warn(f"rhat above {RHAT_WARNING_LEVEL} for: " + ", ".join(bad_rhat))
 
 
 def _pipeline_info(config):
@@ -229,23 +222,18 @@ def cmd_fit(args):
         )
 
     rows = summarize(draws)
-    _emit(
-        report.render_summary_text,
-        report.render_summary_json,
-        rows,
-        args.format,
-        out_dir=config.out,
-        stem="summary",
-    )
+    text_body = report.render_summary_text(rows)
+    json_body = report.render_summary_json(rows)
+    # Both summaries are written whatever --format prints.
+    for name, body in (("summary.txt", text_body), ("summary.json", json_body)):
+        with open(os.path.join(config.out, name), "w", encoding="utf-8") as h:
+            h.write(body)
+    sys.stdout.write(json_body if args.format == "json" else text_body)
 
     total_divergences = sum(draws.divergence_counts)
     if total_divergences:
         _warn(f"{total_divergences} divergent transitions after warmup")
-    bad_rhat = [r.name for r in rows if r.rhat == r.rhat and r.rhat > RHAT_WARNING_LEVEL]
-    if bad_rhat:
-        _warn(
-            f"rhat above {RHAT_WARNING_LEVEL} for: " + ", ".join(bad_rhat)
-        )
+    _warn_rhat(rows)
     log.note(f"fit finished: {total_divergences} divergences")
     log.flush()
     return EXIT_OK
@@ -255,9 +243,7 @@ def cmd_diagnose(args):
     draws, _ = chainfile.load_chain_file(args.chain)
     rows = summarize(draws)
     _emit(report.render_summary_text, report.render_summary_json, rows, args.format)
-    bad_rhat = [r.name for r in rows if r.rhat == r.rhat and r.rhat > RHAT_WARNING_LEVEL]
-    if bad_rhat:
-        _warn(f"rhat above {RHAT_WARNING_LEVEL} for: " + ", ".join(bad_rhat))
+    _warn_rhat(rows)
     return EXIT_OK
 
 
@@ -310,12 +296,18 @@ def _rebuild_model(header, table):
 def cmd_compare(args):
     if len(args.chains) < 2:
         raise ValueError("compare needs at least two chain files")
-    table = parse_dataset(args.data, args.delimiter)
+    fits = [chainfile.load_chain_file(path) for path in args.chains]
+    delimiters = {header["dataset"]["pipeline"]["delimiter"] for _, header in fits}
+    if len(delimiters) > 1:
+        raise DatasetMismatch(
+            "chain files were fitted with different delimiters: "
+            + ", ".join(sorted(map(repr, delimiters)))
+        )
+    table = parse_dataset(args.data, delimiters.pop())
     results = []
     names = []
     total_high_k = 0
-    for path in args.chains:
-        draws, header = chainfile.load_chain_file(path)
+    for draws, header in fits:
         model = _rebuild_model(header, table)
         # No name holds the S x N matrix, so it is freed before the next one.
         loo_result = psis_loo(pointwise_loglik(draws, model))
@@ -344,17 +336,12 @@ def cmd_predict(args):
     draws, header = chainfile.load_chain_file(args.chain)
     metadata = header["model"]["design"]
     table = parse_new_rows(args.data, args.delimiter, metadata)
-    if table.n_rows == 0:
-        sys.stdout.write(report.render_predictions_text([]))
-        return EXIT_OK
-    values = encode_new(metadata, table)
     rows = posterior_predict(
         draws,
-        design_from_metadata(metadata, values),
+        encode_new(metadata, table),
         header["model"]["link"],
         scale=args.scale,
         seed=args.seed,
-        training_metadata=metadata,
     )
     _emit(
         report.render_predictions_text, report.render_predictions_json, rows, args.format
@@ -400,7 +387,8 @@ def build_parser():
     fit.add_argument("--no-standardize", dest="standardize", action="store_false")
     fit.add_argument("--threads", type=int, default=1,
                      help="chain scheduling only; never changes results")
-    fit.add_argument("--format", choices=("text", "json", "both"), default="both")
+    fit.add_argument("--format", choices=FORMATS, default="text",
+                     help="summary printed; summary.txt and summary.json are both written")
     fit.add_argument("--out", help="output directory (default runs/<link>-seed<seed>)")
     fit.set_defaults(
         func=cmd_fit,
@@ -409,14 +397,14 @@ def build_parser():
 
     diag = sub.add_parser("diagnose", help="summaries and diagnostics of a saved fit")
     diag.add_argument("chain", help="chain file from a fit")
-    diag.add_argument("--format", choices=("text", "json", "both"), default="text")
+    diag.add_argument("--format", choices=FORMATS, default="text")
     diag.set_defaults(func=cmd_diagnose)
 
     comp = sub.add_parser("compare", help="rank saved fits by held-out fit quality")
     comp.add_argument("chains", nargs="+", help="two or more chain files")
-    comp.add_argument("--data", required=True, help="the training data file")
-    comp.add_argument("--delimiter", default=";")
-    comp.add_argument("--format", choices=("text", "json", "both"), default="text")
+    comp.add_argument("--data", required=True,
+                      help="the training data file, read with the fits' delimiter")
+    comp.add_argument("--format", choices=FORMATS, default="text")
     comp.set_defaults(func=cmd_compare)
 
     pred = sub.add_parser("predict", help="score new rows with a saved fit")
@@ -425,12 +413,12 @@ def build_parser():
     pred.add_argument("--delimiter", default=";")
     pred.add_argument("--scale", choices=SCALES, default="outcome")
     pred.add_argument("--seed", type=int, default=0)
-    pred.add_argument("--format", choices=("text", "json", "both"), default="text")
+    pred.add_argument("--format", choices=FORMATS, default="text")
     pred.set_defaults(func=cmd_predict)
 
     ver = sub.add_parser("verify", help="run the numerical cross-check suite")
     ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--format", choices=("text", "json", "both"), default="text")
+    ver.add_argument("--format", choices=FORMATS, default="text")
     ver.set_defaults(func=cmd_verify)
 
     return parser

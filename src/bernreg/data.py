@@ -97,14 +97,9 @@ class RecordTable:
 
 
 def _open_text(source):
-    """Normalize path / text stream / bytes into a text stream."""
+    """A text stream over a path or a copy of a text stream's contents."""
     if hasattr(source, "read"):
-        data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8-sig")
-        return io.StringIO(data)
-    if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8-sig"))
+        return io.StringIO(source.read())
     return open(source, "r", encoding="utf-8-sig", newline="")
 
 
@@ -185,7 +180,7 @@ def _read_table(source, delimiter, columns, categorical, require_target):
 
 
 def parse_dataset(source, delimiter=";"):
-    """Read the full 21-column table from a path, stream, or bytes."""
+    """Read the full 21-column table from a path or text stream."""
     return _read_table(source, delimiter, PREDICTOR_ORDER, CATEGORICAL_COLUMNS, True)
 
 
@@ -363,9 +358,6 @@ class DesignMatrix:
             raise ValueError("design values must be 2-D")
         if self.values.shape[1] != len(self.column_names):
             raise ValueError("column_names length differs from design width")
-        for name, (center, scale) in self.scaling.items():
-            if not scale > 0:
-                raise ValueError(f"column {name!r} has non-positive scale {scale}")
 
     @property
     def n_rows(self):
@@ -451,9 +443,9 @@ def encode(table, standardize=True):
 def encode_new(metadata, table):
     """Design values for new rows under stored metadata.
 
-    Raises UnseenLevel for a category absent from training, and
+    Raises UnseenLevel for a category absent from training,
     EncodingMismatch when the table's columns do not line up with the
-    stored design.
+    stored design, and ValueError for a stored scale that is not positive.
     """
     columns = list(metadata["column_names"])
     if list(table.predictor_order) != columns:
@@ -478,20 +470,10 @@ def encode_new(metadata, table):
         else:
             raw = np.asarray(table.numeric[name], dtype=np.float64)
         center, scale = scaling[name]
+        if not scale > 0:
+            raise ValueError(f"column {name!r} has non-positive scale {scale}")
         out[:, j] = (raw - center) / scale
     return out
-
-
-def design_from_metadata(metadata, values):
-    """Rebuild a DesignMatrix around already-encoded values."""
-    return DesignMatrix(
-        values=values,
-        column_names=tuple(metadata["column_names"]),
-        encoding_map={c: dict(v) for c, v in metadata["encoding_map"].items()},
-        scaling={c: (float(a), float(b)) for c, (a, b) in metadata["scaling"].items()},
-        standardized=bool(metadata["standardized"]),
-        constant_columns=tuple(metadata["constant_columns"]),
-    )
 
 
 # Decimals of the raw design values that a dataset fingerprint tells apart.

@@ -316,18 +316,6 @@ class LooResult:
         counts["nan"] = int(self.pareto_k.size - k.size)
         return counts
 
-    def to_dict(self):
-        return {
-            "elpd_loo": self.elpd_loo,
-            "se_elpd": self.se_elpd,
-            "p_loo": self.p_loo,
-            "n_obs": self.n_obs,
-            "n_draws": self.n_draws,
-            "n_high_k": self.n_high_k,
-            "pareto_k_counts": self.k_counts,
-            "fingerprint": self.fingerprint,
-        }
-
 
 def psis_loo(loglik):
     """Smooth each observation's weights and aggregate the pointwise elpd.

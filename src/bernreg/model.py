@@ -75,27 +75,6 @@ def default_priors(link):
     raise ValueError(f"unknown link {link!r}")
 
 
-@dataclass(frozen=True)
-class Coefficients:
-    """Intercept plus one slope per design column; always finite."""
-
-    intercept: float
-    slopes: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "slopes", np.asarray(self.slopes, dtype=np.float64))
-        if not (np.isfinite(self.intercept) and np.all(np.isfinite(self.slopes))):
-            raise ValueError("coefficients must be finite")
-
-    def as_array(self):
-        return np.concatenate(([self.intercept], self.slopes))
-
-    @classmethod
-    def from_array(cls, values):
-        values = np.asarray(values, dtype=np.float64)
-        return cls(intercept=float(values[0]), slopes=values[1:].copy())
-
-
 @dataclass
 class ModelSpec:
     """Link + prior + encoded design + 0/1 target; the sampler's input.

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DesignMatrix
-from .errors import DimensionMismatch, EncodingMismatch, NumericalError
+from .errors import DimensionMismatch, NumericalError
 from .model import link_function
 from .rngutil import substream_rng
 
@@ -62,24 +61,15 @@ def _ecdf_quantile(ordered, p):
     return float(ordered[_ecdf_index(len(ordered), p)])
 
 
-def posterior_predict(draws, new_rows, link, *, scale="outcome", seed=0,
-                      training_metadata=None):
+def posterior_predict(draws, values, link, *, scale="outcome", seed=0):
     """PredictionRows for each new design row, in input order.
 
-    `new_rows` is a DesignMatrix already encoded like the training data;
-    when `training_metadata` is supplied the encodings are compared and a
-    mismatch is an error rather than a silent misprediction.
+    `values` is the (rows, k) array of new rows already encoded like the
+    training design (data.encode_new), one column per slope.
     """
     if scale not in SCALES:
         raise ValueError(f"scale must be one of {SCALES}, got {scale!r}")
-    if isinstance(new_rows, DesignMatrix):
-        if training_metadata is not None and new_rows.metadata() != training_metadata:
-            raise EncodingMismatch(
-                "new rows were encoded with different metadata than the training design"
-            )
-        values = new_rows.values
-    else:
-        values = np.atleast_2d(np.asarray(new_rows, dtype=np.float64))
+    values = np.atleast_2d(np.asarray(values, dtype=np.float64))
 
     beta = draws.pooled()
     if values.shape[1] != beta.shape[1] - 1:

@@ -284,7 +284,7 @@ class TestPredictionContract:
         draws = make_draws(coef, param_names=("Intercept", "x1"))
         rows = posterior_predict(
             draws,
-            DesignMatrix.from_values(np.zeros((5, 1))),
+            np.zeros((5, 1)),
             "logit",
             scale="outcome",
             seed=3,
@@ -316,7 +316,7 @@ class TestPredictionContract:
         draws = paper_fits["logit"]["draws"]
         rows = posterior_predict(
             draws,
-            DesignMatrix.from_values(design.values[:50]),
+            design.values[:50],
             "logit",
             scale="outcome",
             seed=5,

@@ -13,6 +13,8 @@ from bernreg.errors import CorruptChainFile
 
 from conftest import make_draws
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 @pytest.fixture
 def sample_draws():
@@ -24,8 +26,23 @@ def sample_draws():
     return make_draws(arr, param_names=("Intercept", "x1", "x2"), seed=9)
 
 
-MODEL_INFO = {"link": "logit", "prior": {"intercept_mean": 3.5}}
-DATASET_INFO = {"fingerprint": "cafe01", "n_rows": 10}
+MODEL_INFO = {
+    "link": "logit",
+    "prior": {"intercept_mean": 3.5},
+    "design": {
+        "column_names": ["x1", "x2"],
+        "encoding_map": {},
+        "scaling": {"x1": [0.0, 1.0], "x2": [0.0, 1.0]},
+    },
+}
+DATASET_INFO = {
+    "fingerprint": "cafe01",
+    "n_rows": 10,
+    "pipeline": {
+        "delimiter": ";", "subsample": 10, "balance": "off", "holdout": 0,
+        "seed": 9, "standardize": False,
+    },
+}
 
 
 class TestRoundTrip:

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -91,6 +92,17 @@ def _read_bytes(path):
 def _read_text(path):
     with open(path, encoding="utf-8") as handle:
         return handle.read()
+
+
+def _rewrite_header(chain_path, out_path, change):
+    """Copy a chain file, passing its header dict through `change` first."""
+    first, rest = _read_bytes(chain_path).split(b"\n", 1)
+    header = json.loads(first)
+    change(header)
+    with open(out_path, "wb") as handle:
+        handle.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode())
+        handle.write(b"\n" + rest)
+    return out_path
 
 
 class TestRunConfig:
@@ -196,6 +208,22 @@ class TestFitArtifacts:
             "intercept_mean": 0.0, "intercept_sd": 2.0,
             "slope_mean": 0.0, "slope_sd": 0.5,
         }
+
+
+class TestFitFormats:
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_both_summaries_written_whatever_is_printed(
+        self, logit_dir, small_bank_csv, tmp_path, capsys, fmt
+    ):
+        out = str(tmp_path / fmt)
+        assert _run_fit(small_bank_csv, out, "--format", fmt) == EXIT_OK
+        printed = capsys.readouterr().out
+        for name in ("summary.txt", "summary.json"):
+            assert _read_bytes(os.path.join(out, name)) == _read_bytes(
+                os.path.join(logit_dir, name)
+            ), name
+        suffix = "txt" if fmt == "text" else "json"
+        assert printed == _read_text(os.path.join(out, f"summary.{suffix}"))
 
 
 class TestRerunIdentity:
@@ -334,6 +362,40 @@ class TestCompare:
         assert code == EXIT_OK
         assert len(held) == 2
         assert held[1] - held[0] < matrix_bytes / 2
+
+    @pytest.fixture(scope="class")
+    def comma_fits(self, small_bank_csv, tmp_path_factory):
+        """A comma-delimited copy of the data, and a logit and a probit fit of it."""
+        directory = tmp_path_factory.mktemp("comma")
+        data = str(directory / "bank-comma.csv")
+        with open(small_bank_csv, encoding="utf-8", newline="") as handle:
+            rows = list(csv.reader(handle, delimiter=";"))
+        with open(data, "w", encoding="utf-8", newline="") as handle:
+            csv.writer(handle, delimiter=",").writerows(rows)
+        chains = []
+        for link in ("logit", "probit"):
+            out = str(directory / link)
+            code = main(["fit", "--data", data, "--delimiter", ",", "--link", link,
+                         "--out", out, "--subsample", "200", "--chains", "2",
+                         "--warmup", "60", "--draws", "40", "--seed", "11"])
+            assert code == EXIT_OK
+            chains.append(os.path.join(out, f"{link}.chain"))
+        return data, chains
+
+    def test_delimiter_comes_from_the_fits(self, comma_fits, capsys):
+        data, chains = comma_fits
+        assert main(["compare", *chains, "--data", data, "--format", "json"]) == EXIT_OK
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert {r["name"] for r in rows} == {"logit_model", "probit_model"}
+
+    def test_fits_with_different_delimiters_exit_5(
+        self, comma_fits, logit_dir, small_bank_csv, capsys
+    ):
+        _, chains = comma_fits
+        code = main(["compare", os.path.join(logit_dir, "logit.chain"), chains[1],
+                     "--data", small_bank_csv])
+        assert code == EXIT_MISMATCH
+        assert "delimiters" in capsys.readouterr().err
 
     def test_single_chain_exits_2(self, logit_dir, small_bank_csv):
         code = main([
@@ -497,6 +559,22 @@ class TestPredict:
         assert main(["predict", chain, "--data", str(target)]) == EXIT_OK
         out = capsys.readouterr().out
         assert len(out.splitlines()) == 1
+        assert main(["predict", chain, "--data", str(target), "--format", "json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out) == {"predictions": []}
+
+    def test_zero_stored_scale_exits_2_without_warning(
+        self, logit_dir, score_csv, tmp_path, capsys
+    ):
+        def zero_duration_scale(header):
+            header["model"]["design"]["scaling"]["duration"][1] = 0.0
+
+        chain = _rewrite_header(os.path.join(logit_dir, "logit.chain"),
+                                str(tmp_path / "zero-scale.chain"), zero_duration_scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["predict", chain, "--data", score_csv])
+        assert code == EXIT_USAGE
+        assert "'duration' has non-positive scale" in capsys.readouterr().err
 
     def test_unseen_level_exits_5(self, logit_dir, score_csv, tmp_path, capsys):
         with open(score_csv, encoding="utf-8", newline="") as handle:
@@ -516,20 +594,19 @@ class TestPredict:
     ):
         chain = os.path.join(logit_dir, "logit.chain")
         printed = {}
-        for fmt in ("text", "json", "both"):
+        for fmt in ("text", "json"):
             assert main(["predict", chain, "--data", score_csv, "--format", fmt]) == EXIT_OK
             printed[fmt] = capsys.readouterr().out
 
         def refuse(rows):
             raise AssertionError("rendered a format that is not printed")
 
-        for fmt, unused in (("text", "json"), ("json", "text"), ("both", "json")):
+        for fmt, unused in (("text", "json"), ("json", "text")):
             with monkeypatch.context() as patch:
                 patch.setattr(report, f"render_predictions_{unused}", refuse)
                 code = main(["predict", chain, "--data", score_csv, "--format", fmt])
             assert code == EXIT_OK
             assert capsys.readouterr().out == printed[fmt]
-        assert printed["both"] == printed["text"]
 
     def test_foreign_header_exits_3(self, logit_dir, tmp_path):
         target = tmp_path / "foreign.csv"
@@ -571,6 +648,28 @@ class TestUsageErrors:
         assert code == expected
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "--data", "bank.csv"],
+            ["diagnose", "fit.chain"],
+            ["compare", "a.chain", "b.chain", "--data", "bank.csv"],
+            ["predict", "fit.chain", "--data", "rows.csv"],
+            ["verify"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_format_both_is_a_parser_error(self, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--format", "both"])
+        assert info.value.code == 2
+
+    def test_compare_takes_no_delimiter(self):
+        with pytest.raises(SystemExit) as info:
+            main(["compare", "a.chain", "b.chain", "--data", "bank.csv",
+                  "--delimiter", ";"])
+        assert info.value.code == 2
+
     def test_missing_data_file_exits_3(self, tmp_path, capsys):
         code = main([
             "fit", "--data", str(tmp_path / "nope.csv"),
@@ -584,6 +683,39 @@ class TestUsageErrors:
         bad.write_text('"age";"y"\n"41";"maybe"\n')
         code = main(["fit", "--data", str(bad), "--out", str(tmp_path / "out")])
         assert code == EXIT_DATA
+
+
+class TestChainHeaderKeys:
+    @pytest.mark.parametrize(
+        "dotted",
+        [
+            "model.link", "model.prior", "model.design",
+            "model.design.column_names", "model.design.encoding_map",
+            "model.design.scaling", "dataset.fingerprint", "dataset.pipeline",
+            "dataset.pipeline.delimiter", "dataset.pipeline.subsample",
+            "dataset.pipeline.balance", "dataset.pipeline.holdout",
+            "dataset.pipeline.seed", "dataset.pipeline.standardize",
+        ],
+    )
+    def test_missing_nested_key_exits_3_naming_it(
+        self, logit_dir, probit_dir, small_bank_csv, score_csv, tmp_path, capsys, dotted
+    ):
+        *parents, leaf = dotted.split(".")
+
+        def drop(header):
+            node = header
+            for part in parents:
+                node = node[part]
+            del node[leaf]
+
+        chain = _rewrite_header(os.path.join(logit_dir, "logit.chain"),
+                                str(tmp_path / "damaged.chain"), drop)
+        probit = os.path.join(probit_dir, "probit.chain")
+        for argv in (["predict", chain, "--data", score_csv],
+                     ["compare", probit, chain, "--data", small_bank_csv],
+                     ["diagnose", chain]):
+            assert main(argv) == EXIT_DATA, argv[0]
+            assert dotted in capsys.readouterr().err
 
 
 class TestVerify:

@@ -13,7 +13,6 @@ from bernreg.data import (
     RecordTable,
     balance_oversample,
     dataset_fingerprint,
-    design_from_metadata,
     encode,
     encode_new,
     holdout_split,
@@ -35,6 +34,8 @@ from bernreg.errors import (
     UnparseableNumber,
     UnseenLevel,
 )
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 @pytest.fixture(scope="module")
@@ -325,13 +326,13 @@ class TestEncodeNew:
         values = encode_new(design.metadata(), tiny_table)
         assert np.allclose(values, design.values, atol=1e-12)
 
-    def test_metadata_round_trip(self, tiny_table):
+    def test_non_positive_stored_scale_rejected_before_dividing(self, tiny_table):
         design, _ = encode(tiny_table, standardize=True)
-        rebuilt = design_from_metadata(design.metadata(), design.values)
-        assert rebuilt.column_names == design.column_names
-        assert rebuilt.encoding_map == design.encoding_map
-        assert rebuilt.scaling == design.scaling
-        assert rebuilt.standardized == design.standardized
+        for bad in (0.0, -1.0):
+            metadata = design.metadata()
+            metadata["scaling"]["duration"][1] = bad
+            with pytest.raises(ValueError, match="'duration' has non-positive scale"):
+                encode_new(metadata, tiny_table)
 
     def test_unseen_level_rejected(self, tiny_table):
         design, _ = encode(tiny_table)

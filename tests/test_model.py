@@ -8,7 +8,6 @@ from scipy import special
 from bernreg.data import DesignMatrix
 from bernreg.errors import DimensionMismatch
 from bernreg.model import (
-    Coefficients,
     ModelSpec,
     PriorSpec,
     bernoulli_loglik_terms,
@@ -151,20 +150,6 @@ class TestPriors:
     def test_round_trip_dict(self):
         prior = PriorSpec(3.5, 1.0, 0.0, 0.5)
         assert PriorSpec.from_dict(prior.to_dict()) == prior
-
-
-class TestCoefficients:
-    def test_round_trip(self):
-        coef = Coefficients(intercept=1.5, slopes=np.array([0.2, -0.7]))
-        restored = Coefficients.from_array(coef.as_array())
-        assert restored.intercept == 1.5
-        assert np.array_equal(restored.slopes, [0.2, -0.7])
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            Coefficients(intercept=float("nan"), slopes=np.array([0.0]))
-        with pytest.raises(ValueError):
-            Coefficients(intercept=0.0, slopes=np.array([float("inf")]))
 
 
 class TestModelSpec:

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from bernreg import predict
-from bernreg.data import DesignMatrix
-from bernreg.errors import DimensionMismatch, EncodingMismatch, NumericalError
+from bernreg.errors import DimensionMismatch, NumericalError
 from bernreg.model import link_function
 from bernreg.predict import PredictionRow, _ecdf_quantile, posterior_predict
 from bernreg.rngutil import substream_rng
@@ -221,24 +220,6 @@ class TestValidation:
         draws = _coef_draws(np.zeros(10), slopes=np.zeros(10))
         with pytest.raises(DimensionMismatch):
             posterior_predict(draws, np.zeros((1, 3)), "logit")
-
-    def test_metadata_mismatch_rejected(self):
-        draws = _coef_draws(np.zeros(10), slopes=np.zeros(10))
-        rows = DesignMatrix.from_values(np.zeros((1, 1)))
-        other = DesignMatrix.from_values(np.zeros((1, 1)), column_names=("other",))
-        with pytest.raises(EncodingMismatch):
-            posterior_predict(
-                draws, rows, "logit", training_metadata=other.metadata()
-            )
-
-    def test_matching_metadata_accepted(self):
-        draws = _coef_draws(np.zeros(10), slopes=np.zeros(10))
-        rows = DesignMatrix.from_values(np.zeros((1, 1)))
-        out = posterior_predict(
-            draws, rows, "logit", scale="probability",
-            training_metadata=rows.metadata(),
-        )
-        assert out[0].estimate == 0.5
 
     def test_row_indices_sequential(self):
         draws = _coef_draws(np.zeros(10))
