@@ -18,10 +18,9 @@ from .errors import CorruptChainFile
 from .sampler import PosteriorDraws, SamplerConfig
 
 FORMAT_TAG = "bernreg-chain/2"
-# Format 1 differs only in its dataset fingerprint, a hash of the row and
-# class counts; such files are still read.
-LEGACY_FORMAT_TAG = "bernreg-chain/1"
-_READABLE_TAGS = (LEGACY_FORMAT_TAG, FORMAT_TAG)
+
+# The run settings under dataset.pipeline that rebuild the training set.
+PIPELINE_KEYS = ("delimiter", "subsample", "balance", "holdout", "seed", "standardize")
 
 # Header keys, dotted for nesting, that loading and the commands read.
 _REQUIRED_KEYS = (
@@ -30,10 +29,7 @@ _REQUIRED_KEYS = (
     "model.link", "model.prior", "model.design",
     "model.design.column_names", "model.design.encoding_map", "model.design.scaling",
     "dataset.fingerprint", "dataset.pipeline",
-    "dataset.pipeline.delimiter", "dataset.pipeline.subsample",
-    "dataset.pipeline.balance", "dataset.pipeline.holdout",
-    "dataset.pipeline.seed", "dataset.pipeline.standardize",
-)
+) + tuple(f"dataset.pipeline.{key}" for key in PIPELINE_KEYS)
 
 
 def _has_key(header, dotted):
@@ -50,7 +46,7 @@ def save_chain_file(path, draws, model_info, dataset_info):
     header = {
         "format": FORMAT_TAG,
         "param_names": list(draws.param_names),
-        "config": draws.config.to_dict(),
+        "config": vars(draws.config),
         "step_sizes": [float(s) for s in draws.step_sizes],
         "divergence_iterations": [list(map(int, d)) for d in draws.divergence_iterations],
         "accept_rates": [float(a) for a in draws.accept_rates],
@@ -85,8 +81,8 @@ def load_chain_file(path):
         header = json.loads(lines[0].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         fail(f"unreadable header: {exc}")
-    if not isinstance(header, dict) or header.get("format") not in _READABLE_TAGS:
-        fail(f"not a {' or '.join(_READABLE_TAGS)} file")
+    if not isinstance(header, dict) or header.get("format") != FORMAT_TAG:
+        fail(f"not a {FORMAT_TAG} file")
 
     missing = [k for k in _REQUIRED_KEYS if not _has_key(header, k)]
     if missing:

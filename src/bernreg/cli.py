@@ -10,8 +10,6 @@ directories are derived from the link and seed. Exit codes: 0 success
 import argparse
 import dataclasses
 import datetime
-import hashlib
-import json
 import os
 import sys
 
@@ -97,13 +95,6 @@ class RunConfig:
             target_accept=self.target_accept,
         )
 
-    def to_dict(self):
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
-
 
 class _RunLog:
     """Timestamped sidecar; the only artifact allowed to differ between reruns."""
@@ -136,19 +127,8 @@ def _warn_rhat(rows):
         _warn(f"rhat above {RHAT_WARNING_LEVEL} for: " + ", ".join(bad_rhat))
 
 
-def _pipeline_info(config):
-    return {
-        "delimiter": config.delimiter,
-        "subsample": config.subsample,
-        "balance": config.balance,
-        "holdout": config.holdout,
-        "seed": config.seed,
-        "standardize": config.standardize,
-    }
-
-
-def _build_training_set(table, config):
-    """(train_table, balance_report, holdout_table) per the run config."""
+def _training_set(table, config):
+    """(design, target, balance_report, holdout_table) per the run config."""
     prepared, balance_report = prepare_training_table(
         table, config.subsample, config.balance, config.seed
     )
@@ -157,7 +137,8 @@ def _build_training_set(table, config):
         prepared, holdout_table = holdout_split(
             prepared, config.holdout, substream_seed(config.seed, HOLDOUT_STREAM)
         )
-    return prepared, balance_report, holdout_table
+    design, target = encode(prepared, standardize=config.standardize)
+    return design, target, balance_report, holdout_table
 
 
 # RunConfig fields that `fit` takes verbatim from its namespace; the prior
@@ -189,14 +170,13 @@ def cmd_fit(args):
     log.note(f"fit started: link={config.link} seed={config.seed}")
     table = parse_dataset(config.data, config.delimiter)
     log.note(f"parsed {table.n_rows} rows")
-    train, balance_report, holdout_table = _build_training_set(table, config)
-    log.note(f"training rows: {train.n_rows}")
-    design, target = encode(train, standardize=config.standardize)
+    design, target, balance_report, holdout_table = _training_set(table, config)
+    log.note(f"training rows: {design.n_rows}")
     model = ModelSpec(link=config.link, prior=prior, design=design, target=target)
 
     os.makedirs(config.out, exist_ok=True)
     with open(os.path.join(config.out, "config.json"), "w", encoding="utf-8") as h:
-        h.write(json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n")
+        h.write(report.render_json(config))
 
     draws = sample(model, sampler_config, threads=args.threads)
     log.note("sampling finished")
@@ -205,17 +185,17 @@ def cmd_fit(args):
     dataset_info = {
         "fingerprint": dataset_fingerprint(design, target),
         "n_rows": int(design.n_rows),
-        "pipeline": _pipeline_info(config),
+        "pipeline": {key: getattr(config, key) for key in chainfile.PIPELINE_KEYS},
         "balance": balance_report.to_dict() if balance_report else None,
     }
     chain_path = os.path.join(config.out, f"{config.link}.chain")
     chainfile.save_chain_file(chain_path, draws, model_info, dataset_info)
 
     with open(os.path.join(config.out, "encoding.json"), "w", encoding="utf-8") as h:
-        h.write(json.dumps(design.metadata(), indent=2, sort_keys=True) + "\n")
+        h.write(report.render_json(design.metadata()))
     if balance_report is not None:
         with open(os.path.join(config.out, "balance.json"), "w", encoding="utf-8") as h:
-            h.write(json.dumps(balance_report.to_dict(), indent=2, sort_keys=True) + "\n")
+            h.write(report.render_json(balance_report))
     if holdout_table is not None:
         write_records(
             holdout_table, os.path.join(config.out, "holdout.csv"), config.delimiter
@@ -247,42 +227,23 @@ def cmd_diagnose(args):
     return EXIT_OK
 
 
-def _count_fingerprint(design, target):
-    """The bernreg-chain/1 fingerprint: a hash of (n, k, #ones, #zeros) only."""
-    n, k = design.values.shape
-    ones = int((target == 1).sum())
-    payload = json.dumps(
-        {"n": int(n), "k": int(k), "ones": ones, "zeros": int(n - ones)},
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode("ascii")).hexdigest()[:16]
-
-
 def _rebuild_model(header, table):
     """Recreate the training design a chain file header describes."""
     pipeline = header["dataset"]["pipeline"]
+    types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
     config = RunConfig(
         data="",
-        delimiter=pipeline["delimiter"],
-        subsample=int(pipeline["subsample"]),
-        balance=pipeline["balance"],
-        holdout=int(pipeline["holdout"]),
         link=header["model"]["link"],
         prior=header["model"]["prior"],
-        seed=int(pipeline["seed"]),
-        standardize=bool(pipeline["standardize"]),
+        **{key: types[key](pipeline[key]) for key in chainfile.PIPELINE_KEYS},
     )
-    train, _, _ = _build_training_set(table, config)
-    design, target = encode(train, standardize=config.standardize)
+    design, target, _, _ = _training_set(table, config)
     if design.metadata() != header["model"]["design"]:
         raise DatasetMismatch(
             "rebuilt design does not match the design stored in the chain file; "
             "the data file differs from the one used to fit"
         )
-    if header["format"] == chainfile.LEGACY_FORMAT_TAG:
-        fingerprint = _count_fingerprint(design, target)
-    else:
-        fingerprint = dataset_fingerprint(design, target)
+    fingerprint = dataset_fingerprint(design, target)
     if fingerprint != header["dataset"]["fingerprint"]:
         raise DatasetMismatch(
             f"rebuilt dataset fingerprint {fingerprint} differs from stored "
@@ -304,8 +265,7 @@ def cmd_compare(args):
             + ", ".join(sorted(map(repr, delimiters)))
         )
     table = parse_dataset(args.data, delimiters.pop())
-    results = []
-    names = []
+    results = {}
     total_high_k = 0
     for draws, header in fits:
         model = _rebuild_model(header, table)
@@ -315,11 +275,10 @@ def cmd_compare(args):
         base = f"{model.link}_model"
         name = base
         counter = 2
-        while name in names:
+        while name in results:
             name = f"{base}_{counter}"
             counter += 1
-        names.append(name)
-        results.append((name, loo_result))
+        results[name] = loo_result
     comparison = loo_compare(results)
     _emit(
         report.render_comparison_text,

@@ -245,14 +245,7 @@ class BalanceReport:
     seed: int
 
     def to_dict(self):
-        return {
-            "n_before": self.n_before,
-            "n_positive_before": self.n_positive_before,
-            "n_after": self.n_after,
-            "n_positive_after": self.n_positive_after,
-            "duplicated_rows": list(map(int, self.duplicated_rows)),
-            "seed": int(self.seed),
-        }
+        return dict(vars(self))
 
 
 def balance_oversample(table, seed):
@@ -378,11 +371,6 @@ class DesignMatrix:
             "standardized": bool(self.standardized),
             "constant_columns": list(self.constant_columns),
         }
-
-    def decode_categorical(self, column, codes):
-        """Map integer codes back to level strings for one column."""
-        levels = sorted(self.encoding_map[column], key=self.encoding_map[column].get)
-        return [levels[int(c) - 1] for c in codes]
 
     @classmethod
     def from_values(cls, values, column_names=None):

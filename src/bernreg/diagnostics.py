@@ -194,21 +194,6 @@ class ParamSummary:
     ess_tail: float
     rhat: float
 
-    def to_dict(self):
-        def jsonable(x):
-            return None if isinstance(x, float) and math.isnan(x) else x
-
-        return {
-            "name": self.name,
-            "estimate": self.estimate,
-            "est_error": self.est_error,
-            "ci_lower": self.ci_lower,
-            "ci_upper": self.ci_upper,
-            "ess_bulk": jsonable(self.ess_bulk),
-            "ess_tail": jsonable(self.ess_tail),
-            "rhat": jsonable(self.rhat),
-        }
-
 
 def summarize(draws, ci_level=0.95):
     """Per-parameter rows, in parameter order, from a PosteriorDraws."""

@@ -354,19 +354,7 @@ class ComparisonRow:
     se_elpd: float
     n_high_k: int
     p_loo: float
-    k_counts: dict
-
-    def to_dict(self):
-        return {
-            "name": self.name,
-            "elpd_diff": self.elpd_diff,
-            "se_diff": self.se_diff,
-            "elpd_loo": self.elpd_loo,
-            "se_elpd": self.se_elpd,
-            "n_high_k": self.n_high_k,
-            "p_loo": self.p_loo,
-            "pareto_k_counts": self.k_counts,
-        }
+    pareto_k_counts: dict
 
 
 @dataclass
@@ -375,16 +363,10 @@ class ComparisonResult:
 
     rows: list
 
-    def to_dict(self):
-        return {"rows": [r.to_dict() for r in self.rows]}
-
 
 def compare(results):
-    """Rank named LooResults fitted on the same data, best first."""
-    if hasattr(results, "items"):
-        items = list(results.items())
-    else:
-        items = list(results)
+    """Rank a {name: LooResult} dict fitted on the same data, best first."""
+    items = list(results.items())
     if len(items) < 2:
         raise ValueError("compare needs at least two models")
     reference_fp = items[0][1].fingerprint
@@ -413,7 +395,7 @@ def compare(results):
                 se_elpd=res.se_elpd,
                 n_high_k=res.n_high_k,
                 p_loo=res.p_loo,
-                k_counts=res.k_counts,
+                pareto_k_counts=res.k_counts,
             )
         )
     return ComparisonResult(rows=rows)

@@ -12,7 +12,7 @@ below are stated for that scale).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import special
@@ -53,17 +53,12 @@ class PriorSpec:
         return out
 
     def to_dict(self):
-        return {
-            "intercept_mean": self.intercept_mean,
-            "intercept_sd": self.intercept_sd,
-            "slope_mean": self.slope_mean,
-            "slope_sd": self.slope_sd,
-        }
+        return dict(vars(self))
 
     @classmethod
     def from_dict(cls, d):
-        return cls(**{k: float(d[k]) for k in (
-            "intercept_mean", "intercept_sd", "slope_mean", "slope_sd")})
+        """Every field required and converted to its type; extra keys ignored."""
+        return cls(**{f.name: f.type(d[f.name]) for f in fields(cls)})
 
 
 def default_priors(link):

@@ -40,16 +40,6 @@ class PredictionRow:
     ci_upper: float
     scale: str
 
-    def to_dict(self):
-        return {
-            "index": self.index,
-            "estimate": self.estimate,
-            "est_error": self.est_error,
-            "ci_lower": self.ci_lower,
-            "ci_upper": self.ci_upper,
-            "scale": self.scale,
-        }
-
 
 def _ecdf_index(n, p):
     """Index of the smallest of n order statistics whose ECDF reaches p."""

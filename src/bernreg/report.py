@@ -1,8 +1,10 @@
 """Text and JSON rendering of summaries, comparisons, and predictions.
 
 Text tables are fixed-width with right-aligned numbers; undefined
-diagnostics print as NA. JSON output is indented, key-sorted, and holds
-full-precision values (NaN becomes null).
+diagnostics print as NA. All JSON goes through render_json: records
+(summary rows, comparison rows, predictions, checks, run configs)
+serialize as their dataclass fields, NaN becomes null, and the output
+is indented, key-sorted, and holds full-precision values.
 """
 
 import json
@@ -15,10 +17,17 @@ def _fmt(value, places, width):
     return f"{value:.{places}f}".rjust(width)
 
 
-def _fmt_int(value, width):
-    if value is None or (isinstance(value, float) and math.isnan(value)):
-        return "NA".rjust(width)
-    return f"{value:.0f}".rjust(width)
+def _record_fields(record):
+    """A record's fields for json.dumps, with NaN as None."""
+    return {
+        name: None if isinstance(value, float) and math.isnan(value) else value
+        for name, value in vars(record).items()
+    }
+
+
+def render_json(value):
+    """Indented, key-sorted JSON of dicts, lists and records."""
+    return json.dumps(value, default=_record_fields, indent=2, sort_keys=True) + "\n"
 
 
 def render_summary_text(rows):
@@ -33,16 +42,14 @@ def render_summary_text(rows):
         lines.append(
             f"{r.name.ljust(name_width)}  {_fmt(r.estimate, 2, 9)}  "
             f"{_fmt(r.est_error, 2, 9)}  {_fmt(r.ci_lower, 2, 8)}  "
-            f"{_fmt(r.ci_upper, 2, 8)}  {_fmt_int(r.ess_bulk, 8)}  "
-            f"{_fmt_int(r.ess_tail, 8)}  {_fmt(r.rhat, 2, 6)}"
+            f"{_fmt(r.ci_upper, 2, 8)}  {_fmt(r.ess_bulk, 0, 8)}  "
+            f"{_fmt(r.ess_tail, 0, 8)}  {_fmt(r.rhat, 2, 6)}"
         )
     return "\n".join(lines) + "\n"
 
 
 def render_summary_json(rows):
-    return json.dumps(
-        {"parameters": [r.to_dict() for r in rows]}, indent=2, sort_keys=True
-    ) + "\n"
+    return render_json({"parameters": rows})
 
 
 def render_comparison_text(comparison):
@@ -57,7 +64,7 @@ def render_comparison_text(comparison):
         f"{'k=NA':>7}"
     ]
     for r in comparison.rows:
-        counts = "  ".join(f"{n:>7}" for n in r.k_counts.values())
+        counts = "  ".join(f"{n:>7}" for n in r.pareto_k_counts.values())
         lines.append(
             f"{r.name.ljust(name_width)}  {_fmt(r.elpd_diff, 1, 10)}  "
             f"{_fmt(r.se_diff, 1, 8)}  {_fmt(r.p_loo, 1, 7)}  {counts}"
@@ -66,7 +73,7 @@ def render_comparison_text(comparison):
 
 
 def render_comparison_json(comparison):
-    return json.dumps(comparison.to_dict(), indent=2, sort_keys=True) + "\n"
+    return render_json(comparison)
 
 
 def render_predictions_text(rows):
@@ -82,9 +89,7 @@ def render_predictions_text(rows):
 
 
 def render_predictions_json(rows):
-    return json.dumps(
-        {"predictions": [r.to_dict() for r in rows]}, indent=2, sort_keys=True
-    ) + "\n"
+    return render_json({"predictions": rows})
 
 
 def render_checks_text(checks):
@@ -96,13 +101,4 @@ def render_checks_text(checks):
 
 
 def render_checks_json(checks):
-    return json.dumps(
-        {
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in checks
-            ]
-        },
-        indent=2,
-        sort_keys=True,
-    ) + "\n"
+    return render_json({"checks": checks})

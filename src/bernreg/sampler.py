@@ -18,7 +18,7 @@ The target is a ModelSpec or any object with `dim`, `param_names` and
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -58,28 +58,10 @@ class SamplerConfig:
         if self.init_radius < 0:
             raise ValueError("init_radius must be non-negative")
 
-    def to_dict(self):
-        return {
-            "n_chains": self.n_chains,
-            "n_warmup": self.n_warmup,
-            "n_draws": self.n_draws,
-            "seed": self.seed,
-            "target_accept": self.target_accept,
-            "max_tree_depth": self.max_tree_depth,
-            "init_radius": self.init_radius,
-        }
-
     @classmethod
     def from_dict(cls, d):
-        return cls(
-            n_chains=int(d["n_chains"]),
-            n_warmup=int(d["n_warmup"]),
-            n_draws=int(d["n_draws"]),
-            seed=int(d["seed"]),
-            target_accept=float(d["target_accept"]),
-            max_tree_depth=int(d["max_tree_depth"]),
-            init_radius=float(d["init_radius"]),
-        )
+        """Every field required and converted to its type; extra keys ignored."""
+        return cls(**{f.name: f.type(d[f.name]) for f in fields(cls)})
 
 
 @dataclass
@@ -159,6 +141,13 @@ def _leaf(theta, r, logp, grad, log_w, divergent):
     leaf.divergent = divergent
     leaf.turning = False
     return leaf
+
+
+def _momentum(rng, inv_mass):
+    """A draw from N(0, M), M = diag(1 / inv_mass)."""
+    # A product with the reciprocal: dividing by the root rounds differently
+    # and changes the chains.
+    return rng.standard_normal(len(inv_mass)) * (1.0 / np.sqrt(inv_mass))
 
 
 def _leapfrog(target, theta, r, grad, eps, inv_mass):
@@ -242,9 +231,9 @@ def _build(target, depth, direction, theta, r, grad, h0, eps, inv_mass, rng, sta
     return _merge(second, first, first, second, False, rng, inv_mass)
 
 
-def _nuts_step(target, theta, logp, grad, eps, inv_mass, sqrt_mass, rng, max_depth):
+def _nuts_step(target, theta, logp, grad, eps, inv_mass, rng, max_depth):
     """One transition; returns (theta, logp, grad, divergent, mean_alpha)."""
-    r0 = rng.standard_normal(len(theta)) * sqrt_mass
+    r0 = _momentum(rng, inv_mass)
     h0 = _hamiltonian(logp, r0, inv_mass)
     tree = _leaf(theta, r0, logp, grad, 0.0, False)
     stats = _Stats()
@@ -319,8 +308,7 @@ class _Welford:
 
 def _find_reasonable_step_size(target, theta, logp, grad, inv_mass, rng):
     """Double or halve from 1.0 until one leapfrog step crosses 50% acceptance."""
-    sqrt_mass = 1.0 / np.sqrt(inv_mass)
-    r0 = rng.standard_normal(len(theta)) * sqrt_mass
+    r0 = _momentum(rng, inv_mass)
     h0 = _hamiltonian(logp, r0, inv_mass)
 
     def log_ratio(eps):
@@ -391,7 +379,6 @@ def _run_chain(target, config, chain_index):
     theta, logp, grad = _find_start(target, config, chain_index, rng)
 
     inv_mass = np.ones(dim)
-    sqrt_mass = np.ones(dim)
     eps = _find_reasonable_step_size(target, theta, logp, grad, inv_mass, rng)
     averager = _DualAveraging(eps, config.target_accept)
     opening_end, window_ends, closing_start = _warmup_schedule(config.n_warmup)
@@ -400,8 +387,7 @@ def _run_chain(target, config, chain_index):
 
     for it in range(config.n_warmup):
         theta, logp, grad, _, alpha = _nuts_step(
-            target, theta, logp, grad, eps, inv_mass, sqrt_mass, rng,
-            config.max_tree_depth,
+            target, theta, logp, grad, eps, inv_mass, rng, config.max_tree_depth
         )
         eps = averager.update(alpha)
         if opening_end <= it < closing_start:
@@ -410,7 +396,6 @@ def _run_chain(target, config, chain_index):
             pending_windows.pop(0)
             if welford.count >= 2:
                 inv_mass = welford.regularized_variance()
-                sqrt_mass = 1.0 / np.sqrt(inv_mass)
             welford = _Welford(dim)
             eps = _find_reasonable_step_size(target, theta, logp, grad, inv_mass, rng)
             averager = _DualAveraging(eps, config.target_accept)
@@ -425,8 +410,7 @@ def _run_chain(target, config, chain_index):
     alpha_total = 0.0
     for it in range(config.n_draws):
         theta, logp, grad, divergent, alpha = _nuts_step(
-            target, theta, logp, grad, eps, inv_mass, sqrt_mass, rng,
-            config.max_tree_depth,
+            target, theta, logp, grad, eps, inv_mass, rng, config.max_tree_depth
         )
         draws[it] = theta
         alpha_total += alpha

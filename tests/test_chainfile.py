@@ -5,7 +5,6 @@ import pytest
 
 from bernreg.chainfile import (
     FORMAT_TAG,
-    LEGACY_FORMAT_TAG,
     load_chain_file,
     save_chain_file,
 )
@@ -74,18 +73,6 @@ class TestRoundTrip:
         assert header["format"] == FORMAT_TAG
         assert list(header) == sorted(header)
 
-    def test_format_1_file_still_reads(self, sample_draws, tmp_path):
-        path = str(tmp_path / "fit.chain")
-        save_chain_file(path, sample_draws, MODEL_INFO, DATASET_INFO)
-        lines = open(path, "rb").read().split(b"\n")
-        header = json.loads(lines[0])
-        header["format"] = LEGACY_FORMAT_TAG
-        lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-        open(path, "wb").write(b"\n".join(lines))
-        restored, header = load_chain_file(path)
-        assert header["format"] == "bernreg-chain/1"
-        assert np.array_equal(restored.draws, sample_draws.draws)
-
     def test_divergence_iterations_preserved(self, sample_draws, tmp_path):
         from dataclasses import replace
 
@@ -120,14 +107,16 @@ class TestCorruption:
         assert info.value.offset == 0
 
     def test_wrong_format_tag(self, tmp_path, sample_draws):
-        path, raw = _write_and_read_lines(tmp_path, sample_draws)
-        lines = raw.split(b"\n")
-        header = json.loads(lines[0])
-        header["format"] = "other/9"
-        lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-        open(path, "wb").write(b"\n".join(lines))
-        with pytest.raises(CorruptChainFile, match="bernreg-chain/1"):
-            load_chain_file(path)
+        # Format 1's fingerprint hashed only row and class counts; it is not read.
+        for tag in ("other/9", "bernreg-chain/1"):
+            path, raw = _write_and_read_lines(tmp_path, sample_draws)
+            lines = raw.split(b"\n")
+            header = json.loads(lines[0])
+            header["format"] = tag
+            lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+            open(path, "wb").write(b"\n".join(lines))
+            with pytest.raises(CorruptChainFile, match="not a bernreg-chain/2 file"):
+                load_chain_file(path)
 
     def test_missing_header_keys(self, tmp_path, sample_draws):
         path, raw = _write_and_read_lines(tmp_path, sample_draws)

@@ -3,7 +3,6 @@
 import csv
 import dataclasses
 import datetime
-import hashlib
 import json
 import os
 import subprocess
@@ -24,7 +23,6 @@ from bernreg.cli import (
     RunConfig,
     main,
 )
-from bernreg.data import parse_dataset, prepare_training_table
 from bernreg.diagnostics import summarize
 from bernreg.report import render_summary_text
 
@@ -125,7 +123,7 @@ class TestRunConfig:
 
     def test_dict_round_trip(self):
         config = RunConfig(data="x.csv", link="probit", seed=3, holdout=10)
-        assert RunConfig.from_dict(config.to_dict()) == config
+        assert RunConfig(**json.loads(report.render_json(config))) == config
 
 
 class TestFitArtifacts:
@@ -137,8 +135,8 @@ class TestFitArtifacts:
         assert expected <= set(os.listdir(logit_dir))
 
     def test_config_round_trips(self, logit_dir, small_bank_csv):
-        config = RunConfig.from_dict(
-            json.loads(_read_text(os.path.join(logit_dir, "config.json")))
+        config = RunConfig(
+            **json.loads(_read_text(os.path.join(logit_dir, "config.json")))
         )
         assert config.data == small_bank_csv
         assert config.link == "logit"
@@ -418,82 +416,6 @@ class TestCompare:
         assert "error:" in capsys.readouterr().err
 
 
-def _write_format_1(run_dir, link, data_path, out_path):
-    """Rewrite a fit's chain file as format 1 wrote it: the old tag and the
-    fingerprint that hashed only (n, k, #ones, #zeros)."""
-    raw = open(os.path.join(run_dir, f"{link}.chain"), "rb").read()
-    first, rest = raw.split(b"\n", 1)
-    header = json.loads(first)
-    pipeline = header["dataset"]["pipeline"]
-    train, _ = prepare_training_table(
-        parse_dataset(data_path, pipeline["delimiter"]),
-        pipeline["subsample"], pipeline["balance"], pipeline["seed"],
-    )
-    n, ones = train.n_rows, int(np.sum(train.target == 1))
-    counts = {"k": len(header["param_names"]) - 1, "n": n, "ones": ones, "zeros": n - ones}
-    header["format"] = "bernreg-chain/1"
-    header["dataset"]["fingerprint"] = hashlib.sha256(
-        json.dumps(counts, sort_keys=True).encode("ascii")
-    ).hexdigest()[:16]
-    with open(out_path, "wb") as handle:
-        handle.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode())
-        handle.write(b"\n" + rest)
-    return header
-
-
-class TestFormatOneChainFiles:
-    @pytest.fixture
-    def v1_chains(self, logit_dir, probit_dir, small_bank_csv, tmp_path):
-        paths = {}
-        for run_dir, link in ((logit_dir, "logit"), (probit_dir, "probit")):
-            paths[link] = str(tmp_path / f"{link}-v1.chain")
-            _write_format_1(run_dir, link, small_bank_csv, paths[link])
-        return paths
-
-    def test_loads_like_format_2(self, logit_dir, v1_chains):
-        draws, header = chainfile.load_chain_file(v1_chains["logit"])
-        current, _ = chainfile.load_chain_file(os.path.join(logit_dir, "logit.chain"))
-        assert header["format"] == "bernreg-chain/1"
-        assert np.array_equal(draws.draws, current.draws)
-
-    def test_predicts_like_format_2(self, logit_dir, v1_chains, score_csv, capsys):
-        outputs = []
-        for chain in (v1_chains["logit"], os.path.join(logit_dir, "logit.chain")):
-            assert main(["predict", chain, "--data", score_csv, "--format", "json"]) == EXIT_OK
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
-
-    def test_compares_like_format_2(
-        self, logit_dir, probit_dir, v1_chains, small_bank_csv, capsys
-    ):
-        current = [os.path.join(logit_dir, "logit.chain"),
-                   os.path.join(probit_dir, "probit.chain")]
-        outputs = []
-        for chains in ([v1_chains["logit"], v1_chains["probit"]],
-                       [v1_chains["logit"], current[1]],
-                       current):
-            code = main(["compare", *chains, "--data", small_bank_csv, "--format", "json"])
-            assert code == EXIT_OK
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1] == outputs[2]
-
-    def test_stored_count_fingerprint_is_checked(
-        self, logit_dir, v1_chains, small_bank_csv, tmp_path, capsys
-    ):
-        header = _write_format_1(
-            logit_dir, "logit", small_bank_csv, str(tmp_path / "bad.chain")
-        )
-        raw = open(tmp_path / "bad.chain", "rb").read()
-        fingerprint = header["dataset"]["fingerprint"].encode()
-        open(tmp_path / "bad.chain", "wb").write(raw.replace(fingerprint, b"0" * 16))
-        code = main([
-            "compare", str(tmp_path / "bad.chain"), v1_chains["probit"],
-            "--data", small_bank_csv,
-        ])
-        assert code == EXIT_MISMATCH
-        assert "fingerprint" in capsys.readouterr().err
-
-
 class TestPredict:
     def test_outcome_scale_rows(self, logit_dir, score_csv, capsys):
         chain = os.path.join(logit_dir, "logit.chain")
@@ -717,6 +639,35 @@ class TestChainHeaderKeys:
             assert main(argv) == EXIT_DATA, argv[0]
             assert dotted in capsys.readouterr().err
 
+    def test_format_1_file_exits_3(
+        self, logit_dir, probit_dir, small_bank_csv, score_csv, tmp_path, capsys
+    ):
+        def retag(header):
+            header["format"] = "bernreg-chain/1"
+
+        chain = _rewrite_header(os.path.join(logit_dir, "logit.chain"),
+                                str(tmp_path / "v1.chain"), retag)
+        probit = os.path.join(probit_dir, "probit.chain")
+        for argv in (["predict", chain, "--data", score_csv],
+                     ["compare", probit, chain, "--data", small_bank_csv],
+                     ["diagnose", chain]):
+            assert main(argv) == EXIT_DATA, argv[0]
+            assert "not a bernreg-chain/2 file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("balance", "sideways"), ("subsample", "many")])
+    def test_bad_pipeline_value_exits_2(
+        self, logit_dir, probit_dir, small_bank_csv, tmp_path, capsys, key, value
+    ):
+        def spoil(header):
+            header["dataset"]["pipeline"][key] = value
+
+        chain = _rewrite_header(os.path.join(logit_dir, "logit.chain"),
+                                str(tmp_path / "spoiled.chain"), spoil)
+        code = main(["compare", os.path.join(probit_dir, "probit.chain"), chain,
+                     "--data", small_bank_csv])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestVerify:
     def test_all_checks_pass(self, capsys):
@@ -739,6 +690,44 @@ class TestVerify:
         assert all(
             line.startswith(("PASS", "FAIL")) for line in out.splitlines()
         )
+
+
+class TestBenchmarkTracer:
+    """benchmarks/tracing.py wraps functions by name on the cli module, so
+    renaming one of those breaks the benchmark's traced runs."""
+
+    def _spans(self, tmp_path, *argv):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        tracer = os.path.join(os.path.dirname(src), "benchmarks", "tracing.py")
+        spans_path = tmp_path / "spans.json"
+        result = subprocess.run(
+            [sys.executable, tracer, str(spans_path), *argv],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        return json.loads(spans_path.read_text())["spans"]
+
+    def test_compare_spans(self, logit_dir, probit_dir, small_bank_csv, tmp_path):
+        spans = self._spans(
+            tmp_path, "compare", os.path.join(logit_dir, "logit.chain"),
+            os.path.join(probit_dir, "probit.chain"), "--data", small_bank_csv,
+        )
+        assert {"chainfile.load", "data.parse", "data.prepare", "data.encode",
+                "loo.pointwise_loglik", "loo.psis_loo"} <= {s["name"] for s in spans}
+        loglik = [s for s in spans if s["name"] == "loo.pointwise_loglik"]
+        assert len(loglik) == 2
+        assert all(s["attrs"]["bytes"] > 0 for s in loglik)
+
+    def test_predict_spans(self, logit_dir, score_csv, tmp_path):
+        spans = self._spans(
+            tmp_path, "predict", os.path.join(logit_dir, "logit.chain"),
+            "--data", score_csv,
+        )
+        assert {"chainfile.load", "data.parse_new_rows", "data.encode_new",
+                "predict.posterior_predict"} <= {s["name"] for s in spans}
 
 
 class TestStartup:

@@ -312,12 +312,6 @@ class TestEncode:
         with pytest.raises(EmptyTable):
             encode(empty)
 
-    def test_decode_categorical_inverts_codes(self, tiny_table):
-        design, _ = encode(tiny_table)
-        codes = design.encoding_map["marital"]
-        sample = list(codes.values())
-        decoded = design.decode_categorical("marital", sample)
-        assert [codes[level] for level in decoded] == sample
 
 
 class TestEncodeNew:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from bernreg.diagnostics import (
 )
 from bernreg.errors import Degenerate, EmptyInput, TooFewDraws
 from bernreg.oracle import autocovariance_direct
+from bernreg.report import render_summary_json
 
 from conftest import make_draws
 
@@ -217,7 +219,7 @@ class TestSummarize:
         assert math.isnan(rows[0].ess_tail)
         assert rows[0].estimate == 2.5
         assert rows[0].est_error == 0.0
-        assert rows[0].to_dict()["rhat"] is None
+        assert json.loads(render_summary_json(rows))["parameters"][0]["rhat"] is None
 
     def test_healthy_parameter_diagnostics_finite(self):
         arr = _iid_chains(31)[:, :, None]

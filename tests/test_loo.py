@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from bernreg.loo import (
 )
 from bernreg.model import ModelSpec, PriorSpec
 from bernreg.oracle import _synthetic_model
+from bernreg.report import render_comparison_json
 from bernreg.sampler import SamplerConfig, sample
 
 from conftest import make_draws, total_loglik
@@ -333,10 +335,31 @@ class TestLooDiagnostics:
         model, draws = _fitted(n=30)
         result = psis_loo(pointwise_loglik(draws, model))
         assert 0.0 < result.p_loo < 5.0
-        rows = compare({"a": result, "b": result}).to_dict()["rows"]
+        comparison = compare({"a": result, "b": result})
+        rows = json.loads(render_comparison_json(comparison))["rows"]
         for row in rows:
             assert row["p_loo"] == result.p_loo
             assert row["pareto_k_counts"] == result.k_counts
+
+    def test_undefined_p_loo_is_null_in_comparison_json(self):
+        def result(elpd):
+            # p_loo is left at its NaN default.
+            return LooResult(
+                elpd_loo=elpd,
+                se_elpd=1.0,
+                pointwise_elpd=np.full(4, elpd / 4),
+                pareto_k=np.zeros(4),
+                n_obs=4,
+                n_draws=100,
+                fingerprint="n",
+            )
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not valid JSON")
+
+        text = render_comparison_json(compare({"a": result(-4.0), "b": result(-8.0)}))
+        rows = json.loads(text, parse_constant=reject)["rows"]
+        assert [row["p_loo"] for row in rows] == [None, None]
 
 
 class TestCompare:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from bernreg import predict
 from bernreg.errors import DimensionMismatch, NumericalError
 from bernreg.model import link_function
 from bernreg.predict import PredictionRow, _ecdf_quantile, posterior_predict
+from bernreg.report import render_predictions_json
 from bernreg.rngutil import substream_rng
 
 from conftest import make_draws
@@ -155,9 +157,9 @@ class TestOutcomeScale:
         a = posterior_predict(draws, np.empty((2, 0)), "logit", scale="outcome", seed=3)
         b = posterior_predict(draws, np.empty((2, 0)), "logit", scale="outcome", seed=3)
         c = posterior_predict(draws, np.empty((2, 0)), "logit", scale="outcome", seed=4)
-        assert [r.to_dict() for r in a] == [r.to_dict() for r in b]
+        assert [vars(r) for r in a] == [vars(r) for r in b]
         assert any(
-            r1.to_dict() != r2.to_dict() for r1, r2 in zip(a, c)
+            vars(r1) != vars(r2) for r1, r2 in zip(a, c)
         ) or a[0].estimate == c[0].estimate  # seeds may rarely coincide in value
 
 
@@ -229,5 +231,5 @@ class TestValidation:
 
     def test_prediction_row_to_dict(self):
         row = PredictionRow(0, 0.5, 0.1, 0.3, 0.7, "probability")
-        d = row.to_dict()
+        d = json.loads(render_predictions_json([row]))["predictions"][0]
         assert d["estimate"] == 0.5 and d["scale"] == "probability"

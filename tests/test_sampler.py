@@ -77,7 +77,7 @@ class TestConfigValidation:
 
     def test_round_trip_dict(self):
         config = SamplerConfig(n_chains=2, n_warmup=50, n_draws=75, seed=9)
-        assert SamplerConfig.from_dict(config.to_dict()) == config
+        assert SamplerConfig.from_dict(vars(config)) == config
 
 
 class TestWarmupSchedule:
@@ -190,7 +190,7 @@ class TestDivergences:
         theta = np.array([0.5])
         logp, grad = target.logp_grad(theta)
         _, _, _, divergent, _ = _nuts_step(
-            target, theta, logp, grad, 1e6, np.ones(1), np.ones(1), rng, 10
+            target, theta, logp, grad, 1e6, np.ones(1), rng, 10
         )
         assert divergent
 
@@ -211,7 +211,7 @@ class TestDivergences:
         flags = []
         for _ in range(5):
             theta, logp, grad, divergent, _ = _nuts_step(
-                target, theta, logp, grad, 1e8, np.ones(1), np.ones(1), rng, 10
+                target, theta, logp, grad, 1e8, np.ones(1), rng, 10
             )
             flags.append(divergent)
         assert all(flags)
