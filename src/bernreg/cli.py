@@ -227,15 +227,28 @@ def cmd_diagnose(args):
     return EXIT_OK
 
 
+def _stored_fields(node, dotted, cls, keys=None):
+    """{key: value} of a chain file header object, for `keys` or every `cls` field.
+
+    `fit` writes each value as its field's type and JSON reads it back as
+    one, so any other value is damage: exit 2, naming its dotted key.
+    """
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    stored = node if isinstance(node, dict) else {}
+    for key in keys or types:
+        if type(stored.get(key)) is not types[key]:
+            raise ValueError(f"header key {dotted}.{key} is not a {types[key].__name__}")
+    return {key: stored[key] for key in keys or types}
+
+
 def _rebuild_model(header, table):
     """Recreate the training design a chain file header describes."""
     pipeline = header["dataset"]["pipeline"]
-    types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
     config = RunConfig(
         data="",
         link=header["model"]["link"],
-        prior=header["model"]["prior"],
-        **{key: types[key](pipeline[key]) for key in chainfile.PIPELINE_KEYS},
+        prior=_stored_fields(header["model"]["prior"], "model.prior", PriorSpec),
+        **_stored_fields(pipeline, "dataset.pipeline", RunConfig, chainfile.PIPELINE_KEYS),
     )
     design, target, _, _ = _training_set(table, config)
     if design.metadata() != header["model"]["design"]:

@@ -216,11 +216,11 @@ def write_records(table, path, delimiter=";"):
 
 def _partial_shuffle_take(n_total, n_take, rng):
     """First n_take entries of a seeded Fisher-Yates shuffle of 0..n_total-1."""
-    idx = np.arange(n_total, dtype=np.int64)
-    for i in range(n_take):
-        j = int(rng.integers(i, n_total))
+    idx = list(range(n_total))
+    # One broadcast call makes the same draws as a call per position.
+    for i, j in enumerate(rng.integers(np.arange(n_take), n_total).tolist()):
         idx[i], idx[j] = idx[j], idx[i]
-    return idx[:n_take]
+    return np.array(idx[:n_take], dtype=np.int64)
 
 
 def subsample(table, n, seed):

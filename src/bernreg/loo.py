@@ -9,9 +9,10 @@ raw maximum. Small draw counts (S < 25) pass through unsmoothed with the
 shape reported as NaN. Aggregates use the population-variance standard
 error, and comparisons subtract the best model's pointwise values.
 
-`psis_loo` smooths _LOO_BLOCK observations at a time as arrays, so
-beside the S x N log-likelihood matrix it holds a few MB whatever N is;
-`psis_smooth` is the same smoothing for one observation.
+`pointwise_loglik` fills the S x N log-likelihood matrix and `psis_loo`
+smooths it in the same _LOO_BLOCK observations at a time, as arrays, so
+each loop holds a few MB beside the matrix whatever N is. `psis_smooth`
+is the same smoothing for one vector of log weights.
 """
 
 import math
@@ -27,9 +28,9 @@ from .rngutil import substream_seed
 
 HIGH_K_THRESHOLD = 0.7
 _MIN_TAIL_DRAWS = 25
-_MIN_TAIL_LENGTH = 5
-# Observations per psis_loo block. At S = 4,000 the block's GPD grid
-# (64 x 43 x 190) is 4 MB and each (64, S) copy 2 MB.
+# Observations per block, filled by pointwise_loglik and smoothed by
+# psis_loo. At S = 4,000 the block's GPD grid (64 x 43 x 190) is 4 MB
+# and each (64, S) copy 2 MB.
 _LOO_BLOCK = 64
 
 
@@ -45,76 +46,20 @@ class LogLikMatrix:
         if self.values.ndim != 2:
             raise ValueError("log-likelihood matrix must be 2-D (draws, observations)")
 
-    @property
-    def n_draws(self):
-        return self.values.shape[0]
-
-    @property
-    def n_obs(self):
-        return self.values.shape[1]
-
 
 def pointwise_loglik(draws, model):
-    """S x N per-observation log-likelihood over pooled draws, chunked."""
+    """S x N per-observation log-likelihood over pooled draws, in LOO blocks."""
     beta = draws.pooled()
     x = model.design.values
     y = model.target
-    n_draws, n_obs = beta.shape[0], x.shape[0]
-    out = np.empty((n_draws, n_obs))
-    step = max(1, int(4_000_000 // max(n_draws, 1)))
-    for start in range(0, n_obs, step):
-        stop = min(start + step, n_obs)
-        eta = linear_predictor(beta, x[start:stop])
-        out[:, start:stop] = bernoulli_loglik_terms(model.link, eta, y[start:stop])
+    out = np.empty((beta.shape[0], x.shape[0]))
+    for start in range(0, x.shape[0], _LOO_BLOCK):
+        block = slice(start, start + _LOO_BLOCK)
+        eta = linear_predictor(beta, x[block])
+        out[:, block] = bernoulli_loglik_terms(model.link, eta, y[block])
     return LogLikMatrix(
         values=out, fingerprint=dataset_fingerprint(model.design, model.target)
     )
-
-
-def _gpd_fit(exceedances):
-    """Empirical-Bayes generalized-Pareto fit on sorted exceedances.
-
-    Profiles the scale over a quantile-anchored grid, weights grid points
-    by profile likelihood, and shrinks the shape toward 0.5 with a
-    10-observation prior.
-    """
-    ary = np.asarray(exceedances, dtype=np.float64)
-    n = len(ary)
-    prior_bs = 3.0
-    prior_k = 10.0
-    m_est = 30 + int(math.sqrt(n))
-
-    b_ary = 1.0 - np.sqrt(m_est / (np.arange(1, m_est + 1, dtype=np.float64) - 0.5))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # A tail tied with the cutoff has zero exceedances: b is infinite
-        # and the fit comes out NaN.
-        b_ary /= prior_bs * ary[int(n / 4 + 0.5) - 1]
-        b_ary += 1.0 / ary[-1]
-        k_ary = np.log1p(-b_ary[:, None] * ary[None, :]).mean(axis=1)
-        len_scale = n * (np.log(-(b_ary / k_ary)) - k_ary - 1.0)
-        weights = 1.0 / np.exp(len_scale - len_scale[:, None]).sum(axis=1)
-    weights[~np.isfinite(weights)] = 0.0
-    weights[weights < 10.0 * np.finfo(np.float64).eps] = 0.0
-    total = weights.sum()
-    if total == 0.0:
-        return float("nan"), float("nan")
-    weights /= total
-
-    b_post = float(np.sum(b_ary * weights))
-    with np.errstate(invalid="ignore"):
-        k_post = float(np.log1p(-b_post * ary).mean())
-    sigma = -k_post / b_post
-    k_post = (n * k_post + prior_k * 0.5) / (n + prior_k)
-    return k_post, sigma
-
-
-def _gp_inverse_cdf(probs, kappa, sigma):
-    """Generalized-Pareto quantiles for probabilities strictly inside (0, 1)."""
-    if abs(kappa) < np.finfo(np.float64).eps:
-        out = -np.log1p(-probs)
-    else:
-        out = np.expm1(-kappa * np.log1p(-probs)) / kappa
-    return out * sigma
 
 
 def tail_length(n_draws):
@@ -122,48 +67,13 @@ def tail_length(n_draws):
     return int(min(math.ceil(0.2 * n_draws), math.ceil(3.0 * math.sqrt(n_draws))))
 
 
-def psis_smooth(raw_log_weights):
-    """(smoothed log weights, tail shape k).
-
-    The weight scale is untouched outside the tail, the smoothed tail is
-    monotone in the original weight order, and no weight exceeds the raw
-    maximum. Inputs too small or too flat to fit pass through with k NaN.
-    """
-    lw = np.asarray(raw_log_weights, dtype=np.float64).ravel()
-    n = lw.size
-    if n < _MIN_TAIL_DRAWS:
-        return lw.copy(), float("nan")
-    m = tail_length(n)
-    if m < _MIN_TAIL_LENGTH:
-        return lw.copy(), float("nan")
-
-    shift = lw.max()
-    shifted = lw - shift
-    order = np.argsort(shifted, kind="stable")
-    tail_ids = order[n - m:]
-    cutoff = shifted[order[n - m - 1]]
-    tail = shifted[tail_ids]
-    if np.ptp(tail) <= 0.0:
-        return lw.copy(), float("nan")
-
-    exp_cutoff = math.exp(cutoff)
-    exceedances = np.exp(tail) - exp_cutoff
-    k, sigma = _gpd_fit(exceedances)
-    if not (math.isfinite(k) and math.isfinite(sigma) and sigma > 0):
-        return lw.copy(), float("nan")
-
-    positions = (np.arange(m, dtype=np.float64) + 0.5) / m
-    smoothed_tail = np.log(_gp_inverse_cdf(positions, k, sigma) + exp_cutoff)
-    out = shifted.copy()
-    out[tail_ids] = smoothed_tail
-    np.minimum(out, 0.0, out=out)
-    return out + shift, float(k)
-
-
 def _gpd_fit_rows(ary):
-    """`_gpd_fit` for every row of a (rows, n) array of sorted exceedances.
+    """Empirical-Bayes generalized-Pareto fit of each row of sorted exceedances.
 
-    Returns (k, sigma) arrays, NaN in the rows where `_gpd_fit` gives NaN.
+    Profiles the scale over a quantile-anchored grid, weights grid points
+    by profile likelihood, and shrinks the shape toward 0.5 with a
+    10-observation prior. Returns (k, sigma) arrays, NaN in the rows where
+    no grid point has weight (a tail tied with the cutoff, say).
     """
     n = ary.shape[1]
     prior_bs = 3.0
@@ -234,44 +144,70 @@ def _stable_tail(lw, m):
     return tail_ids, tail, cutoff
 
 
+def _smooth_rows(lw):
+    """Pareto-smooth each row of a (rows, S) array of max-shifted log weights.
+
+    Works in place and returns each row's tail shape k. The weight scale
+    is untouched outside the tail, the smoothed tail is monotone in the
+    tail's stable sort order, and no weight exceeds the row's maximum, 0.
+    Rows too short or too flat to fit keep their weights, with k NaN.
+    """
+    rows, n = lw.shape
+    pareto_k = np.full(rows, np.nan)
+    if n < _MIN_TAIL_DRAWS:
+        return pareto_k
+    m = tail_length(n)
+    tail_ids, tail, cutoff = _stable_tail(lw, m)
+    fit = np.flatnonzero(np.ptp(tail, axis=1) > 0.0)
+
+    exp_cutoff = np.exp(cutoff[fit])
+    k, sigma = _gpd_fit_rows(np.exp(tail[fit]) - exp_cutoff)
+    with np.errstate(invalid="ignore"):
+        good = np.isfinite(k) & np.isfinite(sigma) & (sigma > 0)
+    smooth = fit[good]
+    k, sigma, exp_cutoff = k[good, None], sigma[good, None], exp_cutoff[good]
+
+    log1m_pos = np.log1p(-(np.arange(m, dtype=np.float64) + 0.5) / m)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        quantiles = np.where(
+            np.abs(k) < np.finfo(np.float64).eps,
+            -log1m_pos,
+            np.expm1(-k * log1m_pos) / k,
+        )
+    smoothed = lw[smooth]
+    np.put_along_axis(
+        smoothed, tail_ids[smooth], np.log(quantiles * sigma + exp_cutoff), axis=1
+    )
+    np.minimum(smoothed, 0.0, out=smoothed)
+    lw[smooth] = smoothed
+    pareto_k[smooth] = k[:, 0]
+    return pareto_k
+
+
+def psis_smooth(raw_log_weights):
+    """(smoothed log weights, tail shape k) of one vector, by `_smooth_rows`.
+
+    Inputs too small or too flat to fit come back as a copy, with k NaN.
+    """
+    lw = np.asarray(raw_log_weights, dtype=np.float64).ravel()
+    shift = lw.max(initial=-math.inf)  # an empty input passes through
+    out = lw - shift
+    k = _smooth_rows(out[None])[0]
+    if math.isnan(k):
+        return lw.copy(), math.nan
+    return out + shift, float(k)
+
+
 def _psis_block(loglik):
     """(elpd, lppd, Pareto k) of each row of a contiguous (rows, S) block.
 
-    Row by row this is `psis_smooth` of the negated log-likelihood
-    followed by a self-normalized logsumexp, with the same tail order
-    (stable sort) and the same fall-backs to the raw weights.
+    The raw log weights are the negated log-likelihoods; `_smooth_rows`
+    smooths them and a self-normalized logsumexp averages the likelihood.
     """
-    rows, n = loglik.shape
+    n = loglik.shape[1]
     lw = np.negative(loglik)
     lw -= lw.max(axis=1, keepdims=True)
-    pareto_k = np.full(rows, np.nan)
-    m = tail_length(n)
-    if n >= _MIN_TAIL_DRAWS and m >= _MIN_TAIL_LENGTH:
-        tail_ids, tail, cutoff = _stable_tail(lw, m)
-        fit = np.flatnonzero(np.ptp(tail, axis=1) > 0.0)
-
-        exp_cutoff = np.exp(cutoff[fit])
-        k, sigma = _gpd_fit_rows(np.exp(tail[fit]) - exp_cutoff)
-        with np.errstate(invalid="ignore"):
-            good = np.isfinite(k) & np.isfinite(sigma) & (sigma > 0)
-        smooth = fit[good]
-        k, sigma, exp_cutoff = k[good, None], sigma[good, None], exp_cutoff[good]
-
-        log1m_pos = np.log1p(-(np.arange(m, dtype=np.float64) + 0.5) / m)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            quantiles = np.where(
-                np.abs(k) < np.finfo(np.float64).eps,
-                -log1m_pos,
-                np.expm1(-k * log1m_pos) / k,
-            )
-        smoothed = lw[smooth]
-        np.put_along_axis(
-            smoothed, tail_ids[smooth], np.log(quantiles * sigma + exp_cutoff), axis=1
-        )
-        np.minimum(smoothed, 0.0, out=smoothed)
-        lw[smooth] = smoothed
-        pareto_k[smooth] = k[:, 0]
-
+    pareto_k = _smooth_rows(lw)
     lw -= _logsumexp_rows(lw)[:, None]
     lw += loglik
     lppd = _logsumexp_rows(loglik) - math.log(n)

@@ -668,6 +668,38 @@ class TestChainHeaderKeys:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "dotted, value",
+        [
+            ("dataset.pipeline.subsample", None),
+            ("dataset.pipeline.standardize", None),
+            ("model.prior", [3.5, 1.0, 0.0, 0.5]),
+            ("model.prior.slope_sd", "missing"),
+        ],
+    )
+    def test_bad_stored_value_exits_2_naming_it(
+        self, logit_dir, probit_dir, small_bank_csv, tmp_path, capsys, dotted, value
+    ):
+        *parents, leaf = dotted.split(".")
+
+        def spoil(header):
+            node = header
+            for part in parents:
+                node = node[part]
+            if value == "missing":
+                del node[leaf]
+            else:
+                node[leaf] = value
+
+        chain = _rewrite_header(os.path.join(logit_dir, "logit.chain"),
+                                str(tmp_path / "spoiled.chain"), spoil)
+        code = main(["compare", os.path.join(probit_dir, "probit.chain"), chain,
+                     "--data", small_bank_csv])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert dotted in err
+
 
 class TestVerify:
     def test_all_checks_pass(self, capsys):
@@ -719,7 +751,13 @@ class TestBenchmarkTracer:
                 "loo.pointwise_loglik", "loo.psis_loo"} <= {s["name"] for s in spans}
         loglik = [s for s in spans if s["name"] == "loo.pointwise_loglik"]
         assert len(loglik) == 2
-        assert all(s["attrs"]["bytes"] > 0 for s in loglik)
+        # The benchmark's loo.loglik_mb reads the whole S x N matrix.
+        chains = (os.path.join(logit_dir, "logit.chain"),
+                  os.path.join(probit_dir, "probit.chain"))
+        for span, chain in zip(loglik, chains):
+            header = json.loads(_read_bytes(chain).split(b"\n", 1)[0])
+            n_draws = header["config"]["n_chains"] * header["config"]["n_draws"]
+            assert span["attrs"]["bytes"] == 8 * n_draws * header["dataset"]["n_rows"]
 
     def test_predict_spans(self, logit_dir, score_csv, tmp_path):
         spans = self._spans(

@@ -11,6 +11,7 @@ from bernreg.data import (
     PREDICTOR_ORDER,
     DesignMatrix,
     RecordTable,
+    _partial_shuffle_take,
     balance_oversample,
     dataset_fingerprint,
     encode,
@@ -34,6 +35,7 @@ from bernreg.errors import (
     UnparseableNumber,
     UnseenLevel,
 )
+from bernreg.rngutil import seeded_rng
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -54,6 +56,15 @@ def tiny_table(tiny_csv):
 def _csv_lines(path):
     with open(path, encoding="utf-8") as handle:
         return handle.read().splitlines()
+
+
+def _shuffle_take_per_call(n_total, n_take, rng):
+    """Fisher-Yates drawing each swap target with its own call."""
+    idx = np.arange(n_total, dtype=np.int64)
+    for i in range(n_take):
+        j = int(rng.integers(i, n_total))
+        idx[i], idx[j] = idx[j], idx[i]
+    return idx[:n_take]
 
 
 class TestParse:
@@ -187,6 +198,19 @@ class TestSampling:
             holdout_split(tiny_table, 0, seed=1)
         with pytest.raises(SampleTooLarge):
             holdout_split(tiny_table, 40, seed=1)
+
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2**40 + 3])
+    def test_shuffle_take_draws_as_one_call_per_position(self, seed):
+        # Every sample, trim and holdout comes from this shuffle: a numpy
+        # that draws broadcast bounds differently fails here rather than
+        # silently changing the training sets.
+        for n_total, n_take in ((41188, 41188), (41188, 10000), (7, 3), (1, 1), (5, 0)):
+            rng, ref_rng = seeded_rng(seed), seeded_rng(seed)
+            taken = _partial_shuffle_take(n_total, n_take, rng)
+            expected = _shuffle_take_per_call(n_total, n_take, ref_rng)
+            assert taken.dtype == np.int64
+            assert np.array_equal(taken, expected)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestBalance:

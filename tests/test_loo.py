@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from bernreg.loo import (
     _LOO_BLOCK,
     LogLikMatrix,
     LooResult,
-    _gp_inverse_cdf,
     _stable_tail,
     compare,
     exact_loo,
@@ -85,6 +85,22 @@ class TestPointwiseLoglik:
             return out
 
         assert np.array_equal(tiny_chunks(draws, model), full)
+
+    @pytest.mark.parametrize("link", ["logit", "probit"])
+    def test_builds_in_loo_blocks(self, link):
+        # Filled _LOO_BLOCK observations at a time, the matrix is nearly all
+        # the memory pointwise_loglik takes.
+        model = _synthetic_model(link, 1000, 3, 6)
+        rng = np.random.default_rng(2)
+        draws = make_draws(rng.normal(0.0, 0.5, (2, 1000, model.n_params)))
+        tracemalloc.start()
+        try:
+            matrix = pointwise_loglik(draws, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert matrix.values.shape == (2000, 1000)
+        assert peak < 1.5 * matrix.values.nbytes
 
     def test_dimension_mismatch(self):
         model, draws = _fitted(n=10, k=2)
@@ -245,13 +261,102 @@ class TestPsisLoo:
         assert result.n_high_k == 2
 
 
+# The scalar PSIS reference: one vector at a time, sorted whole.
+_MIN_TAIL_DRAWS = 25
+_MIN_TAIL_LENGTH = 5
+
+
+def _gpd_fit(exceedances):
+    """Empirical-Bayes generalized-Pareto fit on sorted exceedances.
+
+    Profiles the scale over a quantile-anchored grid, weights grid points
+    by profile likelihood, and shrinks the shape toward 0.5 with a
+    10-observation prior.
+    """
+    ary = np.asarray(exceedances, dtype=np.float64)
+    n = len(ary)
+    prior_bs = 3.0
+    prior_k = 10.0
+    m_est = 30 + int(math.sqrt(n))
+
+    b_ary = 1.0 - np.sqrt(m_est / (np.arange(1, m_est + 1, dtype=np.float64) - 0.5))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # A tail tied with the cutoff has zero exceedances: b is infinite
+        # and the fit comes out NaN.
+        b_ary /= prior_bs * ary[int(n / 4 + 0.5) - 1]
+        b_ary += 1.0 / ary[-1]
+        k_ary = np.log1p(-b_ary[:, None] * ary[None, :]).mean(axis=1)
+        len_scale = n * (np.log(-(b_ary / k_ary)) - k_ary - 1.0)
+        weights = 1.0 / np.exp(len_scale - len_scale[:, None]).sum(axis=1)
+    weights[~np.isfinite(weights)] = 0.0
+    weights[weights < 10.0 * np.finfo(np.float64).eps] = 0.0
+    total = weights.sum()
+    if total == 0.0:
+        return float("nan"), float("nan")
+    weights /= total
+
+    b_post = float(np.sum(b_ary * weights))
+    with np.errstate(invalid="ignore"):
+        k_post = float(np.log1p(-b_post * ary).mean())
+    sigma = -k_post / b_post
+    k_post = (n * k_post + prior_k * 0.5) / (n + prior_k)
+    return k_post, sigma
+
+
+def _gp_inverse_cdf(probs, kappa, sigma):
+    """Generalized-Pareto quantiles for probabilities strictly inside (0, 1)."""
+    if abs(kappa) < np.finfo(np.float64).eps:
+        out = -np.log1p(-probs)
+    else:
+        out = np.expm1(-kappa * np.log1p(-probs)) / kappa
+    return out * sigma
+
+
+def _scalar_psis_smooth(raw_log_weights):
+    """(smoothed log weights, tail shape k).
+
+    The weight scale is untouched outside the tail, the smoothed tail is
+    monotone in the original weight order, and no weight exceeds the raw
+    maximum. Inputs too small or too flat to fit pass through with k NaN.
+    """
+    lw = np.asarray(raw_log_weights, dtype=np.float64).ravel()
+    n = lw.size
+    if n < _MIN_TAIL_DRAWS:
+        return lw.copy(), float("nan")
+    m = tail_length(n)
+    if m < _MIN_TAIL_LENGTH:
+        return lw.copy(), float("nan")
+
+    shift = lw.max()
+    shifted = lw - shift
+    order = np.argsort(shifted, kind="stable")
+    tail_ids = order[n - m:]
+    cutoff = shifted[order[n - m - 1]]
+    tail = shifted[tail_ids]
+    if np.ptp(tail) <= 0.0:
+        return lw.copy(), float("nan")
+
+    exp_cutoff = math.exp(cutoff)
+    exceedances = np.exp(tail) - exp_cutoff
+    k, sigma = _gpd_fit(exceedances)
+    if not (math.isfinite(k) and math.isfinite(sigma) and sigma > 0):
+        return lw.copy(), float("nan")
+
+    positions = (np.arange(m, dtype=np.float64) + 0.5) / m
+    smoothed_tail = np.log(_gp_inverse_cdf(positions, k, sigma) + exp_cutoff)
+    out = shifted.copy()
+    out[tail_ids] = smoothed_tail
+    np.minimum(out, 0.0, out=out)
+    return out + shift, float(k)
+
+
 def _scalar_psis_loo(values):
-    """(pointwise elpd, Pareto k, lppd) column by column via psis_smooth."""
+    """(pointwise elpd, Pareto k, lppd) column by column via the scalar reference."""
     n_draws, n_obs = values.shape
     pointwise, pareto_k, lppd = np.empty(n_obs), np.empty(n_obs), np.empty(n_obs)
     for i in range(n_obs):
         column = values[:, i]
-        smoothed, pareto_k[i] = psis_smooth(-column)
+        smoothed, pareto_k[i] = _scalar_psis_smooth(-column)
         pointwise[i] = logsumexp(smoothed - logsumexp(smoothed) + column)
         lppd[i] = logsumexp(column) - math.log(n_draws)
     return pointwise, pareto_k, lppd
@@ -265,11 +370,18 @@ def _assert_matches_scalar(values):
     finite = ~np.isnan(pareto_k)
     np.testing.assert_allclose(result.pareto_k[finite], pareto_k[finite], rtol=0, atol=1e-8)
     assert result.p_loo == pytest.approx(np.sum(lppd) - np.sum(pointwise), abs=1e-9)
+    for column in values.T:
+        smoothed, k = psis_smooth(-column)
+        ref_smoothed, ref_k = _scalar_psis_smooth(-column)
+        np.testing.assert_allclose(smoothed, ref_smoothed, rtol=0, atol=1e-12)
+        assert math.isnan(k) == math.isnan(ref_k)
+        if not math.isnan(ref_k):
+            assert k == pytest.approx(ref_k, abs=1e-8)
     return result
 
 
 class TestPsisLooBlocks:
-    """The block path against psis_smooth + logsumexp, one column at a time."""
+    """psis_loo and psis_smooth against the scalar reference + logsumexp."""
 
     def test_repeated_draws_and_ragged_last_block(self):
         rng = np.random.default_rng(21)
