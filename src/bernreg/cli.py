@@ -3,8 +3,8 @@
 Every run is reproducible from its config: outputs carry no timestamps
 (the run.log sidecar is the one documented exception) and default output
 directories are derived from the link and seed. Exit codes: 0 success
-(warnings allowed), 2 usage, 3 data problems, 4 numerical failures,
-5 mismatched artifacts.
+(warnings allowed), 2 usage, and otherwise the `exit_code` of the package
+error raised (see `errors`).
 """
 
 import argparse
@@ -15,6 +15,7 @@ import sys
 
 from . import chainfile, report
 from .data import (
+    BALANCE_MODES,
     dataset_fingerprint,
     encode,
     encode_new,
@@ -26,7 +27,7 @@ from .data import (
     HOLDOUT_STREAM,
 )
 from .diagnostics import MIN_DRAWS, summarize
-from .errors import DataError, DatasetMismatch, MismatchError, NumericalError
+from .errors import BernregError, DataError, MismatchError, NumericalError
 from .loo import compare as loo_compare, pointwise_loglik, psis_loo
 from .model import LINKS, ModelSpec, PriorSpec, default_priors
 from .oracle import run_verification
@@ -36,9 +37,9 @@ from .sampler import SamplerConfig, sample
 
 EXIT_OK = 0
 EXIT_USAGE = 2
-EXIT_DATA = 3
-EXIT_NUMERICAL = 4
-EXIT_MISMATCH = 5
+EXIT_DATA = DataError.exit_code
+EXIT_NUMERICAL = NumericalError.exit_code
+EXIT_MISMATCH = MismatchError.exit_code
 
 RHAT_WARNING_LEVEL = 1.01
 FORMATS = ("text", "json")
@@ -70,7 +71,7 @@ class RunConfig:
     def __post_init__(self):
         if self.link not in LINKS:
             raise ValueError(f"link must be one of {LINKS}, got {self.link!r}")
-        if self.balance not in ("before", "after", "off"):
+        if self.balance not in BALANCE_MODES:
             raise ValueError(f"unknown balance mode {self.balance!r}")
         if self.subsample < 0 or self.holdout < 0:
             raise ValueError("subsample and holdout must be non-negative")
@@ -252,13 +253,13 @@ def _rebuild_model(header, table):
     )
     design, target, _, _ = _training_set(table, config)
     if design.metadata() != header["model"]["design"]:
-        raise DatasetMismatch(
+        raise MismatchError(
             "rebuilt design does not match the design stored in the chain file; "
             "the data file differs from the one used to fit"
         )
     fingerprint = dataset_fingerprint(design, target)
     if fingerprint != header["dataset"]["fingerprint"]:
-        raise DatasetMismatch(
+        raise MismatchError(
             f"rebuilt dataset fingerprint {fingerprint} differs from stored "
             f"{header['dataset']['fingerprint']}"
         )
@@ -271,9 +272,13 @@ def cmd_compare(args):
     if len(args.chains) < 2:
         raise ValueError("compare needs at least two chain files")
     fits = [chainfile.load_chain_file(path) for path in args.chains]
-    delimiters = {header["dataset"]["pipeline"]["delimiter"] for _, header in fits}
+    delimiters = {
+        _stored_fields(header["dataset"]["pipeline"], "dataset.pipeline", RunConfig,
+                       ("delimiter",))["delimiter"]
+        for _, header in fits
+    }
     if len(delimiters) > 1:
-        raise DatasetMismatch(
+        raise MismatchError(
             "chain files were fitted with different delimiters: "
             + ", ".join(sorted(map(repr, delimiters)))
         )
@@ -345,7 +350,7 @@ def build_parser():
     fit.add_argument("--delimiter")
     fit.add_argument("--subsample", type=int,
                      help="rows to draw before fitting; 0 keeps the whole table")
-    fit.add_argument("--balance", choices=("before", "after", "off"))
+    fit.add_argument("--balance", choices=BALANCE_MODES)
     fit.add_argument("--holdout", type=int,
                      help="rows held out of training and written to holdout.csv")
     fit.add_argument("--link", choices=LINKS)
@@ -382,7 +387,7 @@ def build_parser():
     pred = sub.add_parser("predict", help="score new rows with a saved fit")
     pred.add_argument("chain", help="chain file from a fit")
     pred.add_argument("--data", required=True, help="delimited rows to score")
-    pred.add_argument("--delimiter", default=";")
+    pred.add_argument("--delimiter", default=RunConfig.delimiter)
     pred.add_argument("--scale", choices=SCALES, default="outcome")
     pred.add_argument("--seed", type=int, default=0)
     pred.add_argument("--format", choices=FORMATS, default="text")
@@ -404,15 +409,9 @@ def main(argv=None):
     except FileNotFoundError as exc:
         print(f"error: cannot read {exc.filename}", file=sys.stderr)
         return EXIT_DATA
-    except DataError as exc:
+    except BernregError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except MismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
+        return exc.exit_code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

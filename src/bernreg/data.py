@@ -15,17 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateClasses,
-    EmptyTable,
-    EncodingMismatch,
-    MissingField,
-    SampleTooLarge,
-    UnknownColumn,
-    UnknownTargetLabel,
-    UnparseableNumber,
-    UnseenLevel,
-)
+from .errors import DataError, MismatchError
 from .rngutil import seeded_rng, substream_seed
 
 CATEGORICAL_COLUMNS = (
@@ -52,6 +42,8 @@ SUBSAMPLE_STREAM = 1
 BALANCE_STREAM = 2
 TRIM_STREAM = 3
 HOLDOUT_STREAM = 4
+
+BALANCE_MODES = ("before", "after", "off")
 
 
 @dataclass
@@ -112,9 +104,9 @@ def _check_header(names, expected):
             parts.append("missing columns: " + ", ".join(missing))
         if extra:
             parts.append("unexpected columns: " + ", ".join(extra))
-        raise UnknownColumn("; ".join(parts))
+        raise DataError("; ".join(parts))
     if len(names) != len(expected):
-        raise UnknownColumn("duplicate columns in header")
+        raise DataError("duplicate columns in header")
 
 
 def _read_table(source, delimiter, columns, categorical, require_target):
@@ -123,13 +115,15 @@ def _read_table(source, delimiter, columns, categorical, require_target):
     Without `require_target` the response column is optional; a file that
     lacks it gets an all-zero target.
     """
+    if not (isinstance(delimiter, str) and len(delimiter) == 1):
+        raise ValueError(f"delimiter must be one character, got {delimiter!r}")
     stream = _open_text(source)
     try:
         reader = csv.reader(stream, delimiter=delimiter)
         try:
             header = next(reader)
         except StopIteration:
-            raise UnknownColumn("empty input: no header row") from None
+            raise DataError("empty input: no header row") from None
         names = [c.strip().strip('"') for c in header]
         has_target = require_target or TARGET_COLUMN in names
         _check_header(names, list(columns) + ([TARGET_COLUMN] if has_target else []))
@@ -145,7 +139,7 @@ def _read_table(source, delimiter, columns, categorical, require_target):
             if not row:
                 continue
             if len(row) != len(names):
-                raise MissingField(
+                raise DataError(
                     f"row {row_number}: expected {len(names)} fields, got {len(row)}"
                 )
             for i, append in cat_fields:
@@ -155,7 +149,7 @@ def _read_table(source, delimiter, columns, categorical, require_target):
                 try:
                     append(float(text))
                 except ValueError:
-                    raise UnparseableNumber(
+                    raise DataError(
                         f"row {row_number}, column {c!r}: {text!r} is not a number"
                     ) from None
             if target_pos is None:
@@ -163,7 +157,7 @@ def _read_table(source, delimiter, columns, categorical, require_target):
                 continue
             label = row[target_pos].strip()
             if label not in TARGET_LABELS:
-                raise UnknownTargetLabel(
+                raise DataError(
                     f"row {row_number}: target label {label!r} is not yes/no"
                 )
             target.append(TARGET_LABELS[label])
@@ -226,9 +220,9 @@ def _partial_shuffle_take(n_total, n_take, rng):
 def subsample(table, n, seed):
     """Uniform without-replacement sample of n rows."""
     if n < 1:
-        raise SampleTooLarge(f"sample size must be positive, got {n}")
+        raise DataError(f"sample size must be positive, got {n}")
     if n > table.n_rows:
-        raise SampleTooLarge(f"sample size {n} exceeds table size {table.n_rows}")
+        raise DataError(f"sample size {n} exceeds table size {table.n_rows}")
     rng = seeded_rng(seed)
     return table.take(_partial_shuffle_take(table.n_rows, n, rng))
 
@@ -252,7 +246,7 @@ def balance_oversample(table, seed):
     """Duplicate minority rows (with replacement) until classes are equal."""
     n_neg, n_pos = table.class_counts()
     if n_neg == 0 or n_pos == 0:
-        raise DegenerateClasses(
+        raise DataError(
             f"both classes required, got {n_neg} negatives and {n_pos} positives"
         )
     minority = 1 if n_pos < n_neg else 0
@@ -278,7 +272,7 @@ def balance_oversample(table, seed):
 def stratified_trim(table, n, seed):
     """Seeded per-class subsample down to n rows, split as evenly as n allows."""
     if n < 2 or n > table.n_rows:
-        raise SampleTooLarge(f"trim size {n} out of range for {table.n_rows} rows")
+        raise DataError(f"trim size {n} out of range for {table.n_rows} rows")
     n_pos_target = n // 2
     n_neg_target = n - n_pos_target
     rng = seeded_rng(seed)
@@ -286,7 +280,7 @@ def stratified_trim(table, n, seed):
     for label, want in ((0, n_neg_target), (1, n_pos_target)):
         positions = np.flatnonzero(table.target == label)
         if want > len(positions):
-            raise SampleTooLarge(
+            raise DataError(
                 f"trim wants {want} rows of class {label}, only {len(positions)} present"
             )
         keep.append(positions[_partial_shuffle_take(len(positions), want, rng)])
@@ -297,7 +291,7 @@ def stratified_trim(table, n, seed):
 def holdout_split(table, n_holdout, seed):
     """(train, holdout) from a seeded full shuffle; rows are disjoint."""
     if not 0 < n_holdout < table.n_rows:
-        raise SampleTooLarge(
+        raise DataError(
             f"holdout size {n_holdout} out of range for {table.n_rows} rows"
         )
     rng = seeded_rng(seed)
@@ -313,7 +307,7 @@ def prepare_training_table(table, n, balance_mode, seed):
     and then subsamples; "off" only subsamples. n = 0 means the whole table.
     Returns (table, BalanceReport or None).
     """
-    if balance_mode not in ("before", "after", "off"):
+    if balance_mode not in BALANCE_MODES:
         raise ValueError(f"unknown balance mode {balance_mode!r}")
     s_sub = substream_seed(seed, SUBSAMPLE_STREAM)
     s_bal = substream_seed(seed, BALANCE_STREAM)
@@ -390,7 +384,7 @@ def encode(table, standardize=True):
     keep scale 1 and are flagged instead of divided by zero.
     """
     if table.n_rows == 0:
-        raise EmptyTable("cannot encode an empty table")
+        raise DataError("cannot encode an empty table")
     n = table.n_rows
     columns = []
     encoding_map = {}
@@ -431,13 +425,13 @@ def encode(table, standardize=True):
 def encode_new(metadata, table):
     """Design values for new rows under stored metadata.
 
-    Raises UnseenLevel for a category absent from training,
-    EncodingMismatch when the table's columns do not line up with the
-    stored design, and ValueError for a stored scale that is not positive.
+    Raises MismatchError for a category absent from training or columns
+    that do not line up with the stored design, and ValueError for a
+    stored scale that is not positive.
     """
     columns = list(metadata["column_names"])
     if list(table.predictor_order) != columns:
-        raise EncodingMismatch(
+        raise MismatchError(
             "new data columns do not match the stored design: "
             f"{list(table.predictor_order)} vs {columns}"
         )
@@ -451,7 +445,7 @@ def encode_new(metadata, table):
             raw = np.empty(n, dtype=np.float64)
             for i, level in enumerate(table.categorical[name]):
                 if level not in codes:
-                    raise UnseenLevel(
+                    raise MismatchError(
                         f"column {name!r}: level {level!r} was not seen in training"
                     )
                 raw[i] = codes[level]

@@ -19,7 +19,7 @@ import numpy as np
 from scipy import fft as sp_fft
 from scipy import special
 
-from .errors import Degenerate, EmptyInput, TooFewDraws
+from .errors import Degenerate, NumericalError
 
 # Fewest draws per chain the split-chain diagnostics accept.
 MIN_DRAWS = 4
@@ -29,7 +29,7 @@ def quantile(samples, p):
     """Order statistic with linear interpolation at index (n - 1) * p."""
     samples = np.asarray(samples, dtype=np.float64).ravel()
     if samples.size == 0:
-        raise EmptyInput("quantile of an empty sample")
+        raise NumericalError("quantile of an empty sample")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"quantile level must be in [0, 1], got {p}")
     ordered = np.sort(samples)
@@ -47,9 +47,9 @@ def _as_chain_matrix(chains):
     if arr.ndim != 2:
         raise ValueError("chains must be a (n_chains, n_draws) array")
     if arr.shape[0] < 1:
-        raise TooFewDraws("at least one chain is required")
+        raise NumericalError("at least one chain is required")
     if arr.shape[1] < MIN_DRAWS:
-        raise TooFewDraws(
+        raise NumericalError(
             f"diagnostics need at least {MIN_DRAWS} draws per chain, got {arr.shape[1]}"
         )
     if not np.all(np.isfinite(arr)):

@@ -1,55 +1,41 @@
-"""Exception taxonomy.
+"""Exception taxonomy: one class per exit code of the command line, plus two leaves.
 
-Grouped by the exit code the command line maps them to: usage problems are
-left to argparse (exit 2), DataError subclasses exit 3, NumericalError
-subclasses exit 4, and MismatchError subclasses exit 5.
+Each class carries the exit code `bernreg.cli.main` returns for it, and
+the error message is the one line it prints. DataError (3) is malformed
+or unusable input, NumericalError (4) a numerical procedure that failed,
+and MismatchError (5) artifacts that do not belong together. Usage
+problems are ValueErrors and exit 2. Two leaves are told apart by their
+callers: CorruptChainFile carries the byte offset of the damage, and
+summarize catches Degenerate to report constant draws.
 """
 
 
 class BernregError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    Subclasses set `exit_code`; the base keeps Python's own code for an
+    uncaught error, though nothing raises it directly.
+    """
+
+    exit_code = 1
 
 
 class DataError(BernregError):
     """Input data is malformed or unusable."""
 
+    exit_code = 3
+
 
 class NumericalError(BernregError):
     """A numerical procedure failed or was asked for something unstable."""
+
+    exit_code = 4
 
 
 class MismatchError(BernregError):
     """Artifacts that do not belong together were combined."""
 
-
-# data (exit 3)
-
-class UnknownColumn(DataError):
-    """Header does not match the expected schema."""
-
-
-class MissingField(DataError):
-    """A data row has the wrong number of fields."""
-
-
-class UnparseableNumber(DataError):
-    """A numeric column holds text that does not parse as a number."""
-
-
-class UnknownTargetLabel(DataError):
-    """The response column holds a label other than the two known ones."""
-
-
-class EmptyTable(DataError):
-    """An operation that needs rows received none."""
-
-
-class SampleTooLarge(DataError):
-    """Requested sample or holdout size exceeds the available rows."""
-
-
-class DegenerateClasses(DataError):
-    """Both response classes are required but only one is present."""
+    exit_code = 5
 
 
 class CorruptChainFile(DataError):
@@ -62,57 +48,5 @@ class CorruptChainFile(DataError):
         self.offset = offset
 
 
-# numerical (exit 4)
-
-class NonFiniteGradient(NumericalError):
-    """No finite starting point or gradient could be found."""
-
-
-class AdaptationFailure(NumericalError):
-    """Warmup finished without a usable step size."""
-
-
-class TooFewDraws(NumericalError):
-    """Not enough draws for the requested diagnostic."""
-
-
 class Degenerate(NumericalError):
     """All samples are identical; the diagnostic is undefined."""
-
-
-class EmptyInput(NumericalError):
-    """A statistic of an empty sample was requested."""
-
-
-class DimensionTooHigh(NumericalError):
-    """Grid integration was asked for more dimensions than it supports."""
-
-
-class GridTooCoarse(NumericalError):
-    """Grid moments moved too much under the widening self-check."""
-
-
-class NonFiniteEvaluation(NumericalError):
-    """A function probe returned a non-finite value."""
-
-
-class TooLarge(NumericalError):
-    """Brute-force validation was asked for more refits than allowed."""
-
-
-# mismatch (exit 5)
-
-class DimensionMismatch(MismatchError):
-    """Coefficient, design, or target shapes disagree."""
-
-
-class DatasetMismatch(MismatchError):
-    """Model evaluation results come from different datasets."""
-
-
-class UnseenLevel(MismatchError):
-    """New data holds a category level absent from the training encoding."""
-
-
-class EncodingMismatch(MismatchError):
-    """New data was prepared with different encoding or scaling metadata."""

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .data import dataset_fingerprint
-from .errors import DatasetMismatch, TooLarge
+from .errors import MismatchError, NumericalError
 from .model import ModelSpec, bernoulli_loglik_terms, linear_predictor
 from .rngutil import substream_seed
 
@@ -231,7 +231,6 @@ class LooResult:
     pointwise_elpd: np.ndarray
     pareto_k: np.ndarray
     n_obs: int
-    n_draws: int
     fingerprint: str
     p_loo: float = math.nan
 
@@ -260,7 +259,7 @@ def psis_loo(loglik):
     at a few MB whatever N is.
     """
     values = loglik.values
-    n_draws, n_obs = values.shape
+    n_obs = values.shape[1]
     pointwise = np.empty(n_obs)
     lppd = np.empty(n_obs)
     pareto_k = np.empty(n_obs)
@@ -275,7 +274,6 @@ def psis_loo(loglik):
         pointwise_elpd=pointwise,
         pareto_k=pareto_k,
         n_obs=n_obs,
-        n_draws=n_draws,
         fingerprint=loglik.fingerprint,
         p_loo=float(np.sum(lppd)) - elpd_loo,
     )
@@ -308,7 +306,7 @@ def compare(results):
     reference_fp = items[0][1].fingerprint
     for name, res in items[1:]:
         if res.fingerprint != reference_fp or res.n_obs != items[0][1].n_obs:
-            raise DatasetMismatch(
+            raise MismatchError(
                 f"model {name!r} was evaluated on different data "
                 f"({res.fingerprint} vs {reference_fp})"
             )
@@ -347,7 +345,7 @@ def exact_loo(model, config):
 
     n_obs = model.design.n_rows
     if n_obs > 500:
-        raise TooLarge(f"exact LOO capped at 500 observations, got {n_obs}")
+        raise NumericalError(f"exact LOO capped at 500 observations, got {n_obs}")
     x = model.design.values
     y = model.target
     lpds = []

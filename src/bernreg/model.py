@@ -18,7 +18,7 @@ import numpy as np
 from scipy import special
 
 from .data import DesignMatrix
-from .errors import DimensionMismatch
+from .errors import MismatchError
 
 LOGIT = "logit"
 PROBIT = "probit"
@@ -87,7 +87,7 @@ class ModelSpec:
             raise ValueError(f"unknown link {self.link!r}")
         self.target = np.asarray(self.target, dtype=np.float64).ravel()
         if len(self.target) != self.design.n_rows:
-            raise DimensionMismatch(
+            raise MismatchError(
                 f"target length {len(self.target)} differs from design rows "
                 f"{self.design.n_rows}"
             )
@@ -140,7 +140,7 @@ def linear_predictor(beta, design_values):
     """eta = intercept + X @ slopes for a packed coefficient vector."""
     beta = np.asarray(beta, dtype=np.float64)
     if beta.shape[-1] != design_values.shape[1] + 1:
-        raise DimensionMismatch(
+        raise MismatchError(
             f"{beta.shape[-1]} coefficients for {design_values.shape[1]} columns"
         )
     return beta[..., 0, None] + beta[..., 1:] @ design_values.T

@@ -14,12 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    DimensionTooHigh,
-    GridTooCoarse,
-    NonFiniteEvaluation,
-)
+from .errors import MismatchError, NumericalError
 
 _MAX_GRID_POINTS = 10_000_000
 _SELF_CHECK_TOLERANCE = 1e-3
@@ -56,7 +51,7 @@ def finite_diff_gradient(fn, point, h=1e-5):
         f_plus = fn(np.asarray(forward))
         f_minus = fn(np.asarray(backward))
         if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
-            raise NonFiniteEvaluation(
+            raise NumericalError(
                 f"probe at coordinate {j} returned a non-finite value"
             )
         out.append((f_plus - f_minus) / (2.0 * h))
@@ -150,9 +145,9 @@ def grid_posterior_moments(model, grid):
     """
     dim = model.n_params
     if dim > 3:
-        raise DimensionTooHigh(f"grid integration supports at most 3 parameters, got {dim}")
+        raise NumericalError(f"grid integration supports at most 3 parameters, got {dim}")
     if len(grid.axes) != dim:
-        raise DimensionMismatch(
+        raise MismatchError(
             f"{len(grid.axes)} grid axes for {dim} parameters"
         )
     xs = [list(map(float, row)) for row in model.design.values]
@@ -166,7 +161,7 @@ def grid_posterior_moments(model, grid):
         max(abs(a - b) for a, b in zip(sds, wide_sds)),
     )
     if drift >= _SELF_CHECK_TOLERANCE:
-        raise GridTooCoarse(
+        raise NumericalError(
             f"moments moved {drift:.2e} under axis widening (limit 1e-3); "
             "use wider or denser axes"
         )

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NumericalError
+from .errors import MismatchError, NumericalError
 from .model import link_function
 from .rngutil import substream_rng
 
@@ -46,11 +46,6 @@ def _ecdf_index(n, p):
     return min(max(1, math.ceil(n * p)), n) - 1
 
 
-def _ecdf_quantile(ordered, p):
-    """Smallest order statistic whose ECDF reaches p (duplication-proof)."""
-    return float(ordered[_ecdf_index(len(ordered), p)])
-
-
 def posterior_predict(draws, values, link, *, scale="outcome", seed=0):
     """PredictionRows for each new design row, in input order.
 
@@ -63,7 +58,7 @@ def posterior_predict(draws, values, link, *, scale="outcome", seed=0):
 
     beta = draws.pooled()
     if values.shape[1] != beta.shape[1] - 1:
-        raise DimensionMismatch(
+        raise MismatchError(
             f"new rows have {values.shape[1]} columns, fit has "
             f"{beta.shape[1] - 1} slopes"
         )

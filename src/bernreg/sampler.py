@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import AdaptationFailure, NonFiniteGradient
+from .errors import NumericalError
 from .rngutil import substream_rng
 
 DIVERGENCE_THRESHOLD = 1000.0
@@ -323,11 +323,11 @@ def _find_reasonable_step_size(target, theta, logp, grad, inv_mass, rng):
     for _ in range(100):
         eps *= 2.0 ** a
         if not 1e-12 < eps < 1e9:
-            raise AdaptationFailure(f"step-size search left ({1e-12}, {1e9})")
+            raise NumericalError(f"step-size search left ({1e-12}, {1e9})")
         current = log_ratio(eps)
         if a * (current - _LOG_HALF) <= 0.0:
             return eps
-    raise AdaptationFailure("step-size search did not terminate")
+    raise NumericalError("step-size search did not terminate")
 
 
 def _warmup_schedule(n_warmup):
@@ -367,7 +367,7 @@ def _find_start(target, config, chain_index, rng):
         value, gradient = target.logp_grad(candidate)
         if math.isfinite(value) and np.all(np.isfinite(gradient)):
             return candidate, value, gradient
-    raise NonFiniteGradient(
+    raise NumericalError(
         f"chain {chain_index}: no finite starting point within "
         f"radius {config.init_radius} after 100 attempts"
     )
@@ -403,7 +403,7 @@ def _run_chain(target, config, chain_index):
     if config.n_warmup > 0:
         eps = averager.adapted()
     if not (math.isfinite(eps) and eps > 0):
-        raise AdaptationFailure(f"chain {chain_index}: adapted step size {eps}")
+        raise NumericalError(f"chain {chain_index}: adapted step size {eps}")
 
     draws = np.empty((config.n_draws, dim))
     divergence_iterations = []

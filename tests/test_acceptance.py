@@ -43,6 +43,8 @@ from bernreg.oracle import GridSpec, finite_diff_gradient, grid_posterior_moment
 from bernreg.predict import posterior_predict
 from bernreg.sampler import SamplerConfig, sample
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 PIPELINE_SUBSAMPLE = 10000
 PIPELINE_SEED = 42
 FIT_CONFIG = dict(n_chains=4, n_warmup=1000, n_draws=1000, seed=42)

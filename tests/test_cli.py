@@ -24,7 +24,16 @@ from bernreg.cli import (
     main,
 )
 from bernreg.diagnostics import summarize
+from bernreg.errors import (
+    CorruptChainFile,
+    DataError,
+    Degenerate,
+    MismatchError,
+    NumericalError,
+)
 from bernreg.report import render_summary_text
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 FIT_ARGS = [
     "--subsample", "200",
@@ -606,6 +615,40 @@ class TestUsageErrors:
         code = main(["fit", "--data", str(bad), "--out", str(tmp_path / "out")])
         assert code == EXIT_DATA
 
+    def test_multi_character_delimiter_exits_2(
+        self, logit_dir, score_csv, small_bank_csv, tmp_path, capsys
+    ):
+        out = tmp_path / "run"
+        for argv in (["fit", "--data", small_bank_csv, "--out", str(out)],
+                     ["predict", os.path.join(logit_dir, "logit.chain"), "--data", score_csv]):
+            assert main(argv + ["--delimiter", ";;"]) == EXIT_USAGE, argv[0]
+            captured = capsys.readouterr()
+            assert captured.err == "error: delimiter must be one character, got ';;'\n"
+            assert captured.out == ""
+        assert not out.exists()
+
+
+class TestErrorHandler:
+    @pytest.mark.parametrize(
+        "exc, expected",
+        [
+            pytest.param(DataError("row 2: bad field"), 3, id="DataError"),
+            pytest.param(NumericalError("step size 0"), 4, id="NumericalError"),
+            pytest.param(MismatchError("other data"), 5, id="MismatchError"),
+            pytest.param(CorruptChainFile("truncated", offset=12), 3, id="CorruptChainFile"),
+            pytest.param(Degenerate("constant draws"), 4, id="Degenerate"),
+        ],
+    )
+    def test_one_error_line_and_the_class_exit_code(self, monkeypatch, capsys, exc, expected):
+        def fail(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_verify", fail)
+        assert main(["verify"]) == expected
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {exc}\n"
+        assert captured.out == ""
+
 
 class TestChainHeaderKeys:
     @pytest.mark.parametrize(
@@ -675,6 +718,7 @@ class TestChainHeaderKeys:
             ("dataset.pipeline.standardize", None),
             ("model.prior", [3.5, 1.0, 0.0, 0.5]),
             ("model.prior.slope_sd", "missing"),
+            ("dataset.pipeline.delimiter", [";"]),
         ],
     )
     def test_bad_stored_value_exits_2_naming_it(
@@ -699,6 +743,21 @@ class TestChainHeaderKeys:
         assert code == EXIT_USAGE
         assert err.startswith("error:") and err.count("\n") == 1
         assert dotted in err
+
+    def test_multi_character_stored_delimiter_exits_2(
+        self, logit_dir, probit_dir, small_bank_csv, tmp_path, capsys
+    ):
+        def spoil(header):
+            header["dataset"]["pipeline"]["delimiter"] = ";;"
+
+        chains = [
+            _rewrite_header(os.path.join(directory, f"{link}.chain"),
+                            str(tmp_path / f"{link}.chain"), spoil)
+            for directory, link in ((logit_dir, "logit"), (probit_dir, "probit"))
+        ]
+        code = main(["compare", *chains, "--data", small_bank_csv])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: delimiter must be one character, got ';;'\n"
 
 
 class TestVerify:

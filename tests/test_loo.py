@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from bernreg.errors import DatasetMismatch, DimensionMismatch, TooLarge
+from bernreg.errors import MismatchError, NumericalError
 from bernreg.loo import (
     _LOO_BLOCK,
     LogLikMatrix,
@@ -105,7 +105,7 @@ class TestPointwiseLoglik:
     def test_dimension_mismatch(self):
         model, draws = _fitted(n=10, k=2)
         other = _synthetic_model("logit", 10, 4, 0)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(MismatchError, match="3 coefficients for 4 columns"):
             pointwise_loglik(draws, other)
 
 
@@ -228,7 +228,7 @@ class TestPsisLoo:
         matrix = LogLikMatrix(values=values, fingerprint="abc")
         result = psis_loo(matrix)
         assert result.elpd_loo == pytest.approx(math.log(0.5 * 0.25 * 0.8), abs=1e-12)
-        assert result.n_obs == 3 and result.n_draws == 100
+        assert result.n_obs == 3
         assert result.fingerprint == "abc"
 
     def test_se_uses_population_variance(self):
@@ -255,7 +255,6 @@ class TestPsisLoo:
             pointwise_elpd=np.zeros(4),
             pareto_k=np.array([0.2, 0.71, np.nan, 0.9]),
             n_obs=4,
-            n_draws=100,
             fingerprint="z",
         )
         assert result.n_high_k == 2
@@ -432,7 +431,6 @@ class TestLooDiagnostics:
             pointwise_elpd=np.zeros(8),
             pareto_k=np.array([0.2, 0.5, 0.6, 0.7, 0.71, 1.0, 1.5, np.nan]),
             n_obs=8,
-            n_draws=100,
             fingerprint="k",
         )
         assert result.k_counts == {"good": 2, "ok": 2, "bad": 2, "very_bad": 1, "nan": 1}
@@ -462,7 +460,6 @@ class TestLooDiagnostics:
                 pointwise_elpd=np.full(4, elpd / 4),
                 pareto_k=np.zeros(4),
                 n_obs=4,
-                n_draws=100,
                 fingerprint="n",
             )
 
@@ -513,7 +510,7 @@ class TestCompare:
         good, bad = self._loo_pair()
         other_model, other_draws = _fitted(n=31, seed=9, draws_seed=5)
         other = psis_loo(pointwise_loglik(other_draws, other_model))
-        with pytest.raises(DatasetMismatch):
+        with pytest.raises(MismatchError, match="'other' was evaluated on different data"):
             compare({"fitted": good, "other": other})
 
     def test_needs_two_models(self):
@@ -571,7 +568,7 @@ class TestExactLoo:
 
     def test_too_large_rejected(self):
         model = _synthetic_model("logit", 501, 1, 0)
-        with pytest.raises(TooLarge):
+        with pytest.raises(NumericalError, match="exact LOO capped at 500 observations"):
             exact_loo(model, SamplerConfig(n_chains=1, n_warmup=10, n_draws=10, seed=0))
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import special
 
 from bernreg.data import DesignMatrix
-from bernreg.errors import DimensionMismatch
+from bernreg.errors import MismatchError
 from bernreg.model import (
     ModelSpec,
     PriorSpec,
@@ -20,6 +20,8 @@ from bernreg.model import (
 from bernreg.oracle import finite_diff_gradient
 
 from conftest import total_loglik
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 # High-precision reference values (60-digit arithmetic, frozen).
 PROBIT_REFERENCE = (
@@ -155,7 +157,7 @@ class TestPriors:
 class TestModelSpec:
     def test_target_length_mismatch(self):
         x = np.zeros((4, 2))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(MismatchError, match="target length 3 differs from design rows 4"):
             ModelSpec("logit", PriorSpec(0, 1, 0, 1),
                       DesignMatrix.from_values(x), np.zeros(3))
 
@@ -207,7 +209,7 @@ class TestLogLikelihood:
         assert abs(terms[1] - LOG_PHI_MINUS_10) < 1e-12 * abs(LOG_PHI_MINUS_10)
 
     def test_linear_predictor_dimension_check(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(MismatchError, match="4 coefficients for 2 columns"):
             linear_predictor(np.zeros(4), np.zeros((5, 2)))
 
 
@@ -246,7 +248,7 @@ class TestGradient:
 
     def test_dimension_mismatch(self):
         model = _simple_model("logit", n=10, k=2)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(MismatchError, match="5 coefficients for 2 columns"):
             log_posterior_and_gradient(np.zeros(5), model)
 
 

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from bernreg.data import DesignMatrix
-from bernreg.errors import (
-    DimensionMismatch,
-    DimensionTooHigh,
-    GridTooCoarse,
-    NonFiniteEvaluation,
-)
+from bernreg.errors import MismatchError, NumericalError
 from bernreg.model import ModelSpec, PriorSpec, log_posterior_and_gradient
 from bernreg.oracle import (
     GridSpec,
@@ -18,6 +13,8 @@ from bernreg.oracle import (
     finite_diff_gradient,
     grid_posterior_moments,
 )
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 class TestFiniteDiff:
@@ -44,7 +41,7 @@ class TestFiniteDiff:
         def fn(x):
             return math.inf if x[0] > 0.5 else 0.0
 
-        with pytest.raises(NonFiniteEvaluation):
+        with pytest.raises(NumericalError, match="returned a non-finite value"):
             finite_diff_gradient(fn, [0.5])
 
 
@@ -116,13 +113,13 @@ class TestGridMoments:
     def test_too_many_parameters(self):
         model = _synthetic_model("logit", 10, 3, 0)
         grid = GridSpec(axes=((-1, 1, 5),) * 4)
-        with pytest.raises(DimensionTooHigh):
+        with pytest.raises(NumericalError, match="at most 3 parameters, got 4"):
             grid_posterior_moments(model, grid)
 
     def test_axis_count_mismatch(self):
         model = _synthetic_model("logit", 10, 1, 0)
         grid = GridSpec(axes=((-1, 1, 51),))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(MismatchError, match="1 grid axes for 2 parameters"):
             grid_posterior_moments(model, grid)
 
     def test_narrow_axes_fail_self_check(self):
@@ -130,7 +127,7 @@ class TestGridMoments:
         # moments, so the oracle must refuse rather than return garbage.
         model = _synthetic_model("logit", 40, 1, 5)
         grid = GridSpec(axes=((-0.05, 0.05, 11), (-0.05, 0.05, 11)))
-        with pytest.raises(GridTooCoarse):
+        with pytest.raises(NumericalError, match="under axis widening"):
             grid_posterior_moments(model, grid)
 
 

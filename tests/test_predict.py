@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from bernreg import predict
-from bernreg.errors import DimensionMismatch, NumericalError
+from bernreg.errors import MismatchError, NumericalError
 from bernreg.model import link_function
-from bernreg.predict import PredictionRow, _ecdf_quantile, posterior_predict
+from bernreg.predict import PredictionRow, _ecdf_index, posterior_predict
 from bernreg.report import render_predictions_json
 from bernreg.rngutil import substream_rng
 
@@ -34,18 +34,18 @@ def _coef_draws(intercepts, slopes=None, n_chains=2):
 class TestEcdfQuantile:
     def test_small_known_cases(self):
         ordered = np.array([1.0, 2.0, 3.0, 4.0])
-        assert _ecdf_quantile(ordered, 0.25) == 1.0
-        assert _ecdf_quantile(ordered, 0.26) == 2.0
-        assert _ecdf_quantile(ordered, 0.5) == 2.0
-        assert _ecdf_quantile(ordered, 1.0) == 4.0
-        assert _ecdf_quantile(ordered, 0.0) == 1.0
+        assert ordered[_ecdf_index(4, 0.25)] == 1.0
+        assert ordered[_ecdf_index(4, 0.26)] == 2.0
+        assert ordered[_ecdf_index(4, 0.5)] == 2.0
+        assert ordered[_ecdf_index(4, 1.0)] == 4.0
+        assert ordered[_ecdf_index(4, 0.0)] == 1.0
 
     def test_duplication_invariance(self):
         rng = np.random.default_rng(0)
         ordered = np.sort(rng.standard_normal(200))
         tripled = np.sort(np.tile(ordered, 3))
         for p in (0.025, 0.5, 0.975):
-            assert _ecdf_quantile(ordered, p) == _ecdf_quantile(tripled, p)
+            assert ordered[_ecdf_index(200, p)] == tripled[_ecdf_index(600, p)]
 
 
 class TestProbabilityScale:
@@ -163,6 +163,12 @@ class TestOutcomeScale:
         ) or a[0].estimate == c[0].estimate  # seeds may rarely coincide in value
 
 
+def _ecdf_quantile(ordered, p):
+    """Smallest order statistic whose ECDF reaches p (duplication-proof)."""
+    n = len(ordered)
+    return float(ordered[min(max(1, math.ceil(n * p)), n) - 1])
+
+
 def _naive_predict(draws, values, link, scale, seed):
     """One row at a time: the reference for the block path."""
     beta = draws.pooled()
@@ -220,7 +226,7 @@ class TestValidation:
 
     def test_dimension_mismatch(self):
         draws = _coef_draws(np.zeros(10), slopes=np.zeros(10))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(MismatchError, match="new rows have 3 columns, fit has 1 slopes"):
             posterior_predict(draws, np.zeros((1, 3)), "logit")
 
     def test_row_indices_sequential(self):

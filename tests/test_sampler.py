@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bernreg.data import DesignMatrix
-from bernreg.errors import AdaptationFailure, NonFiniteGradient
+from bernreg.errors import NumericalError
 from bernreg.model import ModelSpec, PriorSpec
 from bernreg.sampler import (
     PosteriorDraws,
@@ -15,6 +15,8 @@ from bernreg.sampler import (
     initialize_chain,
     sample,
 )
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 class StandardNormalTarget:
@@ -253,11 +255,11 @@ class TestLeapfrogReversibility:
 
 class TestFailureModes:
     def test_no_finite_start_raises(self):
-        with pytest.raises(NonFiniteGradient):
+        with pytest.raises(NumericalError, match="chain 0: no finite starting point"):
             sample(CliffTarget(), SamplerConfig(n_chains=1, n_warmup=10, n_draws=10, seed=0))
 
     def test_initialize_chain_raises_on_hopeless_target(self):
-        with pytest.raises(NonFiniteGradient):
+        with pytest.raises(NumericalError, match="chain 0: no finite starting point"):
             initialize_chain(CliffTarget(), SamplerConfig(seed=0), 0)
 
     def test_step_size_search_failure_surfaces(self):
@@ -272,7 +274,7 @@ class TestFailureModes:
                     return 0.0, np.zeros(1)
                 return -math.inf, np.zeros(1)
 
-        with pytest.raises(AdaptationFailure):
+        with pytest.raises(NumericalError, match="step-size search"):
             sample(
                 NeverAccepts(),
                 SamplerConfig(n_chains=1, n_warmup=10, n_draws=5, seed=0, init_radius=0.0),
