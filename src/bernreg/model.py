@@ -2,17 +2,25 @@
 
 Two links: the logistic sigmoid and the standard-normal CDF. All
 likelihood and gradient code works in log space with the usual stable
-forms, so etas of magnitude several hundred stay finite. The probit
-terms work on the signed margin t = (2y - 1) * eta: log p(y | eta) is
-log Phi(t) and the score is (2y - 1) * phi(t) / Phi(t), one log_ndtr
-and one exp per row, bit for bit what log Phi(eta) and log Phi(-eta)
-give for 0/1 targets. Priors apply verbatim on whatever scale the
-design is in (the default pipeline standardizes, and the hyperparameters
-below are stated for that scale).
+forms, so etas of magnitude several hundred stay finite. Priors apply
+verbatim on whatever scale the design is in (the default pipeline
+standardizes, and the hyperparameters below are stated for that scale).
+
+The log posterior runs over the distinct (x, y) rows of the training set,
+each weighted by how often it occurs: a balanced subsample repeats many
+rows, and a repeated row adds the same term every time. Both links work
+on the signed margin t = (2y - 1) * eta, for which log p(y | eta) is
+log F(t) and the score is (2y - 1) * f(t) / F(t). For logit, with
+e = exp(-|t|), log F(t) = min(t, 0) - log1p(e) and f(t) / F(t) =
+sigma(-t) = (e if t >= 0 else 1) / (1 + e); for probit they are
+log_ndtr(t) and exp(-t^2 / 2 - log sqrt(2 pi) - log_ndtr(t)). Either way
+one transcendental pair per distinct row. `bernoulli_loglik_terms` stays
+one term per observation, for pointwise LOO.
 """
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 from scipy import special
@@ -107,6 +115,21 @@ class ModelSpec:
     def dim(self):
         return self.n_params
 
+    @cached_property
+    def weighted_rows(self):
+        """(x, sign, weight): each distinct (x, y) row of the design, its
+        2y - 1, and how many observations share it.
+
+        Built on the first posterior evaluation, so commands that only read
+        pointwise terms never pay for the sort.
+        """
+        rows, counts = np.unique(
+            np.column_stack([self.design.values, self.target]),
+            axis=0, return_counts=True,
+        )
+        x = np.ascontiguousarray(rows[:, :-1])
+        return x, 2.0 * rows[:, -1] - 1.0, counts.astype(np.float64)
+
     def logp_grad(self, beta):
         """The sampler's target protocol: (log posterior, gradient)."""
         return log_posterior_and_gradient(beta, self)
@@ -154,19 +177,9 @@ def bernoulli_loglik_terms(link, eta, y):
         # y*log(sigma(eta)) + (1-y)*log(sigma(-eta)) = y*eta - log(1+e^eta)
         return y * eta - np.logaddexp(0.0, eta)
     if link == PROBIT:
-        return _probit_signed_margin(eta, y)[2]
+        # log Phi(eta) or log Phi(-eta) by y, with no 0 * (-inf).
+        return special.log_ndtr((2.0 * y - 1.0) * eta)
     raise ValueError(f"unknown link {link!r}")
-
-
-def _probit_signed_margin(eta, y):
-    """(sign, margin, log Phi(margin)) with sign = 2y - 1, margin = sign * eta.
-
-    For 0/1 targets log p(y | eta) = log Phi(margin): one log_ndtr per
-    row, and no 0 * (-inf).
-    """
-    sign = 2.0 * y - 1.0
-    margin = sign * eta
-    return sign, margin, special.log_ndtr(margin)
 
 
 def _log_prior_and_gradient(beta, prior):
@@ -180,27 +193,23 @@ def _log_prior_and_gradient(beta, prior):
 
 
 def log_posterior_and_gradient(beta, model):
-    """(log posterior, gradient) sharing one linear-predictor evaluation."""
+    """(log posterior, gradient) over the model's weighted distinct rows."""
     beta = np.asarray(beta, dtype=np.float64).ravel()
-    x = model.design.values
-    y = model.target
-    eta = linear_predictor(beta, x)
+    x, sign, weight = model.weighted_rows
+    margin = sign * linear_predictor(beta, x)
 
     if model.link == LOGIT:
-        value = float(np.dot(y, eta) - np.sum(np.logaddexp(0.0, eta)))
-        score = y - logit_link(eta)
+        e = np.exp(-np.abs(margin))
+        loglik = np.minimum(margin, 0.0) - np.log1p(e)
+        ratio = np.where(margin >= 0.0, e, 1.0) / (1.0 + e)
     else:
-        sign, margin, log_cdf = _probit_signed_margin(eta, y)
-        # Two dots, not one sum: the same additions in the same order as
-        # dot(y, log Phi(eta)) + dot(1 - y, log Phi(-eta)), so every bit
-        # of the value is kept.
-        value = float(np.dot(y, log_cdf) + np.dot(1.0 - y, log_cdf))
-        # Inverse Mills ratio phi(margin) / Phi(margin) in log space keeps
-        # both tails finite.
-        score = sign * np.exp(-0.5 * margin * margin - _HALF_LOG_2PI - log_cdf)
+        loglik = special.log_ndtr(margin)
+        # phi / Phi in log space keeps both tails finite.
+        ratio = np.exp(-0.5 * margin * margin - _HALF_LOG_2PI - loglik)
+    score = weight * sign * ratio
 
     prior_value, prior_grad = _log_prior_and_gradient(beta, model.prior)
-    value += prior_value
+    value = float(np.dot(weight, loglik)) + prior_value
 
     grad = np.empty_like(beta)
     grad[0] = np.sum(score)

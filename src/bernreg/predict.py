@@ -1,9 +1,12 @@
 """Posterior-predictive scoring of new rows.
 
 Probability scale summarizes the success probability draws directly;
-outcome scale draws one 0/1 outcome per posterior draw with a per-row
-seed substream, so rows can be scored concurrently and any row's result
-is independent of how many rows are scored. Row statistics are weighted-
+outcome scale draws one 0/1 outcome per posterior draw from one uniform
+stream, substream 0 of the seed: with S posterior draws, row r reads
+uniforms [r * S, (r + 1) * S) of it. A block of rows starts its own
+generator on that stream and advances it to the block's first row, so a
+row's result depends on its position alone, not on the blocking or on how
+many rows are scored. Row statistics are weighted-
 mixture statistics over draws (population sd, inverse-ECDF quantiles),
 which makes probability-scale output exactly invariant to duplicating
 the posterior draws and keeps outcome-scale est_error at
@@ -76,9 +79,9 @@ def posterior_predict(draws, values, link, *, scale="outcome", seed=0):
         if scale == "probability":
             sample = pi
         else:
-            sample = np.empty_like(pi)
-            for r in range(pi.shape[0]):
-                sample[r] = substream_rng(seed, start + r).random(n_draws) < pi[r]
+            rng = substream_rng(seed, 0)
+            rng.bit_generator.advance(start * n_draws)
+            sample = (rng.random(pi.shape) < pi).astype(np.float64)
         estimate = sample.mean(axis=1)
         est_error = sample.std(axis=1)
         over = est_error**2 > estimate * (1.0 - estimate) + 1.0 / n_draws + bound_slack

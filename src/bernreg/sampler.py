@@ -1,4 +1,4 @@
-"""No-U-Turn sampling with dual-averaging step size and a diagonal metric.
+"""No-U-Turn sampling with dual-averaging step size and a dense metric.
 
 Trajectories grow by doubling and draws are multinomial over the whole
 trajectory, with the biased progressive update at the root so later
@@ -7,6 +7,13 @@ every merge, including the two cross-subtree checks. Warmup follows the
 three-phase layout: a step-size-only opening, doubling covariance windows
 (each ending with a metric update, a fresh step-size search, and a dual
 averaging restart), and a step-size-only closing run.
+
+The metric is a full covariance Sigma, the inverse mass matrix. It starts
+as the identity; each window ends with its sample covariance shrunk toward
+1e-3 * I as Stan's dense_e does, (n / (n + 5)) * cov + 1e-3 * (5 / (n + 5)) * I.
+Momenta are drawn as r = L^-T z with Sigma = L L^T, so r ~ N(0, Sigma^-1),
+and the velocity Sigma r drives the leapfrog position update, the kinetic
+energy r^T Sigma r / 2 and the U-turn checks.
 
 Chain c draws from substream c of the configured seed, so any chain's
 output is independent of how many chains run, of thread count, and of
@@ -143,34 +150,32 @@ def _leaf(theta, r, logp, grad, log_w, divergent):
     return leaf
 
 
-def _momentum(rng, inv_mass):
-    """A draw from N(0, M), M = diag(1 / inv_mass)."""
-    # A product with the reciprocal: dividing by the root rounds differently
-    # and changes the chains.
-    return rng.standard_normal(len(inv_mass)) * (1.0 / np.sqrt(inv_mass))
+def _momentum(rng, chol):
+    """A draw from N(0, Sigma^-1): r = L^-T z for Sigma = L L^T."""
+    return np.linalg.solve(chol.T, rng.standard_normal(len(chol)))
 
 
-def _leapfrog(target, theta, r, grad, eps, inv_mass):
+def _leapfrog(target, theta, r, grad, eps, metric):
     r_half = r + 0.5 * eps * grad
-    theta_new = theta + eps * (inv_mass * r_half)
+    theta_new = theta + eps * (metric @ r_half)
     logp_new, grad_new = target.logp_grad(theta_new)
     r_new = r_half + 0.5 * eps * grad_new
     return theta_new, r_new, logp_new, grad_new
 
 
-def _hamiltonian(logp, r, inv_mass):
-    return logp - 0.5 * float(np.dot(r, inv_mass * r))
+def _hamiltonian(logp, r, metric):
+    return logp - 0.5 * float(np.dot(r, metric @ r))
 
 
-def _uturn(rho, r_first, r_last, inv_mass):
-    """Generalized criterion: momentum flow against the displacement sum."""
+def _uturn(rho, r_first, r_last, metric):
+    """Generalized criterion: velocity at each end against the momentum sum."""
     return (
-        float(np.dot(inv_mass * r_first, rho)) <= 0.0
-        or float(np.dot(inv_mass * r_last, rho)) <= 0.0
+        float(np.dot(metric @ r_first, rho)) <= 0.0
+        or float(np.dot(metric @ r_last, rho)) <= 0.0
     )
 
 
-def _merge(left, right, old, new, biased, rng, inv_mass):
+def _merge(left, right, old, new, biased, rng, metric):
     """Join adjacent subtrees; left/right is trajectory order, old/new is
     build order (the proposal is sampled between old and new)."""
     log_w = np.logaddexp(old.log_w, new.log_w)
@@ -191,19 +196,19 @@ def _merge(left, right, old, new, biased, rng, inv_mass):
     merged.divergent = False
     # Whole-trajectory check plus the two cross-subtree checks.
     merged.turning = (
-        _uturn(merged.r_sum, left.r_m, right.r_p, inv_mass)
-        or _uturn(left.r_sum + right.r_m, left.r_m, right.r_m, inv_mass)
-        or _uturn(left.r_p + right.r_sum, left.r_p, right.r_p, inv_mass)
+        _uturn(merged.r_sum, left.r_m, right.r_p, metric)
+        or _uturn(left.r_sum + right.r_m, left.r_m, right.r_m, metric)
+        or _uturn(left.r_p + right.r_sum, left.r_p, right.r_p, metric)
     )
     return merged
 
 
-def _build(target, depth, direction, theta, r, grad, h0, eps, inv_mass, rng, stats):
+def _build(target, depth, direction, theta, r, grad, h0, eps, metric, rng, stats):
     if depth == 0:
         theta1, r1, logp1, grad1 = _leapfrog(
-            target, theta, r, grad, direction * eps, inv_mass
+            target, theta, r, grad, direction * eps, metric
         )
-        h1 = _hamiltonian(logp1, r1, inv_mass)
+        h1 = _hamiltonian(logp1, r1, metric)
         log_w = h1 - h0
         bad = not (math.isfinite(h1) and np.all(np.isfinite(grad1)))
         divergent = bad or (h0 - h1) > DIVERGENCE_THRESHOLD
@@ -211,7 +216,7 @@ def _build(target, depth, direction, theta, r, grad, h0, eps, inv_mass, rng, sta
         return _leaf(theta1, r1, logp1, grad1, -math.inf if bad else log_w, divergent)
 
     first = _build(
-        target, depth - 1, direction, theta, r, grad, h0, eps, inv_mass, rng, stats
+        target, depth - 1, direction, theta, r, grad, h0, eps, metric, rng, stats
     )
     if first.divergent or first.turning:
         return first
@@ -220,21 +225,24 @@ def _build(target, depth, direction, theta, r, grad, h0, eps, inv_mass, rng, sta
     else:
         start = (first.theta_m, first.r_m, first.grad_m)
     second = _build(
-        target, depth - 1, direction, *start, h0, eps, inv_mass, rng, stats
+        target, depth - 1, direction, *start, h0, eps, metric, rng, stats
     )
     if second.divergent or second.turning:
         first.divergent = second.divergent
         first.turning = second.turning
         return first
     if direction > 0:
-        return _merge(first, second, first, second, False, rng, inv_mass)
-    return _merge(second, first, first, second, False, rng, inv_mass)
+        return _merge(first, second, first, second, False, rng, metric)
+    return _merge(second, first, first, second, False, rng, metric)
 
 
-def _nuts_step(target, theta, logp, grad, eps, inv_mass, rng, max_depth):
-    """One transition; returns (theta, logp, grad, divergent, mean_alpha)."""
-    r0 = _momentum(rng, inv_mass)
-    h0 = _hamiltonian(logp, r0, inv_mass)
+def _nuts_step(target, theta, logp, grad, eps, metric, chol, rng, max_depth):
+    """One transition; returns (theta, logp, grad, divergent, mean_alpha).
+
+    `chol` is the lower Cholesky factor of `metric`.
+    """
+    r0 = _momentum(rng, chol)
+    h0 = _hamiltonian(logp, r0, metric)
     tree = _leaf(theta, r0, logp, grad, 0.0, False)
     stats = _Stats()
     divergent = False
@@ -245,7 +253,7 @@ def _nuts_step(target, theta, logp, grad, eps, inv_mass, rng, max_depth):
         else:
             start = (tree.theta_m, tree.r_m, tree.grad_m)
         sub = _build(
-            target, depth, direction, *start, h0, eps, inv_mass, rng, stats
+            target, depth, direction, *start, h0, eps, metric, rng, stats
         )
         if sub.divergent:
             divergent = True
@@ -253,9 +261,9 @@ def _nuts_step(target, theta, logp, grad, eps, inv_mass, rng, max_depth):
         if sub.turning:
             break
         if direction > 0:
-            tree = _merge(tree, sub, tree, sub, True, rng, inv_mass)
+            tree = _merge(tree, sub, tree, sub, True, rng, metric)
         else:
-            tree = _merge(sub, tree, tree, sub, True, rng, inv_mass)
+            tree = _merge(sub, tree, tree, sub, True, rng, metric)
         if tree.turning:
             break
     return tree.theta_prop, tree.logp_prop, tree.grad_prop, divergent, stats.mean
@@ -286,34 +294,40 @@ class _DualAveraging:
 
 
 class _Welford:
-    """Streaming mean/variance for the metric windows."""
+    """Streaming mean and covariance for the metric windows."""
 
     def __init__(self, dim):
         self.count = 0
         self.mean = np.zeros(dim)
-        self.m2 = np.zeros(dim)
+        self.m2 = np.zeros((dim, dim))
 
     def add(self, x):
         self.count += 1
         delta = x - self.mean
         self.mean += delta / self.count
-        self.m2 += delta * (x - self.mean)
+        self.m2 += np.outer(delta, x - self.mean)
 
-    def regularized_variance(self):
-        """Sample variance shrunk toward unit scale, never zero."""
+    def regularized_covariance(self):
+        """Sample covariance shrunk toward 1e-3 * I, always positive definite.
+
+        m2 is symmetric only up to rounding; its symmetric part is used so
+        that Sigma and its Cholesky factor describe the same matrix.
+        """
         n = self.count
-        var = self.m2 / (n - 1)
-        return (n / (n + 5.0)) * var + 1e-3 * (5.0 / (n + 5.0))
+        cov = (self.m2 + self.m2.T) / (2.0 * (n - 1))
+        shrunk = (n / (n + 5.0)) * cov
+        shrunk[np.diag_indices_from(shrunk)] += 1e-3 * (5.0 / (n + 5.0))
+        return shrunk
 
 
-def _find_reasonable_step_size(target, theta, logp, grad, inv_mass, rng):
+def _find_reasonable_step_size(target, theta, logp, grad, metric, chol, rng):
     """Double or halve from 1.0 until one leapfrog step crosses 50% acceptance."""
-    r0 = _momentum(rng, inv_mass)
-    h0 = _hamiltonian(logp, r0, inv_mass)
+    r0 = _momentum(rng, chol)
+    h0 = _hamiltonian(logp, r0, metric)
 
     def log_ratio(eps):
-        _, r1, logp1, _ = _leapfrog(target, theta, r0, grad, eps, inv_mass)
-        h1 = _hamiltonian(logp1, r1, inv_mass)
+        _, r1, logp1, _ = _leapfrog(target, theta, r0, grad, eps, metric)
+        h1 = _hamiltonian(logp1, r1, metric)
         return (h1 - h0) if math.isfinite(h1) else -math.inf
 
     eps = 1.0
@@ -378,8 +392,8 @@ def _run_chain(target, config, chain_index):
     dim = target.dim
     theta, logp, grad = _find_start(target, config, chain_index, rng)
 
-    inv_mass = np.ones(dim)
-    eps = _find_reasonable_step_size(target, theta, logp, grad, inv_mass, rng)
+    metric = chol = np.eye(dim)
+    eps = _find_reasonable_step_size(target, theta, logp, grad, metric, chol, rng)
     averager = _DualAveraging(eps, config.target_accept)
     opening_end, window_ends, closing_start = _warmup_schedule(config.n_warmup)
     pending_windows = list(window_ends)
@@ -387,7 +401,7 @@ def _run_chain(target, config, chain_index):
 
     for it in range(config.n_warmup):
         theta, logp, grad, _, alpha = _nuts_step(
-            target, theta, logp, grad, eps, inv_mass, rng, config.max_tree_depth
+            target, theta, logp, grad, eps, metric, chol, rng, config.max_tree_depth
         )
         eps = averager.update(alpha)
         if opening_end <= it < closing_start:
@@ -395,9 +409,12 @@ def _run_chain(target, config, chain_index):
         if pending_windows and it + 1 == pending_windows[0]:
             pending_windows.pop(0)
             if welford.count >= 2:
-                inv_mass = welford.regularized_variance()
+                metric = welford.regularized_covariance()
+                chol = np.linalg.cholesky(metric)
             welford = _Welford(dim)
-            eps = _find_reasonable_step_size(target, theta, logp, grad, inv_mass, rng)
+            eps = _find_reasonable_step_size(
+                target, theta, logp, grad, metric, chol, rng
+            )
             averager = _DualAveraging(eps, config.target_accept)
 
     if config.n_warmup > 0:
@@ -410,7 +427,7 @@ def _run_chain(target, config, chain_index):
     alpha_total = 0.0
     for it in range(config.n_draws):
         theta, logp, grad, divergent, alpha = _nuts_step(
-            target, theta, logp, grad, eps, inv_mass, rng, config.max_tree_depth
+            target, theta, logp, grad, eps, metric, chol, rng, config.max_tree_depth
         )
         draws[it] = theta
         alpha_total += alpha

@@ -566,6 +566,29 @@ class TestExactLoo:
         config = SamplerConfig(n_chains=1, n_warmup=100, n_draws=100, seed=9)
         assert exact_loo(model, config) == exact_loo(model, config)
 
+    def test_refit_leaves_out_one_copy_of_a_repeated_row(self, monkeypatch):
+        from bernreg import sampler
+        from bernreg.data import DesignMatrix
+
+        x = np.array([[0.7], [-1.0], [0.7], [2.0], [0.7]])
+        y = np.array([1.0, 0.0, 1.0, 0.0, 1.0])
+        model = ModelSpec("logit", PriorSpec(0.0, 2.0, 0.0, 2.0),
+                          DesignMatrix.from_values(x), y)
+        refits = []
+
+        def fake_sample(model_i, config_i):
+            refits.append(model_i)
+            return make_draws(np.zeros((1, 4, 2)), model_i.param_names)
+
+        monkeypatch.setattr(sampler, "sample", fake_sample)
+        exact_loo(model, SamplerConfig(n_chains=1, n_warmup=10, n_draws=4, seed=0))
+        assert len(refits) == 5
+        for i in (0, 2, 4):
+            rows, sign, weight = refits[i].weighted_rows
+            repeated = (rows[:, 0] == 0.7) & (sign == 1.0)
+            assert weight[repeated].tolist() == [2.0]
+            assert weight.sum() == 4.0
+
     def test_too_large_rejected(self):
         model = _synthetic_model("logit", 501, 1, 0)
         with pytest.raises(NumericalError, match="exact LOO capped at 500 observations"):

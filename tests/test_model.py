@@ -252,33 +252,83 @@ class TestGradient:
             log_posterior_and_gradient(np.zeros(5), model)
 
 
+def _row_by_row(beta, model, terms, score):
+    """A posterior summed one observation at a time, and the scale of each
+    sum: (value, grad, value_scale, grad_scale).
+
+    A scale is the sum of the magnitudes of the terms that make the entry.
+    """
+    x, y = model.design.values, model.target
+    eta = linear_predictor(beta, x)
+    terms, score = terms(eta, y), score(eta, y)
+    # The prior alone: the posterior of the same model with no rows.
+    empty = ModelSpec(model.link, model.prior, DesignMatrix.from_values(x[:0]), y[:0])
+    prior_value, prior_grad = log_posterior_and_gradient(beta, empty)
+    design = np.column_stack([np.ones(len(y)), x])
+    value = float(np.sum(terms)) + prior_value
+    grad = design.T @ score + prior_grad
+    value_scale = float(np.sum(np.abs(terms))) + abs(prior_value)
+    grad_scale = np.abs(design).T @ np.abs(score) + np.abs(prior_grad)
+    return value, grad, value_scale, grad_scale
+
+
 def _two_log_ndtr_posterior(beta, model):
     """The probit posterior as log Phi(eta) and log Phi(-eta) for every row,
     each tail's inverse Mills ratio picked by y."""
-    x, y = model.design.values, model.target
-    eta = linear_predictor(beta, x)
-    log_cdf = special.log_ndtr(eta)
-    log_cdf_neg = special.log_ndtr(-eta)
-    value = float(np.dot(y, log_cdf) + np.dot(1.0 - y, log_cdf_neg))
-    log_pdf = -0.5 * eta * eta - 0.5 * math.log(2.0 * math.pi)
-    score = np.where(y > 0.5, np.exp(log_pdf - log_cdf), -np.exp(log_pdf - log_cdf_neg))
-    # The prior alone: the posterior of the same model with no rows.
-    empty = ModelSpec("probit", model.prior, DesignMatrix.from_values(x[:0]), y[:0])
-    prior_value, prior_grad = log_posterior_and_gradient(beta, empty)
-    grad = np.empty_like(beta)
-    grad[0] = np.sum(score)
-    grad[1:] = x.T @ score
-    return value + prior_value, grad + prior_grad
+
+    def terms(eta, y):
+        return y * special.log_ndtr(eta) + (1.0 - y) * special.log_ndtr(-eta)
+
+    def score(eta, y):
+        log_pdf = -0.5 * eta * eta - 0.5 * math.log(2.0 * math.pi)
+        return np.where(y > 0.5, np.exp(log_pdf - special.log_ndtr(eta)),
+                        -np.exp(log_pdf - special.log_ndtr(-eta)))
+
+    return _row_by_row(beta, model, terms, score)
+
+
+def _logaddexp_posterior(beta, model):
+    """The logit posterior as y * eta - log(1 + e^eta) for every row, with
+    score y - sigma(eta)."""
+    return _row_by_row(
+        beta, model,
+        lambda eta, y: y * eta - np.logaddexp(0.0, eta),
+        lambda eta, y: y - special.expit(eta),
+    )
+
+
+REFERENCES = {"logit": _logaddexp_posterior, "probit": _two_log_ndtr_posterior}
+# Set from float64 rounding before the kernel was measured against it. The
+# kernel sums rows in another order than the reference, so agreement is
+# relative to the magnitude of the terms summed: an entry whose terms
+# cancel has no relative accuracy in any order.
+KERNEL_RTOL = 1e-12
+
+
+def _assert_matches_row_by_row(beta, model):
+    value, grad = log_posterior_and_gradient(beta, model)
+    ref_value, ref_grad, value_scale, grad_scale = REFERENCES[model.link](beta, model)
+    assert abs(value - ref_value) <= KERNEL_RTOL * value_scale
+    assert np.all(np.abs(grad - ref_grad) <= KERNEL_RTOL * grad_scale)
+
+
+def _eta_grid_models(link, etas):
+    """Models whose rows sit at the given etas for beta = (0, 1): all y = 0,
+    all y = 1, and both targets at every eta."""
+    prior = default_priors(link)
+    models = [
+        ModelSpec(link, prior, DesignMatrix.from_values(etas[:, None]), np.full(etas.size, y))
+        for y in (0.0, 1.0)
+    ]
+    models.append(ModelSpec(
+        link, prior, DesignMatrix.from_values(np.tile(etas, 2)[:, None]),
+        np.repeat([0.0, 1.0], etas.size),
+    ))
+    return models
 
 
 class TestProbitSignedMargin:
-    """The one-log_ndtr probit posterior keeps every bit of the two-log_ndtr form."""
-
-    def _assert_same_bits(self, beta, model):
-        value, grad = log_posterior_and_gradient(beta, model)
-        ref_value, ref_grad = _two_log_ndtr_posterior(beta, model)
-        assert value == ref_value
-        assert np.array_equal(grad, ref_grad)
+    """The one-log_ndtr probit posterior matches the two-log_ndtr form."""
 
     def test_eta_grid_both_targets(self):
         # eta = 0 + 1 * x exactly, so each row sits at a chosen eta.
@@ -286,25 +336,15 @@ class TestProbitSignedMargin:
             np.linspace(-40.0, 40.0, 1601),
             [-39.999, -37.5, -20.0, -8.3, -6.0, -1e-300, 0.0, 6.0, 8.3, 20.0, 37.5, 40.0],
         ))
-        for y in (0.0, 1.0):
-            model = ModelSpec(
-                "probit", default_priors("probit"),
-                DesignMatrix.from_values(etas[:, None]), np.full(etas.size, y),
-            )
-            self._assert_same_bits(np.array([0.0, 1.0]), model)
-        mixed = ModelSpec(
-            "probit", default_priors("probit"),
-            DesignMatrix.from_values(np.tile(etas, 2)[:, None]),
-            np.repeat([0.0, 1.0], etas.size),
-        )
-        self._assert_same_bits(np.array([0.0, 1.0]), mixed)
+        for model in _eta_grid_models("probit", etas):
+            _assert_matches_row_by_row(np.array([0.0, 1.0]), model)
 
     def test_random_coefficients(self):
         rng = np.random.default_rng(17)
         model = _simple_model("probit", n=400, k=4, seed=3)
         for scale in (0.5, 3.0, 15.0):
             for _ in range(20):
-                self._assert_same_bits(rng.normal(0.0, scale, 5), model)
+                _assert_matches_row_by_row(rng.normal(0.0, scale, 5), model)
 
     def test_pointwise_terms_match_log_ndtr_of_signed_eta(self):
         eta = np.linspace(-40.0, 40.0, 801)
@@ -312,3 +352,57 @@ class TestProbitSignedMargin:
             terms = bernoulli_loglik_terms("probit", eta, np.full(eta.size, y))
             expected = special.log_ndtr(eta) if y else special.log_ndtr(-eta)
             assert np.array_equal(terms, expected)
+
+
+def _duplicated_model(link, seed, n_distinct=12, max_copies=40, k=3):
+    """Few distinct x rows, each repeated with targets of both values."""
+    rng = np.random.default_rng(seed)
+    distinct = rng.standard_normal((n_distinct, k))
+    copies = rng.integers(1, max_copies + 1, n_distinct)
+    x = np.repeat(distinct, copies, axis=0)
+    y = (rng.random(len(x)) < 0.4).astype(float)
+    order = rng.permutation(len(x))
+    return ModelSpec(link, default_priors(link), DesignMatrix.from_values(x[order]), y[order])
+
+
+class TestWeightedRows:
+    """The posterior over weighted distinct rows matches the row-by-row one."""
+
+    def test_weights_count_each_distinct_row(self):
+        x = np.array([[0.5, 1.0], [0.5, 1.0], [-2.0, 0.0], [0.5, 1.0], [-2.0, 0.0]])
+        y = np.array([1.0, 1.0, 0.0, 0.0, 0.0])
+        model = ModelSpec("logit", default_priors("logit"), DesignMatrix.from_values(x), y)
+        rows, sign, weight = model.weighted_rows
+        found = {(tuple(r), s): w for r, s, w in zip(rows.tolist(), sign, weight)}
+        assert found == {((0.5, 1.0), 1.0): 2.0, ((0.5, 1.0), -1.0): 1.0,
+                         ((-2.0, 0.0), -1.0): 2.0}
+
+    def test_built_on_first_posterior_call_only(self):
+        model = _simple_model("logit", n=30, k=2)
+        assert "weighted_rows" not in vars(model)
+        log_posterior_and_gradient(np.zeros(3), model)
+        assert "weighted_rows" in vars(model)
+
+    @pytest.mark.parametrize("link", ["logit", "probit"])
+    def test_heavily_duplicated_designs(self, link):
+        rng = np.random.default_rng(23)
+        for seed in range(10):
+            model = _duplicated_model(link, seed)
+            assert len(model.weighted_rows[0]) <= 24 < model.design.n_rows
+            for scale in (0.5, 3.0):
+                _assert_matches_row_by_row(rng.normal(0.0, scale, 4), model)
+
+    def test_logit_eta_grid_to_700(self):
+        etas = np.concatenate((
+            np.linspace(-700.0, 700.0, 2801),
+            [-699.9, -40.0, -36.8, -20.0, -1e-300, 0.0, 1e-300, 20.0, 36.8, 40.0, 699.9],
+        ))
+        for model in _eta_grid_models("logit", etas):
+            _assert_matches_row_by_row(np.array([0.0, 1.0]), model)
+
+    def test_logit_random_coefficients(self):
+        rng = np.random.default_rng(19)
+        model = _simple_model("logit", n=400, k=4, seed=3)
+        for scale in (0.5, 3.0, 15.0, 150.0):
+            for _ in range(20):
+                _assert_matches_row_by_row(rng.normal(0.0, scale, 5), model)

@@ -170,8 +170,14 @@ def _ecdf_quantile(ordered, p):
 
 
 def _naive_predict(draws, values, link, scale, seed):
-    """One row at a time: the reference for the block path."""
+    """One row at a time: the reference for the block path.
+
+    Row i's outcomes compare uniforms [i * S, (i + 1) * S) of substream 0,
+    here drawn for all rows in one call.
+    """
     beta = draws.pooled()
+    n_draws = beta.shape[0]
+    uniforms = substream_rng(seed, 0).random(len(values) * n_draws)
     link_fn = link_function(link)
     out = []
     for i, row in enumerate(values):
@@ -179,7 +185,7 @@ def _naive_predict(draws, values, link, scale, seed):
         if scale == "probability":
             sample = pi
         else:
-            sample = (substream_rng(seed, i).random(len(pi)) < pi).astype(np.float64)
+            sample = (uniforms[i * n_draws:(i + 1) * n_draws] < pi).astype(np.float64)
         ordered = np.sort(sample)
         out.append((i, float(sample.mean()), float(sample.std()),
                     _ecdf_quantile(ordered, 0.025), _ecdf_quantile(ordered, 0.975)))
@@ -205,6 +211,16 @@ class TestBlocksAgainstRowLoop:
             assert got == expected
         else:
             np.testing.assert_allclose(np.array(got), np.array(expected), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("rows_per_block", [1, 3, 7])
+    def test_smaller_blocks_change_no_row(self, monkeypatch, rows_per_block):
+        rng = np.random.default_rng(29)
+        draws = _coef_draws(rng.standard_normal(600), slopes=rng.standard_normal(600))
+        values = rng.standard_normal((40, 1))
+        default = posterior_predict(draws, values, "logit", scale="outcome", seed=5)
+        monkeypatch.setattr(predict, "_PREDICT_BLOCK_VALUES", rows_per_block * 600)
+        blocked = posterior_predict(draws, values, "logit", scale="outcome", seed=5)
+        assert [vars(r) for r in blocked] == [vars(r) for r in default]
 
     def test_binomial_bound_names_the_first_bad_row(self, monkeypatch):
         # An unbounded "link" makes a row's spread exceed any probability's.
