@@ -13,9 +13,11 @@ on the signed margin t = (2y - 1) * eta, for which log p(y | eta) is
 log F(t) and the score is (2y - 1) * f(t) / F(t). For logit, with
 e = exp(-|t|), log F(t) = min(t, 0) - log1p(e) and f(t) / F(t) =
 sigma(-t) = (e if t >= 0 else 1) / (1 + e); for probit they are
-log_ndtr(t) and exp(-t^2 / 2 - log sqrt(2 pi) - log_ndtr(t)). Either way
-one transcendental pair per distinct row. `bernoulli_loglik_terms` stays
-one term per observation, for pointwise LOO.
+log Phi(t) and exp(-t^2 / 2 - log sqrt(2 pi) - log Phi(t)), with log Phi(t)
+taken as log(ndtr(t)) for t >= -5 and as log_ndtr(t) below, well before
+ndtr underflows. Either way about one transcendental pair per distinct
+row. `bernoulli_loglik_terms` stays one term per observation, for
+pointwise LOO.
 """
 
 import math
@@ -35,6 +37,7 @@ LINKS = (LOGIT, PROBIT)
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _TINY = np.finfo(np.float64).tiny
 _ONE_MINUS_EPS = 1.0 - np.finfo(np.float64).epsneg
+_PROBIT_LOG_CUT = -5.0
 
 
 @dataclass(frozen=True)
@@ -130,6 +133,13 @@ class ModelSpec:
         x = np.ascontiguousarray(rows[:, :-1])
         return x, 2.0 * rows[:, -1] - 1.0, counts.astype(np.float64)
 
+    @cached_property
+    def prior_terms(self):
+        """(means, sds, sum of log sd, n * log sqrt(2 pi)) of the prior."""
+        sds = self.prior.sds(self.n_params)
+        return (self.prior.means(self.n_params), sds, np.sum(np.log(sds)),
+                self.n_params * _HALF_LOG_2PI)
+
     def logp_grad(self, beta):
         """The sampler's target protocol: (log posterior, gradient)."""
         return log_posterior_and_gradient(beta, self)
@@ -182,16 +192,6 @@ def bernoulli_loglik_terms(link, eta, y):
     raise ValueError(f"unknown link {link!r}")
 
 
-def _log_prior_and_gradient(beta, prior):
-    """Normal log-density of the packed coefficients, constants included,
-    and its gradient."""
-    means = prior.means(len(beta))
-    sds = prior.sds(len(beta))
-    z = (beta - means) / sds
-    value = float(-0.5 * np.dot(z, z) - np.sum(np.log(sds)) - len(beta) * _HALF_LOG_2PI)
-    return value, -z / sds
-
-
 def log_posterior_and_gradient(beta, model):
     """(log posterior, gradient) over the model's weighted distinct rows."""
     beta = np.asarray(beta, dtype=np.float64).ravel()
@@ -203,16 +203,23 @@ def log_posterior_and_gradient(beta, model):
         loglik = np.minimum(margin, 0.0) - np.log1p(e)
         ratio = np.where(margin >= 0.0, e, 1.0) / (1.0 + e)
     else:
-        loglik = special.log_ndtr(margin)
+        # log(ndtr) costs about half of log_ndtr; below t = -5 (Phi < 2.9e-7)
+        # log_ndtr takes over, far above where ndtr underflows (t ~ -37).
+        loglik = np.log(special.ndtr(np.maximum(margin, _PROBIT_LOG_CUT)))
+        deep = margin < _PROBIT_LOG_CUT
+        if deep.any():
+            loglik[deep] = special.log_ndtr(margin[deep])
         # phi / Phi in log space keeps both tails finite.
         ratio = np.exp(-0.5 * margin * margin - _HALF_LOG_2PI - loglik)
     score = weight * sign * ratio
 
-    prior_value, prior_grad = _log_prior_and_gradient(beta, model.prior)
-    value = float(np.dot(weight, loglik)) + prior_value
+    # The normal prior, constants included.
+    means, sds, log_sd_sum, normalizer = model.prior_terms
+    z = (beta - means) / sds
+    value = float(np.dot(weight, loglik)) + float(-0.5 * np.dot(z, z) - log_sd_sum - normalizer)
 
     grad = np.empty_like(beta)
     grad[0] = np.sum(score)
     grad[1:] = x.T @ score
-    grad += prior_grad
+    grad += -z / sds
     return value, grad

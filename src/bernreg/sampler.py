@@ -1,19 +1,23 @@
-"""No-U-Turn sampling with dual-averaging step size and a dense metric.
+"""No-U-Turn sampling with dual-averaging step size and a Laplace metric.
 
 Trajectories grow by doubling and draws are multinomial over the whole
 trajectory, with the biased progressive update at the root so later
 subtrees are preferred. Turning is the generalized criterion checked on
-every merge, including the two cross-subtree checks. Warmup follows the
-three-phase layout: a step-size-only opening, doubling covariance windows
-(each ending with a metric update, a fresh step-size search, and a dual
-averaging restart), and a step-size-only closing run.
+every merge, including the two cross-subtree checks.
 
-The metric is a full covariance Sigma, the inverse mass matrix. It starts
-as the identity; each window ends with its sample covariance shrunk toward
-1e-3 * I as Stan's dense_e does, (n / (n + 5)) * cov + 1e-3 * (5 / (n + 5)) * I.
-Momenta are drawn as r = L^-T z with Sigma = L L^T, so r ~ N(0, Sigma^-1),
-and the velocity Sigma r drives the leapfrog position update, the kinetic
-energy r^T Sigma r / 2 and the U-turn checks.
+Before any chain runs, `sample` fits one Laplace approximation: damped
+Newton from the origin with a backtracking line search on log p, and the
+Hessian H by central differences of the target's gradient. Its covariance
+Sigma = (-H)^-1, the inverse mass matrix, is every chain's metric for the
+whole run, and chain c starts at mode + L z with Sigma = L L^T and z
+standard normal from the chain's substream. Warmup adapts only the step
+size: one step-size search, then dual averaging over every warmup
+iteration. A target whose -H is not positive definite, or that is not
+finite at the origin, fails before any chain runs; every bernreg model is
+log-concave. Momenta are drawn as r = L^-T z, so r ~ N(0, Sigma^-1), and
+the velocity Sigma r drives the leapfrog position update, the kinetic
+energy r^T Sigma r / 2 and the U-turn checks; each subtree keeps the
+velocities of its two ends for those checks.
 
 Chain c draws from substream c of the configured seed, so any chain's
 output is independent of how many chains run, of thread count, and of
@@ -37,6 +41,9 @@ _DA_GAMMA = 0.05
 _DA_T0 = 10.0
 _DA_KAPPA = 0.75
 _LOG_HALF = math.log(0.5)
+_FD_STEP = 1e-5
+_NEWTON_TOL = 1e-8
+_NEWTON_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -49,7 +56,6 @@ class SamplerConfig:
     seed: int = 0
     target_accept: float = 0.8
     max_tree_depth: int = 10
-    init_radius: float = 2.0
 
     def __post_init__(self):
         if self.n_chains < 1:
@@ -62,8 +68,6 @@ class SamplerConfig:
             raise ValueError("target_accept must be strictly between 0 and 1")
         if not 1 <= self.max_tree_depth <= 15:
             raise ValueError("max_tree_depth must be in [1, 15]")
-        if self.init_radius < 0:
-            raise ValueError("init_radius must be non-negative")
 
     @classmethod
     def from_dict(cls, d):
@@ -132,16 +136,17 @@ class _Stats:
 
 class _Subtree:
     __slots__ = (
-        "theta_m", "r_m", "grad_m", "theta_p", "r_p", "grad_p",
+        "theta_m", "r_m", "v_m", "grad_m", "theta_p", "r_p", "v_p", "grad_p",
         "theta_prop", "logp_prop", "grad_prop", "log_w", "r_sum",
         "divergent", "turning",
     )
 
 
-def _leaf(theta, r, logp, grad, log_w, divergent):
+def _leaf(theta, r, v, logp, grad, log_w, divergent):
     leaf = _Subtree()
     leaf.theta_m = leaf.theta_p = leaf.theta_prop = theta
     leaf.r_m = leaf.r_p = leaf.r_sum = r
+    leaf.v_m = leaf.v_p = v
     leaf.grad_m = leaf.grad_p = leaf.grad_prop = grad
     leaf.logp_prop = logp
     leaf.log_w = log_w
@@ -163,19 +168,17 @@ def _leapfrog(target, theta, r, grad, eps, metric):
     return theta_new, r_new, logp_new, grad_new
 
 
-def _hamiltonian(logp, r, metric):
-    return logp - 0.5 * float(np.dot(r, metric @ r))
+def _hamiltonian(logp, r, v):
+    """log p minus the kinetic energy r^T Sigma r / 2, for velocity v = Sigma r."""
+    return logp - 0.5 * float(np.dot(r, v))
 
 
-def _uturn(rho, r_first, r_last, metric):
+def _uturn(rho, v_first, v_last):
     """Generalized criterion: velocity at each end against the momentum sum."""
-    return (
-        float(np.dot(metric @ r_first, rho)) <= 0.0
-        or float(np.dot(metric @ r_last, rho)) <= 0.0
-    )
+    return float(np.dot(v_first, rho)) <= 0.0 or float(np.dot(v_last, rho)) <= 0.0
 
 
-def _merge(left, right, old, new, biased, rng, metric):
+def _merge(left, right, old, new, biased, rng):
     """Join adjacent subtrees; left/right is trajectory order, old/new is
     build order (the proposal is sampled between old and new)."""
     log_w = np.logaddexp(old.log_w, new.log_w)
@@ -188,6 +191,7 @@ def _merge(left, right, old, new, biased, rng, metric):
     merged = _Subtree()
     merged.theta_m, merged.r_m, merged.grad_m = left.theta_m, left.r_m, left.grad_m
     merged.theta_p, merged.r_p, merged.grad_p = right.theta_p, right.r_p, right.grad_p
+    merged.v_m, merged.v_p = left.v_m, right.v_p
     merged.theta_prop = chosen.theta_prop
     merged.logp_prop = chosen.logp_prop
     merged.grad_prop = chosen.grad_prop
@@ -196,9 +200,9 @@ def _merge(left, right, old, new, biased, rng, metric):
     merged.divergent = False
     # Whole-trajectory check plus the two cross-subtree checks.
     merged.turning = (
-        _uturn(merged.r_sum, left.r_m, right.r_p, metric)
-        or _uturn(left.r_sum + right.r_m, left.r_m, right.r_m, metric)
-        or _uturn(left.r_p + right.r_sum, left.r_p, right.r_p, metric)
+        _uturn(merged.r_sum, left.v_m, right.v_p)
+        or _uturn(left.r_sum + right.r_m, left.v_m, right.v_m)
+        or _uturn(left.r_p + right.r_sum, left.v_p, right.v_p)
     )
     return merged
 
@@ -208,12 +212,13 @@ def _build(target, depth, direction, theta, r, grad, h0, eps, metric, rng, stats
         theta1, r1, logp1, grad1 = _leapfrog(
             target, theta, r, grad, direction * eps, metric
         )
-        h1 = _hamiltonian(logp1, r1, metric)
+        v1 = metric @ r1
+        h1 = _hamiltonian(logp1, r1, v1)
         log_w = h1 - h0
         bad = not (math.isfinite(h1) and np.all(np.isfinite(grad1)))
         divergent = bad or (h0 - h1) > DIVERGENCE_THRESHOLD
         stats.add(-math.inf if bad else log_w)
-        return _leaf(theta1, r1, logp1, grad1, -math.inf if bad else log_w, divergent)
+        return _leaf(theta1, r1, v1, logp1, grad1, -math.inf if bad else log_w, divergent)
 
     first = _build(
         target, depth - 1, direction, theta, r, grad, h0, eps, metric, rng, stats
@@ -232,8 +237,8 @@ def _build(target, depth, direction, theta, r, grad, h0, eps, metric, rng, stats
         first.turning = second.turning
         return first
     if direction > 0:
-        return _merge(first, second, first, second, False, rng, metric)
-    return _merge(second, first, first, second, False, rng, metric)
+        return _merge(first, second, first, second, False, rng)
+    return _merge(second, first, first, second, False, rng)
 
 
 def _nuts_step(target, theta, logp, grad, eps, metric, chol, rng, max_depth):
@@ -242,8 +247,9 @@ def _nuts_step(target, theta, logp, grad, eps, metric, chol, rng, max_depth):
     `chol` is the lower Cholesky factor of `metric`.
     """
     r0 = _momentum(rng, chol)
-    h0 = _hamiltonian(logp, r0, metric)
-    tree = _leaf(theta, r0, logp, grad, 0.0, False)
+    v0 = metric @ r0
+    h0 = _hamiltonian(logp, r0, v0)
+    tree = _leaf(theta, r0, v0, logp, grad, 0.0, False)
     stats = _Stats()
     divergent = False
     for depth in range(max_depth):
@@ -261,9 +267,9 @@ def _nuts_step(target, theta, logp, grad, eps, metric, chol, rng, max_depth):
         if sub.turning:
             break
         if direction > 0:
-            tree = _merge(tree, sub, tree, sub, True, rng, metric)
+            tree = _merge(tree, sub, tree, sub, True, rng)
         else:
-            tree = _merge(sub, tree, tree, sub, True, rng, metric)
+            tree = _merge(sub, tree, tree, sub, True, rng)
         if tree.turning:
             break
     return tree.theta_prop, tree.logp_prop, tree.grad_prop, divergent, stats.mean
@@ -293,41 +299,14 @@ class _DualAveraging:
         return math.exp(self.log_eps_bar)
 
 
-class _Welford:
-    """Streaming mean and covariance for the metric windows."""
-
-    def __init__(self, dim):
-        self.count = 0
-        self.mean = np.zeros(dim)
-        self.m2 = np.zeros((dim, dim))
-
-    def add(self, x):
-        self.count += 1
-        delta = x - self.mean
-        self.mean += delta / self.count
-        self.m2 += np.outer(delta, x - self.mean)
-
-    def regularized_covariance(self):
-        """Sample covariance shrunk toward 1e-3 * I, always positive definite.
-
-        m2 is symmetric only up to rounding; its symmetric part is used so
-        that Sigma and its Cholesky factor describe the same matrix.
-        """
-        n = self.count
-        cov = (self.m2 + self.m2.T) / (2.0 * (n - 1))
-        shrunk = (n / (n + 5.0)) * cov
-        shrunk[np.diag_indices_from(shrunk)] += 1e-3 * (5.0 / (n + 5.0))
-        return shrunk
-
-
 def _find_reasonable_step_size(target, theta, logp, grad, metric, chol, rng):
     """Double or halve from 1.0 until one leapfrog step crosses 50% acceptance."""
     r0 = _momentum(rng, chol)
-    h0 = _hamiltonian(logp, r0, metric)
+    h0 = _hamiltonian(logp, r0, metric @ r0)
 
     def log_ratio(eps):
         _, r1, logp1, _ = _leapfrog(target, theta, r0, grad, eps, metric)
-        h1 = _hamiltonian(logp1, r1, metric)
+        h1 = _hamiltonian(logp1, r1, metric @ r1)
         return (h1 - h0) if math.isfinite(h1) else -math.inf
 
     eps = 1.0
@@ -344,85 +323,78 @@ def _find_reasonable_step_size(target, theta, logp, grad, metric, chol, rng):
     raise NumericalError("step-size search did not terminate")
 
 
-def _warmup_schedule(n_warmup):
-    """(opening end, metric window ends, closing start), iteration counts.
-
-    The canonical 75/25-doubling/50 layout applies from 150 iterations up
-    and shrinks proportionally below that; the final window absorbs any
-    remainder too small to double again.
-    """
-    if n_warmup >= 150:
-        opening, closing, base = 75, 50, 25
-    else:
-        scale = n_warmup / 150.0
-        opening = int(75 * scale)
-        closing = int(50 * scale)
-        base = max(1, int(25 * scale))
-    span = n_warmup - opening - closing
-    if span <= 0:
-        return n_warmup, [], n_warmup
-    ends = []
-    pos = opening
-    width = base
-    while pos < opening + span:
-        end = pos + width
-        if end + 2 * width > opening + span:
-            end = opening + span
-        ends.append(end)
-        pos = end
-        width *= 2
-    return opening, ends, opening + span
+def _hessian(target, theta):
+    """Central differences of the gradient, symmetrized."""
+    dim = len(theta)
+    hess = np.empty((dim, dim))
+    for j in range(dim):
+        h = _FD_STEP * max(1.0, abs(theta[j]))
+        up, down = theta.copy(), theta.copy()
+        up[j] += h
+        down[j] -= h
+        hess[:, j] = (target.logp_grad(up)[1] - target.logp_grad(down)[1]) / (up[j] - down[j])
+    return 0.5 * (hess + hess.T)
 
 
-def _find_start(target, config, chain_index, rng):
-    """First finite (theta, logp, grad) among uniform draws in the init box."""
-    for _ in range(100):
-        candidate = rng.uniform(-config.init_radius, config.init_radius, target.dim)
-        value, gradient = target.logp_grad(candidate)
-        if math.isfinite(value) and np.all(np.isfinite(gradient)):
-            return candidate, value, gradient
-    raise NumericalError(
-        f"chain {chain_index}: no finite starting point within "
-        f"radius {config.init_radius} after 100 attempts"
-    )
+def _laplace(target):
+    """(mode, Sigma = (-H)^-1): damped Newton from the origin, with H by
+    central differences of the gradient at each iterate."""
+    theta = np.zeros(target.dim)
+    logp, grad = target.logp_grad(theta)
+    if not (math.isfinite(logp) and np.all(np.isfinite(grad))):
+        raise NumericalError("Laplace fit: log density not finite at the origin")
+    for _ in range(_NEWTON_MAX_ITER):
+        neg_hess = -_hessian(target, theta)
+        if not np.all(np.isfinite(neg_hess)):
+            raise NumericalError("Laplace fit: non-finite Hessian")
+        try:
+            inv_chol = np.linalg.inv(np.linalg.cholesky(neg_hess))
+        except np.linalg.LinAlgError:
+            raise NumericalError("Laplace fit: -H is not positive definite") from None
+        cov = inv_chol.T @ inv_chol
+        # Symmetric, so that Sigma and its Cholesky factor are one matrix.
+        cov = 0.5 * (cov + cov.T)
+        step = cov @ grad
+        decrement = float(grad @ step)
+        if decrement <= _NEWTON_TOL:
+            return theta, cov
+        # Halve the step until log p rises by 1e-4 of the gain the quadratic
+        # model predicts (Armijo).
+        t = 1.0
+        while True:
+            candidate = theta + t * step
+            value, gradient = target.logp_grad(candidate)
+            if (math.isfinite(value) and np.all(np.isfinite(gradient))
+                    and value >= logp + 1e-4 * t * decrement):
+                break
+            t *= 0.5
+            if t < 1e-10:
+                raise NumericalError("Laplace fit: line search found no ascent")
+        theta, logp, grad = candidate, value, gradient
+    raise NumericalError(f"Laplace fit: no mode after {_NEWTON_MAX_ITER} Newton steps")
 
 
-def _run_chain(target, config, chain_index):
+def _run_chain(target, config, chain_index, mode, metric, chol):
     rng = substream_rng(config.seed, chain_index)
-    dim = target.dim
-    theta, logp, grad = _find_start(target, config, chain_index, rng)
+    theta = mode + chol @ rng.standard_normal(target.dim)
+    logp, grad = target.logp_grad(theta)
+    if not (math.isfinite(logp) and np.all(np.isfinite(grad))):
+        raise NumericalError(f"chain {chain_index}: log density not finite at its start")
 
-    metric = chol = np.eye(dim)
     eps = _find_reasonable_step_size(target, theta, logp, grad, metric, chol, rng)
     averager = _DualAveraging(eps, config.target_accept)
-    opening_end, window_ends, closing_start = _warmup_schedule(config.n_warmup)
-    pending_windows = list(window_ends)
-    welford = _Welford(dim)
-
-    for it in range(config.n_warmup):
+    for _ in range(config.n_warmup):
         theta, logp, grad, _, alpha = _nuts_step(
             target, theta, logp, grad, eps, metric, chol, rng, config.max_tree_depth
         )
         eps = averager.update(alpha)
-        if opening_end <= it < closing_start:
-            welford.add(theta)
-        if pending_windows and it + 1 == pending_windows[0]:
-            pending_windows.pop(0)
-            if welford.count >= 2:
-                metric = welford.regularized_covariance()
-                chol = np.linalg.cholesky(metric)
-            welford = _Welford(dim)
-            eps = _find_reasonable_step_size(
-                target, theta, logp, grad, metric, chol, rng
-            )
-            averager = _DualAveraging(eps, config.target_accept)
 
     if config.n_warmup > 0:
         eps = averager.adapted()
     if not (math.isfinite(eps) and eps > 0):
         raise NumericalError(f"chain {chain_index}: adapted step size {eps}")
 
-    draws = np.empty((config.n_draws, dim))
+    draws = np.empty((config.n_draws, target.dim))
     divergence_iterations = []
     alpha_total = 0.0
     for it in range(config.n_draws):
@@ -437,24 +409,24 @@ def _run_chain(target, config, chain_index):
     return draws, eps, tuple(divergence_iterations), alpha_total / config.n_draws
 
 
-def initialize_chain(target, config, chain_index):
-    """The exact starting point chain `chain_index` would use."""
-    rng = substream_rng(config.seed, chain_index)
-    return _find_start(target, config, chain_index, rng)[0]
-
-
 def sample(target, config, *, threads=1):
     """Draw from a target: a ModelSpec, or any object with `dim`,
     `param_names` and `logp_grad(theta) -> (logp, grad)`.
 
     `threads` only schedules independent chains; it never changes results.
     """
+    mode, metric = _laplace(target)
+    chol = np.linalg.cholesky(metric)
+
+    def run(i):
+        return _run_chain(target, config, i, mode, metric, chol)
+
     indices = list(range(config.n_chains))
     if threads is None or threads <= 1:
-        results = [_run_chain(target, config, i) for i in indices]
+        results = [run(i) for i in indices]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda i: _run_chain(target, config, i), indices))
+            results = list(pool.map(run, indices))
 
     return PosteriorDraws(
         draws=np.stack([r[0] for r in results]),

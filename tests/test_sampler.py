@@ -7,15 +7,15 @@ from bernreg.data import DesignMatrix
 from bernreg.errors import NumericalError
 from bernreg.model import ModelSpec, PriorSpec
 from bernreg import sampler
+from bernreg.rngutil import substream_rng
 from bernreg.sampler import (
     PosteriorDraws,
     SamplerConfig,
+    _find_reasonable_step_size,
+    _laplace,
     _leapfrog,
     _momentum,
     _nuts_step,
-    _warmup_schedule,
-    _Welford,
-    initialize_chain,
     sample,
 )
 
@@ -49,15 +49,26 @@ class ScaledNormalTarget:
 class CorrelatedNormalTarget:
     """A multivariate normal with a full covariance matrix."""
 
-    def __init__(self, cov):
+    def __init__(self, cov, mean=None):
         self.cov = np.asarray(cov, dtype=np.float64)
         self.precision = np.linalg.inv(self.cov)
         self.dim = len(self.cov)
+        self.mean = np.zeros(self.dim) if mean is None else np.asarray(mean, dtype=np.float64)
         self.param_names = tuple(f"z{j}" for j in range(self.dim))
 
     def logp_grad(self, theta):
-        g = -self.precision @ theta
-        return 0.5 * float(theta @ g), g
+        g = -self.precision @ (theta - self.mean)
+        return 0.5 * float((theta - self.mean) @ g), g
+
+
+class CountingTarget(StandardNormalTarget):
+    """Standard normals, counting gradient calls."""
+
+    calls = 0
+
+    def logp_grad(self, theta):
+        self.calls += 1
+        return super().logp_grad(theta)
 
 
 # A non-diagonal SPD metric.
@@ -65,13 +76,77 @@ DENSE_METRIC = np.array([[2.0, 0.5, 0.3], [0.5, 1.0, -0.2], [0.3, -0.2, 0.5]])
 
 
 class CliffTarget:
-    """Finite at the origin, non-finite gradient everywhere else."""
+    """Non-finite everywhere, the origin included."""
 
     dim = 1
     param_names = ("z0",)
 
     def logp_grad(self, theta):
         return -math.inf, np.array([math.nan])
+
+
+class NeverAccepts:
+    """Finite with zero gradient at the origin, -inf after any move: -H is
+    zero there, and no step size gives any acceptance."""
+
+    dim = 1
+    param_names = ("z0",)
+
+    def logp_grad(self, theta):
+        if abs(float(theta[0])) < 1e-15:
+            return 0.0, np.zeros(1)
+        return -math.inf, np.zeros(1)
+
+
+class SaddleTarget:
+    """A saddle at the origin: -H = diag(1, -1) is not positive definite."""
+
+    dim = 2
+    param_names = ("z0", "z1")
+
+    def logp_grad(self, theta):
+        return 0.5 * float(theta[1] ** 2 - theta[0] ** 2), np.array([-theta[0], theta[1]])
+
+
+class NanGradientTarget(StandardNormalTarget):
+    """A standard normal whose gradient is NaN away from the origin."""
+
+    def logp_grad(self, theta):
+        logp, grad = super().logp_grad(theta)
+        return logp, grad if not theta.any() else np.full(self.dim, math.nan)
+
+
+class LyingGradientTarget:
+    """log p peaks at +1 but the gradient points to -1: Newton's step
+    never raises log p."""
+
+    dim = 1
+    param_names = ("z0",)
+
+    def logp_grad(self, theta):
+        return -0.5 * float((theta[0] - 1.0) ** 2), -(theta + 1.0)
+
+
+class TruncatedNormalTarget(StandardNormalTarget):
+    """A standard normal restricted to |z| < 0.5."""
+
+    def logp_grad(self, theta):
+        if np.max(np.abs(theta)) >= 0.5:
+            return -math.inf, np.zeros(self.dim)
+        return super().logp_grad(theta)
+
+
+def _record_metrics(monkeypatch):
+    """Patch _nuts_step to record the (metric, chol) of every transition."""
+    seen = []
+    original = sampler._nuts_step
+
+    def recorded(target, theta, logp, grad, eps, metric, chol, *rest):
+        seen.append((metric, chol))
+        return original(target, theta, logp, grad, eps, metric, chol, *rest)
+
+    monkeypatch.setattr(sampler, "_nuts_step", recorded)
+    return seen
 
 
 class TestConfigValidation:
@@ -91,7 +166,6 @@ class TestConfigValidation:
             {"target_accept": 1.0},
             {"max_tree_depth": 0},
             {"max_tree_depth": 16},
-            {"init_radius": -1.0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -101,34 +175,8 @@ class TestConfigValidation:
     def test_round_trip_dict(self):
         config = SamplerConfig(n_chains=2, n_warmup=50, n_draws=75, seed=9)
         assert SamplerConfig.from_dict(vars(config)) == config
-
-
-class TestWarmupSchedule:
-    def test_canonical_1000(self):
-        assert _warmup_schedule(1000) == (75, [100, 150, 250, 450, 950], 950)
-
-    def test_minimum_full_layout(self):
-        assert _warmup_schedule(150) == (75, [100], 100)
-
-    def test_short_warmup_shrinks_proportionally(self):
-        assert _warmup_schedule(20) == (10, [14], 14)
-
-    def test_fifty(self):
-        assert _warmup_schedule(50) == (25, [34], 34)
-
-    def test_zero(self):
-        assert _warmup_schedule(0) == (0, [], 0)
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 7, 19, 75, 149, 150, 151, 1000, 2500])
-    def test_windows_partition_the_middle(self, n):
-        opening, ends, closing_start = _warmup_schedule(n)
-        assert 0 <= opening <= closing_start <= n
-        previous = opening
-        for end in ends:
-            assert end > previous
-            previous = end
-        if ends:
-            assert ends[-1] == closing_start
+        # Headers written before init_radius was removed still load.
+        assert SamplerConfig.from_dict({**vars(config), "init_radius": 2.0}) == config
 
 
 class TestMomentRecovery:
@@ -154,25 +202,16 @@ class TestMomentRecovery:
         assert sum(draws.divergence_counts) == 0
 
     def test_adapted_metric_matches_a_strongly_correlated_covariance(self, monkeypatch):
+        # Correlation 0.99, mean away from the origin where Newton starts.
         cov = np.array([[1.0, 0.99 * 3.0], [0.99 * 3.0, 9.0]])
-        metrics = []
-        original = _Welford.regularized_covariance
-
-        def recorded(self):
-            metrics.append(original(self))
-            return metrics[-1]
-
-        monkeypatch.setattr(_Welford, "regularized_covariance", recorded)
-        # The last window holds 2,100 draws; over seeds 1-12 the worst
-        # whitened eigenvalue missed 1 by 0.12.
-        config = SamplerConfig(n_chains=1, n_warmup=3000, n_draws=10, seed=5)
-        sample(CorrelatedNormalTarget(cov), config)
-        assert len(metrics) == len(_warmup_schedule(3000)[1])
-        # Whitened by the true covariance, the last metric is I up to 20%
-        # in every direction, the thin one (variance 0.018) included.
-        inv_chol = np.linalg.inv(np.linalg.cholesky(cov))
-        eigenvalues = np.linalg.eigvalsh(inv_chol @ metrics[-1] @ inv_chol.T)
-        assert np.all(np.abs(eigenvalues - 1.0) <= 0.2), eigenvalues
+        seen = _record_metrics(monkeypatch)
+        config = SamplerConfig(n_chains=2, n_warmup=20, n_draws=10, seed=5)
+        sample(CorrelatedNormalTarget(cov, mean=[2.0, -4.0]), config)
+        assert len(seen) == 2 * (20 + 10)
+        metric, chol = seen[0]
+        np.testing.assert_allclose(metric, cov, rtol=1e-6, atol=0)
+        np.testing.assert_array_equal(chol, np.linalg.cholesky(metric))
+        assert all(m is metric and c is chol for m, c in seen)
 
     def test_logit_model_posterior_is_sane(self):
         rng = np.random.default_rng(4)
@@ -216,15 +255,24 @@ class TestDeterminism:
         b = sample(target, SamplerConfig(n_chains=1, n_warmup=100, n_draws=100, seed=2))
         assert not np.array_equal(a.draws, b.draws)
 
-    def test_initialize_chain_matches_documented_stream(self):
-        target = StandardNormalTarget(3)
-        config = SamplerConfig(seed=99)
-        a = initialize_chain(target, config, 0)
-        b = initialize_chain(target, config, 0)
-        c = initialize_chain(target, config, 1)
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, c)
-        assert np.all(np.abs(a) <= config.init_radius)
+    def test_chain_start_is_a_laplace_draw_from_its_substream(self, monkeypatch):
+        cov = np.array([[2.0, 0.6], [0.6, 0.5]])
+        target = CorrelatedNormalTarget(cov, mean=[1.0, -3.0])
+        starts = []
+        original = sampler._find_reasonable_step_size
+
+        def recorded(target, theta, *rest):
+            starts.append(theta)
+            return original(target, theta, *rest)
+
+        monkeypatch.setattr(sampler, "_find_reasonable_step_size", recorded)
+        sample(target, SamplerConfig(n_chains=3, n_warmup=5, n_draws=5, seed=99))
+        mode, metric = _laplace(target)
+        chol = np.linalg.cholesky(metric)
+        for chain, start in enumerate(starts):
+            z = substream_rng(99, chain).standard_normal(2)
+            assert np.array_equal(start, mode + chol @ z)
+        assert len({s.tobytes() for s in starts}) == 3
 
 
 class TestDivergences:
@@ -295,70 +343,89 @@ class TestLeapfrogReversibility:
 
 
 class TestDenseMetric:
-    def test_welford_is_the_shrunk_sample_covariance(self):
-        rng = np.random.default_rng(12)
-        mixing = rng.standard_normal((4, 4))
-        window = rng.standard_normal((37, 4)) @ mixing + [3.0, -1.0, 0.5, 10.0]
-        welford = _Welford(4)
-        for x in window:
-            welford.add(x)
-        n = len(window)
-        expected = (n / (n + 5.0)) * np.cov(window, rowvar=False) + 1e-3 * (
-            5.0 / (n + 5.0)
-        ) * np.eye(4)
-        got = welford.regularized_covariance()
-        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
-        assert np.array_equal(got, got.T)
-
     def test_momentum_solves_the_transposed_cholesky_system(self):
         chol = np.linalg.cholesky(DENSE_METRIC)
         z = np.random.default_rng(4).standard_normal(3)
         r = _momentum(np.random.default_rng(4), chol)
         np.testing.assert_allclose(chol.T @ r, z, rtol=0, atol=1e-13)
 
-    def test_first_metric_is_the_identity(self, monkeypatch):
-        seen = []
-        original = sampler._nuts_step
+    def test_model_metric_is_the_inverse_analytic_hessian_at_the_mode(self):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((80, 2))
+        y = (rng.random(80) < 1.0 / (1.0 + np.exp(-(1.5 + x @ [2.0, -1.0])))).astype(float)
+        prior = PriorSpec(0.0, 2.0, 0.0, 1.0)
+        model = ModelSpec("logit", prior, DesignMatrix.from_values(x), y)
+        mode, metric = _laplace(model)
+        _, grad = model.logp_grad(mode)
+        assert np.max(np.abs(grad)) < 1e-6
+        design = np.column_stack([np.ones(80), x])
+        p = 1.0 / (1.0 + np.exp(-(design @ mode)))
+        precision = design.T @ (design * (p * (1.0 - p))[:, None]) + np.diag(
+            1.0 / prior.sds(3) ** 2
+        )
+        np.testing.assert_allclose(metric, np.linalg.inv(precision), rtol=1e-6)
 
-        def recorded(target, theta, logp, grad, eps, metric, chol, *rest):
-            seen.append((metric.copy(), chol.copy()))
-            return original(target, theta, logp, grad, eps, metric, chol, *rest)
+    def test_laplace_gradients_do_not_depend_on_the_chain_count(self, monkeypatch):
+        counts = []
+        original = sampler._laplace
 
-        monkeypatch.setattr(sampler, "_nuts_step", recorded)
-        sample(StandardNormalTarget(2), SamplerConfig(n_chains=1, n_warmup=150,
-                                                      n_draws=1, seed=3))
-        opening_end = _warmup_schedule(150)[0]
-        for metric, chol in seen[:opening_end]:
-            assert np.array_equal(metric, np.eye(2)) and np.array_equal(chol, np.eye(2))
-        assert not np.array_equal(seen[-1][0], np.eye(2))
+        def recorded(target):
+            result = original(target)
+            counts.append(target.calls)
+            return result
+
+        monkeypatch.setattr(sampler, "_laplace", recorded)
+        for chains in (1, 4):
+            sample(CountingTarget(3), SamplerConfig(n_chains=chains, n_warmup=5,
+                                                    n_draws=5, seed=2))
+        # The origin is the mode: one gradient, then two per dimension for H.
+        assert counts == [7, 7]
 
 
 class TestFailureModes:
-    def test_no_finite_start_raises(self):
-        with pytest.raises(NumericalError, match="chain 0: no finite starting point"):
+    @staticmethod
+    def _no_chain_runs(monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a chain ran")
+
+        monkeypatch.setattr(sampler, "_run_chain", refuse)
+
+    def test_no_finite_start_raises(self, monkeypatch):
+        self._no_chain_runs(monkeypatch)
+        with pytest.raises(NumericalError, match="log density not finite at the origin"):
             sample(CliffTarget(), SamplerConfig(n_chains=1, n_warmup=10, n_draws=10, seed=0))
 
-    def test_initialize_chain_raises_on_hopeless_target(self):
-        with pytest.raises(NumericalError, match="chain 0: no finite starting point"):
-            initialize_chain(CliffTarget(), SamplerConfig(seed=0), 0)
+    @pytest.mark.parametrize(
+        "target, message",
+        [
+            (SaddleTarget(), "-H is not positive definite"),
+            (NeverAccepts(), "-H is not positive definite"),
+            (NanGradientTarget(2), "non-finite Hessian"),
+            (LyingGradientTarget(), "line search found no ascent"),
+        ],
+        ids=["saddle", "never-accepts", "nan-gradient", "lying-gradient"],
+    )
+    def test_failed_laplace_fit_raises_before_any_chain(self, target, message,
+                                                        monkeypatch):
+        self._no_chain_runs(monkeypatch)
+        with pytest.raises(NumericalError, match=message):
+            sample(target, SamplerConfig(n_chains=2, n_warmup=10, n_draws=5, seed=0))
+
+    def test_start_outside_the_support_raises(self):
+        # Chain 0 of seed 0 draws z = 1.67, outside the target's support.
+        with pytest.raises(NumericalError, match="chain 0: log density not finite at its start"):
+            sample(TruncatedNormalTarget(1), SamplerConfig(n_chains=1, n_warmup=5,
+                                                           n_draws=5, seed=0))
 
     def test_step_size_search_failure_surfaces(self):
-        class NeverAccepts:
-            dim = 1
-            param_names = ("z0",)
-
-            def logp_grad(self, theta):
-                # Finite at start, -inf after any move: acceptance stays 0
-                # at every step size, so the halving search runs off the end.
-                if abs(float(theta[0])) < 1e-15:
-                    return 0.0, np.zeros(1)
-                return -math.inf, np.zeros(1)
-
+        # Acceptance stays 0 at every step size, so the halving search runs
+        # off the end of its range.
+        target = NeverAccepts()
+        theta = np.zeros(1)
+        logp, grad = target.logp_grad(theta)
         with pytest.raises(NumericalError, match="step-size search"):
-            sample(
-                NeverAccepts(),
-                SamplerConfig(n_chains=1, n_warmup=10, n_draws=5, seed=0, init_radius=0.0),
-            )
+            _find_reasonable_step_size(target, theta, logp, grad, np.eye(1), np.eye(1),
+                                       np.random.default_rng(0))
 
 
 class TestPosteriorDraws:
