@@ -323,6 +323,38 @@ def _find_reasonable_step_size(target, theta, logp, grad, metric, chol, rng):
     raise NumericalError("step-size search did not terminate")
 
 
+def _warmup_schedule(n_warmup):
+    """(opening end, metric window ends, closing start), iteration counts.
+
+    Stan's windowed warmup layout: the canonical 75/25-doubling/50 layout
+    applies from 150 iterations up and shrinks proportionally below that;
+    the final window absorbs any remainder too small to double again.
+    The Laplace metric needs no windows, so `_run_chain` does not call
+    this; it stays for a windowed refinement of that metric (ROADMAP).
+    """
+    if n_warmup >= 150:
+        opening, closing, base = 75, 50, 25
+    else:
+        scale = n_warmup / 150.0
+        opening = int(75 * scale)
+        closing = int(50 * scale)
+        base = max(1, int(25 * scale))
+    span = n_warmup - opening - closing
+    if span <= 0:
+        return n_warmup, [], n_warmup
+    ends = []
+    pos = opening
+    width = base
+    while pos < opening + span:
+        end = pos + width
+        if end + 2 * width > opening + span:
+            end = opening + span
+        ends.append(end)
+        pos = end
+        width *= 2
+    return opening, ends, opening + span
+
+
 def _hessian(target, theta):
     """Central differences of the gradient, symmetrized."""
     dim = len(theta)

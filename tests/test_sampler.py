@@ -16,6 +16,7 @@ from bernreg.sampler import (
     _leapfrog,
     _momentum,
     _nuts_step,
+    _warmup_schedule,
     sample,
 )
 
@@ -177,6 +178,34 @@ class TestConfigValidation:
         assert SamplerConfig.from_dict(vars(config)) == config
         # Headers written before init_radius was removed still load.
         assert SamplerConfig.from_dict({**vars(config), "init_radius": 2.0}) == config
+
+
+class TestWarmupSchedule:
+    def test_canonical_1000(self):
+        assert _warmup_schedule(1000) == (75, [100, 150, 250, 450, 950], 950)
+
+    def test_minimum_full_layout(self):
+        assert _warmup_schedule(150) == (75, [100], 100)
+
+    def test_short_warmup_shrinks_proportionally(self):
+        assert _warmup_schedule(20) == (10, [14], 14)
+
+    def test_fifty(self):
+        assert _warmup_schedule(50) == (25, [34], 34)
+
+    def test_zero(self):
+        assert _warmup_schedule(0) == (0, [], 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 19, 75, 149, 150, 151, 1000, 2500])
+    def test_windows_partition_the_middle(self, n):
+        opening, ends, closing_start = _warmup_schedule(n)
+        assert 0 <= opening <= closing_start <= n
+        previous = opening
+        for end in ends:
+            assert end > previous
+            previous = end
+        if ends:
+            assert ends[-1] == closing_start
 
 
 class TestMomentRecovery:
