@@ -367,13 +367,12 @@ class DesignMatrix:
         }
 
     @classmethod
-    def from_values(cls, values, column_names=None):
+    def from_values(cls, values):
         """Plain numeric design, identity scaling; for synthetic inputs."""
         values = np.atleast_2d(np.asarray(values, dtype=np.float64))
-        if column_names is None:
-            column_names = tuple(f"x{j + 1}" for j in range(values.shape[1]))
+        column_names = tuple(f"x{j + 1}" for j in range(values.shape[1]))
         scaling = {c: (0.0, 1.0) for c in column_names}
-        return cls(values=values, column_names=tuple(column_names), scaling=scaling)
+        return cls(values=values, column_names=column_names, scaling=scaling)
 
 
 def encode(table, standardize=True):

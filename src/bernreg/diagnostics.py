@@ -195,9 +195,9 @@ class ParamSummary:
     rhat: float
 
 
-def summarize(draws, ci_level=0.95):
+def summarize(draws):
     """Per-parameter rows, in parameter order, from a PosteriorDraws."""
-    lo = (1.0 - ci_level) / 2.0
+    lo = (1.0 - 0.95) / 2.0  # central 95%; a few ulps off the literal 0.025
     rows = []
     for j, name in enumerate(draws.param_names):
         chains = draws.draws[:, :, j]

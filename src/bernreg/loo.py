@@ -16,15 +16,13 @@ is the same smoothing for one vector of log weights.
 """
 
 import math
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .data import dataset_fingerprint
-from .errors import MismatchError, NumericalError
-from .model import ModelSpec, bernoulli_loglik_terms, linear_predictor
-from .rngutil import substream_seed
+from .errors import MismatchError
+from .model import bernoulli_loglik_terms, linear_predictor
 
 HIGH_K_THRESHOLD = 0.7
 _MIN_TAIL_DRAWS = 25
@@ -334,31 +332,3 @@ def compare(results):
         )
     return ComparisonResult(rows=rows)
 
-
-def exact_loo(model, config):
-    """Brute-force LOO elpd: one refit per observation.
-
-    Refit i swaps the config seed for substream i of the base seed, so
-    results do not depend on refit order and match across reruns.
-    """
-    from .sampler import sample  # local import keeps module deps one-way
-
-    n_obs = model.design.n_rows
-    if n_obs > 500:
-        raise NumericalError(f"exact LOO capped at 500 observations, got {n_obs}")
-    x = model.design.values
-    y = model.target
-    lpds = []
-    for i in range(n_obs):
-        keep = np.ones(n_obs, dtype=bool)
-        keep[i] = False
-        design_i = dc_replace(model.design, values=x[keep])
-        model_i = ModelSpec(
-            link=model.link, prior=model.prior, design=design_i, target=y[keep]
-        )
-        config_i = dc_replace(config, seed=substream_seed(config.seed, i))
-        draws = sample(model_i, config_i)
-        eta = linear_predictor(draws.pooled(), x[i:i + 1])[:, 0]
-        terms = bernoulli_loglik_terms(model.link, eta, y[i])
-        lpds.append(float(logsumexp(terms) - math.log(len(terms))))
-    return math.fsum(lpds)

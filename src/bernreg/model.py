@@ -145,28 +145,18 @@ class ModelSpec:
         return log_posterior_and_gradient(beta, self)
 
 
-def logit_link(eta):
-    """Logistic sigmoid, two-branch stable form, output inside (0, 1)."""
-    eta_arr = np.asarray(eta, dtype=np.float64)
-    z = np.exp(-np.abs(eta_arr))
-    out = np.where(eta_arr >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
-    out = np.clip(out, _TINY, _ONE_MINUS_EPS)
-    return float(out) if np.isscalar(eta) or eta_arr.ndim == 0 else out
-
-
-def probit_link(eta):
-    """Standard-normal CDF, clamped off exact 0/1 at the float boundary."""
-    eta_arr = np.asarray(eta, dtype=np.float64)
-    out = np.clip(special.ndtr(eta_arr), _TINY, _ONE_MINUS_EPS)
-    return float(out) if np.isscalar(eta) or eta_arr.ndim == 0 else out
-
-
-def link_function(link):
+def success_probability(link, eta):
+    """P(y = 1 | eta) as an array, kept inside (0, 1): the logistic sigmoid in
+    its two-branch stable form, or the standard-normal CDF."""
+    eta = np.asarray(eta, dtype=np.float64)
     if link == LOGIT:
-        return logit_link
-    if link == PROBIT:
-        return probit_link
-    raise ValueError(f"unknown link {link!r}")
+        z = np.exp(-np.abs(eta))
+        p = np.where(eta >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    elif link == PROBIT:
+        p = special.ndtr(eta)
+    else:
+        raise ValueError(f"unknown link {link!r}")
+    return np.clip(p, _TINY, _ONE_MINUS_EPS)
 
 
 def linear_predictor(beta, design_values):

@@ -1,18 +1,22 @@
 """Independent cross-checks for the fitting machinery.
 
-Everything here is deliberately naive: plain Python loops, math-module
+The references are deliberately naive: plain Python loops, math-module
 scalar functions, fsum accumulation, no shared code with the modules
 being validated. The grid integrator handles at most three parameters
 and re-integrates on widened axes as a self-check; the finite-difference
 gradient is a plain central difference; the autocovariance is a direct
 sum over every lag, the reference for the diagnostics' FFT path.
+`exact_loo`, the reference for PSIS-LOO, refits the model with the
+sampler once per observation left out: it is independent of PSIS, not
+of NUTS.
 """
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.special import logsumexp
 
 from .errors import MismatchError, NumericalError
 
@@ -179,12 +183,12 @@ class CheckResult:
 
 def _synthetic_model(link, n_rows, n_slopes, seed, prior=None):
     from .data import DesignMatrix
-    from .model import ModelSpec, PriorSpec, linear_predictor, logit_link
+    from .model import ModelSpec, PriorSpec, linear_predictor, success_probability
 
     rng = np.random.Generator(np.random.PCG64(seed))
     x = rng.standard_normal((n_rows, n_slopes))
     truth = rng.normal(0.0, 0.8, n_slopes + 1)
-    prob = logit_link(linear_predictor(truth, x))
+    prob = success_probability("logit", linear_predictor(truth, x))
     y = (rng.random(n_rows) < prob).astype(np.float64)
     if y.min() == y.max():
         y[0] = 1.0 - y[0]
@@ -214,11 +218,42 @@ def _check_gradients(link, seed, n_points=100):
     return worst
 
 
+def exact_loo(model, config):
+    """Brute-force LOO elpd: one refit per observation.
+
+    Refit i swaps the config seed for substream i of the base seed, so
+    results do not depend on refit order and match across reruns.
+    """
+    from .model import ModelSpec, bernoulli_loglik_terms, linear_predictor
+    from .rngutil import substream_seed
+    from .sampler import sample
+
+    n_obs = model.design.n_rows
+    if n_obs > 500:
+        raise NumericalError(f"exact LOO capped at 500 observations, got {n_obs}")
+    x = model.design.values
+    y = model.target
+    lpds = []
+    for i in range(n_obs):
+        keep = np.ones(n_obs, dtype=bool)
+        keep[i] = False
+        design_i = replace(model.design, values=x[keep])
+        model_i = ModelSpec(
+            link=model.link, prior=model.prior, design=design_i, target=y[keep]
+        )
+        config_i = replace(config, seed=substream_seed(config.seed, i))
+        draws = sample(model_i, config_i)
+        eta = linear_predictor(draws.pooled(), x[i:i + 1])[:, 0]
+        terms = bernoulli_loglik_terms(model.link, eta, y[i])
+        lpds.append(float(logsumexp(terms) - math.log(len(terms))))
+    return math.fsum(lpds)
+
+
 def run_verification(seed=0):
     """Dual-route checks of the core numerics; returns CheckResults."""
     from .model import ModelSpec, PriorSpec, default_priors
     from .sampler import SamplerConfig, sample
-    from .loo import exact_loo, pointwise_loglik, psis_loo
+    from .loo import pointwise_loglik, psis_loo
 
     results = []
 

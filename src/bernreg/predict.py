@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MismatchError, NumericalError
-from .model import link_function
+from .model import LINKS, success_probability
 from .rngutil import substream_rng
 
 SCALES = ("outcome", "probability")
@@ -57,6 +57,8 @@ def posterior_predict(draws, values, link, *, scale="outcome", seed=0):
     """
     if scale not in SCALES:
         raise ValueError(f"scale must be one of {SCALES}, got {scale!r}")
+    if link not in LINKS:
+        raise ValueError(f"unknown link {link!r}")
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
 
     beta = draws.pooled()
@@ -65,7 +67,6 @@ def posterior_predict(draws, values, link, *, scale="outcome", seed=0):
             f"new rows have {values.shape[1]} columns, fit has "
             f"{beta.shape[1] - 1} slopes"
         )
-    link_fn = link_function(link)
     intercept = beta[:, 0]
     slopes_t = np.ascontiguousarray(beta[:, 1:].T)
     n_draws = beta.shape[0]
@@ -75,7 +76,7 @@ def posterior_predict(draws, values, link, *, scale="outcome", seed=0):
     block = max(1, _PREDICT_BLOCK_VALUES // n_draws)
     rows = []
     for start in range(0, values.shape[0], block):
-        pi = link_fn(values[start:start + block] @ slopes_t + intercept)
+        pi = success_probability(link, values[start:start + block] @ slopes_t + intercept)
         if scale == "probability":
             sample = pi
         else:

@@ -71,8 +71,12 @@ class SamplerConfig:
 
     @classmethod
     def from_dict(cls, d):
-        """Every field required and converted to its type; extra keys ignored."""
-        return cls(**{f.name: f.type(d[f.name]) for f in fields(cls)})
+        """Every field required, as a value of exactly its type (a bool is not
+        an int); extra keys ignored."""
+        for f in fields(cls):
+            if type(d[f.name]) is not f.type:
+                raise TypeError(f"{f.name} = {d[f.name]!r} is not a {f.type.__name__}")
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 @dataclass
@@ -178,9 +182,17 @@ def _uturn(rho, v_first, v_last):
     return float(np.dot(v_first, rho)) <= 0.0 or float(np.dot(v_last, rho)) <= 0.0
 
 
-def _merge(left, right, old, new, biased, rng):
-    """Join adjacent subtrees; left/right is trajectory order, old/new is
-    build order (the proposal is sampled between old and new)."""
+def _end(tree, direction):
+    """(theta, r, grad) at the tree's end in `direction`, where it grows."""
+    if direction > 0:
+        return tree.theta_p, tree.r_p, tree.grad_p
+    return tree.theta_m, tree.r_m, tree.grad_m
+
+
+def _merge(old, new, direction, biased, rng):
+    """Join `new`, built from `old`'s end in `direction`, to `old`; the
+    proposal is sampled between old and new."""
+    left, right = (old, new) if direction > 0 else (new, old)
     log_w = np.logaddexp(old.log_w, new.log_w)
     if biased:
         p_new = math.exp(min(0.0, new.log_w - old.log_w))
@@ -225,20 +237,14 @@ def _build(target, depth, direction, theta, r, grad, h0, eps, metric, rng, stats
     )
     if first.divergent or first.turning:
         return first
-    if direction > 0:
-        start = (first.theta_p, first.r_p, first.grad_p)
-    else:
-        start = (first.theta_m, first.r_m, first.grad_m)
     second = _build(
-        target, depth - 1, direction, *start, h0, eps, metric, rng, stats
+        target, depth - 1, direction, *_end(first, direction), h0, eps, metric, rng, stats
     )
     if second.divergent or second.turning:
         first.divergent = second.divergent
         first.turning = second.turning
         return first
-    if direction > 0:
-        return _merge(first, second, first, second, False, rng)
-    return _merge(second, first, first, second, False, rng)
+    return _merge(first, second, direction, False, rng)
 
 
 def _nuts_step(target, theta, logp, grad, eps, metric, chol, rng, max_depth):
@@ -254,22 +260,15 @@ def _nuts_step(target, theta, logp, grad, eps, metric, chol, rng, max_depth):
     divergent = False
     for depth in range(max_depth):
         direction = 1 if rng.random() < 0.5 else -1
-        if direction > 0:
-            start = (tree.theta_p, tree.r_p, tree.grad_p)
-        else:
-            start = (tree.theta_m, tree.r_m, tree.grad_m)
         sub = _build(
-            target, depth, direction, *start, h0, eps, metric, rng, stats
+            target, depth, direction, *_end(tree, direction), h0, eps, metric, rng, stats
         )
         if sub.divergent:
             divergent = True
             break
         if sub.turning:
             break
-        if direction > 0:
-            tree = _merge(tree, sub, tree, sub, True, rng)
-        else:
-            tree = _merge(sub, tree, tree, sub, True, rng)
+        tree = _merge(tree, sub, direction, True, rng)
         if tree.turning:
             break
     return tree.theta_prop, tree.logp_prop, tree.grad_prop, divergent, stats.mean

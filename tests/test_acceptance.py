@@ -30,16 +30,21 @@ from conftest import make_draws
 from bernreg.cli import main
 from bernreg.data import DesignMatrix, encode, parse_dataset, prepare_training_table
 from bernreg.diagnostics import ess_bulk, ess_tail, split_rhat, summarize
-from bernreg.loo import compare, exact_loo, pointwise_loglik, psis_loo
+from bernreg.loo import compare, pointwise_loglik, psis_loo
 from bernreg.model import (
     ModelSpec,
     PriorSpec,
     default_priors,
     linear_predictor,
     log_posterior_and_gradient,
-    logit_link,
+    success_probability,
 )
-from bernreg.oracle import GridSpec, finite_diff_gradient, grid_posterior_moments
+from bernreg.oracle import (
+    GridSpec,
+    exact_loo,
+    finite_diff_gradient,
+    grid_posterior_moments,
+)
 from bernreg.predict import posterior_predict
 from bernreg.sampler import SamplerConfig, sample
 
@@ -67,7 +72,7 @@ def _random_model(link, n_rows, n_slopes, seed, prior=None):
     rng = np.random.Generator(np.random.PCG64(seed))
     x = rng.standard_normal((n_rows, n_slopes))
     truth = rng.normal(0.0, 0.8, n_slopes + 1)
-    prob = logit_link(linear_predictor(truth, x))
+    prob = success_probability("logit", linear_predictor(truth, x))
     y = (rng.random(n_rows) < prob).astype(np.float64)
     if y.min() == y.max():
         y[0] = 1.0 - y[0]

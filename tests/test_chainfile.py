@@ -190,3 +190,18 @@ class TestCorruption:
         open(path, "wb").write(b"\n".join(lines))
         with pytest.raises(CorruptChainFile, match="config"):
             load_chain_file(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_draws", 5.9), ("n_chains", True), ("seed", "7"), ("target_accept", "0.8"),
+    ])
+    def test_config_value_of_another_type_rejected(self, tmp_path, sample_draws, key, value):
+        path, raw = _write_and_read_lines(tmp_path, sample_draws)
+        lines = raw.split(b"\n")
+        header = json.loads(lines[0])
+        header["config"][key] = value
+        lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        open(path, "wb").write(b"\n".join(lines))
+        match = f"bad sampler config in header: {key} "
+        with pytest.raises(CorruptChainFile, match=match) as info:
+            load_chain_file(path)
+        assert info.value.exit_code == 3

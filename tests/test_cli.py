@@ -1,8 +1,10 @@
 """Command-line behavior: artifacts, reruns, exit codes, output formats."""
 
+import contextlib
 import csv
 import dataclasses
 import datetime
+import io
 import json
 import os
 import subprocess
@@ -31,6 +33,7 @@ from bernreg.errors import (
     MismatchError,
     NumericalError,
 )
+from bernreg.oracle import CheckResult
 from bernreg.report import render_summary_text
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -761,10 +764,17 @@ class TestChainHeaderKeys:
 
 
 class TestVerify:
-    def test_all_checks_pass(self, capsys):
-        assert main(["verify", "--seed", "0", "--format", "json"]) == EXIT_OK
-        payload = json.loads(capsys.readouterr().out)
-        checks = payload["checks"]
+    @pytest.fixture(scope="class")
+    def verify_json(self):
+        """(exit code, checks) of one `verify --seed 0 --format json` run."""
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["verify", "--seed", "0", "--format", "json"])
+        return code, json.loads(out.getvalue())["checks"]
+
+    def test_all_checks_pass(self, verify_json):
+        code, checks = verify_json
+        assert code == EXIT_OK
         names = {c["name"] for c in checks}
         assert {
             "logit_gradient_vs_central_difference",
@@ -775,9 +785,15 @@ class TestVerify:
         } <= names
         assert all(c["passed"] for c in checks)
 
-    def test_text_format_lines(self, capsys):
+    def test_text_format_lines(self, verify_json, monkeypatch, capsys):
+        # The text rendering of the same checks, without rerunning them.
+        _, checks = verify_json
+        monkeypatch.setattr(
+            cli, "run_verification", lambda seed: [CheckResult(**c) for c in checks]
+        )
         assert main(["verify", "--seed", "0", "--format", "text"]) == EXIT_OK
         out = capsys.readouterr().out
+        assert len(out.splitlines()) == len(checks)
         assert all(
             line.startswith(("PASS", "FAIL")) for line in out.splitlines()
         )

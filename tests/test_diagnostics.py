@@ -203,15 +203,6 @@ class TestSummarize:
         assert rows[0].ci_lower == pytest.approx(quantile(pooled, 0.025), abs=1e-12)
         assert rows[0].ci_upper == pytest.approx(quantile(pooled, 0.975), abs=1e-12)
 
-    def test_ci_level_argument(self):
-        rng = np.random.default_rng(9)
-        arr = rng.standard_normal((2, 500, 1))
-        draws = make_draws(arr)
-        row = summarize(draws, ci_level=0.5)[0]
-        pooled = arr[:, :, 0].ravel()
-        assert row.ci_lower == pytest.approx(quantile(pooled, 0.25), abs=1e-12)
-        assert row.ci_upper == pytest.approx(quantile(pooled, 0.75), abs=1e-12)
-
     def test_degenerate_parameter_reports_nan_not_one(self):
         arr = np.zeros((4, 100, 1))
         arr[:, :, 0] = 2.5

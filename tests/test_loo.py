@@ -13,14 +13,13 @@ from bernreg.loo import (
     LooResult,
     _stable_tail,
     compare,
-    exact_loo,
     pointwise_loglik,
     psis_loo,
     psis_smooth,
     tail_length,
 )
 from bernreg.model import ModelSpec, PriorSpec
-from bernreg.oracle import _synthetic_model
+from bernreg.oracle import _synthetic_model, exact_loo
 from bernreg.report import render_comparison_json
 from bernreg.sampler import SamplerConfig, sample
 

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -14,8 +15,7 @@ from bernreg.model import (
     default_priors,
     linear_predictor,
     log_posterior_and_gradient,
-    logit_link,
-    probit_link,
+    success_probability,
 )
 from bernreg.oracle import finite_diff_gradient
 
@@ -67,6 +67,10 @@ def _simple_model(link, n=20, k=2, seed=0, prior=None):
     return ModelSpec(link, prior, DesignMatrix.from_values(x), y)
 
 
+logit_link = functools.partial(success_probability, "logit")
+probit_link = functools.partial(success_probability, "probit")
+
+
 class TestLinks:
     def test_probit_matches_reference(self):
         for eta, expected in PROBIT_REFERENCE:
@@ -108,6 +112,14 @@ class TestLinks:
         etas = np.array([-3.0, -0.25, 0.0, 1.5])
         assert np.allclose(logit_link(etas), [logit_link(e) for e in etas])
         assert np.allclose(probit_link(etas), [probit_link(e) for e in etas])
+
+    @pytest.mark.parametrize("function", [
+        success_probability,
+        lambda link, eta: bernoulli_loglik_terms(link, eta, np.ones_like(eta)),
+    ], ids=["success_probability", "bernoulli_loglik_terms"])
+    def test_unknown_link_raises(self, function):
+        with pytest.raises(ValueError, match="unknown link 'cauchit'"):
+            function("cauchit", np.array([0.0, 1.0]))
 
 
 class TestPriors:

@@ -1,8 +1,11 @@
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+import bernreg
 from bernreg.data import DesignMatrix
 from bernreg.errors import MismatchError, NumericalError
 from bernreg.model import ModelSpec, PriorSpec, log_posterior_and_gradient
@@ -144,3 +147,34 @@ class TestSyntheticModel:
         model = _synthetic_model("probit", 20, 1, 3, prior=prior)
         assert model.link == "probit"
         assert model.prior == prior
+
+
+def _bernreg_imports(tree):
+    """The bernreg modules a parsed module imports, at any depth in it."""
+    dotted = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            dotted += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                base = "bernreg" + (f".{node.module}" if node.module else "")
+            else:
+                base = node.module
+            dotted += [f"{base}.{alias.name}" for alias in node.names]
+    return {name.split(".")[1] for name in dotted if name.startswith("bernreg.")}
+
+
+def test_library_modules_do_not_import_the_sampler():
+    """The modules that the commands share reach neither the sampler nor the
+    verification and command layers, even inside a function."""
+    package = pathlib.Path(bernreg.__file__).parent
+    reached = {
+        module: _bernreg_imports(ast.parse((package / f"{module}.py").read_text()))
+        & {"sampler", "oracle", "cli"}
+        for module in ("data", "model", "loo", "diagnostics", "predict", "report",
+                       "rngutil", "errors")
+    }
+    assert reached == dict.fromkeys(reached, set())
+    # The parser sees both import forms, at module level and in a function.
+    probe = ast.parse("from . import cli\ndef f():\n    import bernreg.sampler\n")
+    assert _bernreg_imports(probe) == {"cli", "sampler"}

@@ -6,7 +6,7 @@ import pytest
 
 from bernreg import predict
 from bernreg.errors import MismatchError, NumericalError
-from bernreg.model import link_function
+from bernreg.model import success_probability
 from bernreg.predict import PredictionRow, _ecdf_index, posterior_predict
 from bernreg.report import render_predictions_json
 from bernreg.rngutil import substream_rng
@@ -178,10 +178,9 @@ def _naive_predict(draws, values, link, scale, seed):
     beta = draws.pooled()
     n_draws = beta.shape[0]
     uniforms = substream_rng(seed, 0).random(len(values) * n_draws)
-    link_fn = link_function(link)
     out = []
     for i, row in enumerate(values):
-        pi = link_fn(beta[:, 0] + beta[:, 1:] @ row)
+        pi = success_probability(link, beta[:, 0] + beta[:, 1:] @ row)
         if scale == "probability":
             sample = pi
         else:
@@ -224,7 +223,7 @@ class TestBlocksAgainstRowLoop:
 
     def test_binomial_bound_names_the_first_bad_row(self, monkeypatch):
         # An unbounded "link" makes a row's spread exceed any probability's.
-        monkeypatch.setattr(predict, "link_function", lambda link: lambda eta: eta)
+        monkeypatch.setattr(predict, "success_probability", lambda link, eta: eta)
         slopes = np.tile([1.0, -1.0], 50)
         draws = _coef_draws(np.full(100, 0.5), slopes=slopes)
         block_rows = predict._PREDICT_BLOCK_VALUES // 100
@@ -239,6 +238,11 @@ class TestValidation:
         draws = _coef_draws(np.zeros(10))
         with pytest.raises(ValueError):
             posterior_predict(draws, np.empty((1, 0)), "logit", scale="logodds")
+
+    def test_unknown_link_with_no_rows(self):
+        draws = _coef_draws(np.zeros(10))
+        with pytest.raises(ValueError, match="unknown link 'cauchit'"):
+            posterior_predict(draws, np.empty((0, 0)), "cauchit")
 
     def test_dimension_mismatch(self):
         draws = _coef_draws(np.zeros(10), slopes=np.zeros(10))
