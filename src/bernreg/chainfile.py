@@ -5,40 +5,63 @@ without refitting: parameter names, sampler config, per-chain adaptation
 facts, the model's link and prior, the design encoding metadata, and the
 dataset fingerprint plus pipeline settings. Floats are written with
 repr (shortest round-trip), so loading reproduces the draws bit-for-bit
-and rewriting produces identical bytes. Any structural damage reads back
-as CorruptChainFile with the byte offset where parsing stopped.
+and rewriting produces identical bytes. Any damage reads back as
+CorruptChainFile (exit 3) with the byte offset where parsing stopped. That
+includes each header value a command reads that is missing or of another
+JSON type than `fit` writes, and one message names every such key. A
+well-typed value that its command rejects keeps that command's code: an
+unknown link or balance mode, a multi-character delimiter or a
+non-positive scale exits 2.
 """
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 
 from .errors import CorruptChainFile
+from .model import PriorSpec
 from .sampler import PosteriorDraws, SamplerConfig
 
 FORMAT_TAG = "bernreg-chain/2"
 
-# The run settings under dataset.pipeline that rebuild the training set.
-PIPELINE_KEYS = ("delimiter", "subsample", "balance", "holdout", "seed", "standardize")
+# The run settings under dataset.pipeline that rebuild the training set,
+# each with the type `fit` stores it as (RunConfig's field type).
+PIPELINE_KEYS = {"delimiter": str, "subsample": int, "balance": str, "holdout": int,
+                 "seed": int, "standardize": bool}
 
-# Header keys, dotted for nesting, that loading and the commands read.
-_REQUIRED_KEYS = (
-    "param_names", "config", "step_sizes", "divergence_iterations",
-    "accept_rates", "model", "dataset",
-    "model.link", "model.prior", "model.design",
-    "model.design.column_names", "model.design.encoding_map", "model.design.scaling",
-    "dataset.fingerprint", "dataset.pipeline",
-) + tuple(f"dataset.pipeline.{key}" for key in PIPELINE_KEYS)
+# Every header key, dotted for nesting, that loading or a command reads,
+# with the exact JSON-read type `fit` writes it as (a bool is not an int);
+# (list, kind) is a list whose every entry is a `kind`.
+_HEADER_TYPES = {
+    "param_names": (list, str), "config": dict, "step_sizes": (list, float),
+    "divergence_iterations": (list, (list, int)), "accept_rates": (list, float),
+    "model": dict, "dataset": dict, "model.link": str, "model.prior": dict,
+    "model.design": dict, "model.design.column_names": list,
+    "model.design.encoding_map": dict, "model.design.scaling": dict,
+    "dataset.fingerprint": str, "dataset.pipeline": dict,
+    **{f"config.{f.name}": f.type for f in dataclasses.fields(SamplerConfig)},
+    **{f"model.prior.{f.name}": f.type for f in dataclasses.fields(PriorSpec)},
+    **{f"dataset.pipeline.{key}": kind for key, kind in PIPELINE_KEYS.items()},
+}
 
 
-def _has_key(header, dotted):
+def _lookup(header, dotted):
+    """The value at a dotted key, or None where any part is missing."""
     node = header
     for part in dotted.split("."):
-        if not isinstance(node, dict) or part not in node:
-            return False
-        node = node[part]
-    return True
+        if not isinstance(node, dict):
+            return None
+        node = node.get(part)
+    return node
+
+
+def _is(value, kind):
+    """Whether `value` is exactly of `kind`, an entry of _HEADER_TYPES."""
+    if isinstance(kind, tuple):
+        return type(value) is list and all(_is(v, kind[1]) for v in value)
+    return type(value) is kind
 
 
 def save_chain_file(path, draws, model_info, dataset_info):
@@ -84,13 +107,19 @@ def load_chain_file(path):
     if not isinstance(header, dict) or header.get("format") != FORMAT_TAG:
         fail(f"not a {FORMAT_TAG} file")
 
-    missing = [k for k in _REQUIRED_KEYS if not _has_key(header, k)]
-    if missing:
-        fail("header missing keys: " + ", ".join(missing))
+    bad = [k for k, kind in _HEADER_TYPES.items() if not _is(_lookup(header, k), kind)]
+    if bad:
+        fail("header keys missing or of another type: " + ", ".join(bad))
     try:
-        config = SamplerConfig.from_dict(header["config"])
-    except (KeyError, TypeError, ValueError) as exc:
+        config = SamplerConfig(
+            **{f.name: header["config"][f.name] for f in dataclasses.fields(SamplerConfig)}
+        )
+    except ValueError as exc:
         fail(f"bad sampler config in header: {exc}")
+    for key in ("step_sizes", "divergence_iterations", "accept_rates"):
+        if len(header[key]) != config.n_chains:
+            fail(f"header key {key} has {len(header[key])} entries "
+                 f"for {config.n_chains} chains")
 
     param_names = tuple(header["param_names"])
     n_chains, n_draws = config.n_chains, config.n_draws
@@ -141,10 +170,8 @@ def load_chain_file(path):
         draws=draws,
         param_names=param_names,
         config=config,
-        step_sizes=tuple(float(s) for s in header["step_sizes"]),
-        divergence_iterations=tuple(
-            tuple(int(i) for i in d) for d in header["divergence_iterations"]
-        ),
-        accept_rates=tuple(float(a) for a in header["accept_rates"]),
+        step_sizes=tuple(header["step_sizes"]),
+        divergence_iterations=tuple(map(tuple, header["divergence_iterations"])),
+        accept_rates=tuple(header["accept_rates"]),
     )
     return restored, header

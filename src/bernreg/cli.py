@@ -84,9 +84,6 @@ class RunConfig:
         if self.out is None:
             self.out = os.path.join("runs", f"{self.link}-seed{self.seed}")
 
-    def prior_spec(self):
-        return PriorSpec.from_dict(self.prior)
-
     def sampler_config(self):
         return SamplerConfig(
             n_chains=self.chains,
@@ -128,17 +125,17 @@ def _warn_rhat(rows):
         _warn(f"rhat above {RHAT_WARNING_LEVEL} for: " + ", ".join(bad_rhat))
 
 
-def _training_set(table, config):
-    """(design, target, balance_report, holdout_table) per the run config."""
+def _training_set(table, pipeline):
+    """(design, target, balance_report, holdout_table) per the stored pipeline dict."""
     prepared, balance_report = prepare_training_table(
-        table, config.subsample, config.balance, config.seed
+        table, pipeline["subsample"], pipeline["balance"], pipeline["seed"]
     )
     holdout_table = None
-    if config.holdout:
+    if pipeline["holdout"]:
         prepared, holdout_table = holdout_split(
-            prepared, config.holdout, substream_seed(config.seed, HOLDOUT_STREAM)
+            prepared, pipeline["holdout"], substream_seed(pipeline["seed"], HOLDOUT_STREAM)
         )
-    design, target = encode(prepared, standardize=config.standardize)
+    design, target = encode(prepared, standardize=pipeline["standardize"])
     return design, target, balance_report, holdout_table
 
 
@@ -166,12 +163,13 @@ def cmd_fit(args):
     )
     # Everything that can reject the run happens before the first write.
     sampler_config = config.sampler_config()
-    prior = config.prior_spec()
+    prior = PriorSpec.from_dict(config.prior)
     log = _RunLog(os.path.join(config.out, "run.log"))
     log.note(f"fit started: link={config.link} seed={config.seed}")
     table = parse_dataset(config.data, config.delimiter)
     log.note(f"parsed {table.n_rows} rows")
-    design, target, balance_report, holdout_table = _training_set(table, config)
+    pipeline = {key: getattr(config, key) for key in chainfile.PIPELINE_KEYS}
+    design, target, balance_report, holdout_table = _training_set(table, pipeline)
     log.note(f"training rows: {design.n_rows}")
     model = ModelSpec(link=config.link, prior=prior, design=design, target=target)
 
@@ -182,11 +180,11 @@ def cmd_fit(args):
     draws = sample(model, sampler_config, threads=args.threads)
     log.note("sampling finished")
 
-    model_info = {"link": config.link, "prior": config.prior, "design": design.metadata()}
+    model_info = {"link": config.link, "prior": prior.to_dict(), "design": design.metadata()}
     dataset_info = {
         "fingerprint": dataset_fingerprint(design, target),
         "n_rows": int(design.n_rows),
-        "pipeline": {key: getattr(config, key) for key in chainfile.PIPELINE_KEYS},
+        "pipeline": pipeline,
         "balance": balance_report.to_dict() if balance_report else None,
     }
     chain_path = os.path.join(config.out, f"{config.link}.chain")
@@ -228,30 +226,9 @@ def cmd_diagnose(args):
     return EXIT_OK
 
 
-def _stored_fields(node, dotted, cls, keys=None):
-    """{key: value} of a chain file header object, for `keys` or every `cls` field.
-
-    `fit` writes each value as its field's type and JSON reads it back as
-    one, so any other value is damage: exit 2, naming its dotted key.
-    """
-    types = {f.name: f.type for f in dataclasses.fields(cls)}
-    stored = node if isinstance(node, dict) else {}
-    for key in keys or types:
-        if type(stored.get(key)) is not types[key]:
-            raise ValueError(f"header key {dotted}.{key} is not a {types[key].__name__}")
-    return {key: stored[key] for key in keys or types}
-
-
 def _rebuild_model(header, table):
     """Recreate the training design a chain file header describes."""
-    pipeline = header["dataset"]["pipeline"]
-    config = RunConfig(
-        data="",
-        link=header["model"]["link"],
-        prior=_stored_fields(header["model"]["prior"], "model.prior", PriorSpec),
-        **_stored_fields(pipeline, "dataset.pipeline", RunConfig, chainfile.PIPELINE_KEYS),
-    )
-    design, target, _, _ = _training_set(table, config)
+    design, target, _, _ = _training_set(table, header["dataset"]["pipeline"])
     if design.metadata() != header["model"]["design"]:
         raise MismatchError(
             "rebuilt design does not match the design stored in the chain file; "
@@ -263,20 +240,15 @@ def _rebuild_model(header, table):
             f"rebuilt dataset fingerprint {fingerprint} differs from stored "
             f"{header['dataset']['fingerprint']}"
         )
-    return ModelSpec(
-        link=config.link, prior=config.prior_spec(), design=design, target=target
-    )
+    model = header["model"]
+    return ModelSpec(model["link"], PriorSpec.from_dict(model["prior"]), design, target)
 
 
 def cmd_compare(args):
     if len(args.chains) < 2:
         raise ValueError("compare needs at least two chain files")
     fits = [chainfile.load_chain_file(path) for path in args.chains]
-    delimiters = {
-        _stored_fields(header["dataset"]["pipeline"], "dataset.pipeline", RunConfig,
-                       ("delimiter",))["delimiter"]
-        for _, header in fits
-    }
+    delimiters = {header["dataset"]["pipeline"]["delimiter"] for _, header in fits}
     if len(delimiters) > 1:
         raise MismatchError(
             "chain files were fitted with different delimiters: "
@@ -406,8 +378,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: cannot read {exc.filename}", file=sys.stderr)
+    except OSError as exc:
+        print(f"error: cannot read or write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_DATA
     except BernregError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,7 +29,7 @@ The target is a ModelSpec or any object with `dim`, `param_names` and
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,15 +68,6 @@ class SamplerConfig:
             raise ValueError("target_accept must be strictly between 0 and 1")
         if not 1 <= self.max_tree_depth <= 15:
             raise ValueError("max_tree_depth must be in [1, 15]")
-
-    @classmethod
-    def from_dict(cls, d):
-        """Every field required, as a value of exactly its type (a bool is not
-        an int); extra keys ignored."""
-        for f in fields(cls):
-            if type(d[f.name]) is not f.type:
-                raise TypeError(f"{f.name} = {d[f.name]!r} is not a {f.type.__name__}")
-        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 @dataclass

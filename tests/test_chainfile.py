@@ -27,7 +27,7 @@ def sample_draws():
 
 MODEL_INFO = {
     "link": "logit",
-    "prior": {"intercept_mean": 3.5},
+    "prior": {"intercept_mean": 3.5, "intercept_sd": 1.0, "slope_mean": 0.0, "slope_sd": 0.5},
     "design": {
         "column_names": ["x1", "x2"],
         "encoding_map": {},
@@ -201,7 +201,17 @@ class TestCorruption:
         header["config"][key] = value
         lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
         open(path, "wb").write(b"\n".join(lines))
-        match = f"bad sampler config in header: {key} "
-        with pytest.raises(CorruptChainFile, match=match) as info:
+        with pytest.raises(CorruptChainFile, match=f"config.{key}") as info:
             load_chain_file(path)
         assert info.value.exit_code == 3
+
+    def test_extra_config_key_still_loads(self, tmp_path, sample_draws):
+        # Headers written before init_radius was removed still load.
+        path, raw = _write_and_read_lines(tmp_path, sample_draws)
+        lines = raw.split(b"\n")
+        header = json.loads(lines[0])
+        header["config"]["init_radius"] = 2.0
+        lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        open(path, "wb").write(b"\n".join(lines))
+        restored, _ = load_chain_file(path)
+        assert restored.config == sample_draws.config

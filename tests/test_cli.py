@@ -137,6 +137,11 @@ class TestRunConfig:
         config = RunConfig(data="x.csv", link="probit", seed=3, holdout=10)
         assert RunConfig(**json.loads(report.render_json(config))) == config
 
+    def test_stored_pipeline_types_match_the_run_config(self):
+        # `fit` stores these RunConfig fields, so a header it writes always loads.
+        types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+        assert {key: types[key] for key in chainfile.PIPELINE_KEYS} == chainfile.PIPELINE_KEYS
+
 
 class TestFitArtifacts:
     def test_expected_files(self, logit_dir):
@@ -612,6 +617,25 @@ class TestUsageErrors:
         assert code == EXIT_DATA
         assert "cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["fit", "predict", "diagnose"])
+    def test_os_error_exits_3_naming_the_path(
+        self, logit_dir, small_bank_csv, tmp_path, capsys, command
+    ):
+        taken = tmp_path / "taken"
+        taken.write_text("a file, not a directory\n")
+        argv, path = {
+            "fit": (["fit", "--data", small_bank_csv, "--out", str(taken)] + FIT_ARGS, taken),
+            "predict": (["predict", os.path.join(logit_dir, "logit.chain"),
+                         "--data", str(tmp_path)], tmp_path),
+            "diagnose": (["diagnose", str(tmp_path)], tmp_path),
+        }[command]
+        assert main(argv) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot read or write {path}: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert os.listdir(tmp_path) == ["taken"]
+        assert taken.read_text() == "a file, not a directory\n"
+
     def test_malformed_data_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text('"age";"y"\n"41";"maybe"\n')
@@ -663,27 +687,42 @@ class TestChainHeaderKeys:
             "dataset.pipeline.delimiter", "dataset.pipeline.subsample",
             "dataset.pipeline.balance", "dataset.pipeline.holdout",
             "dataset.pipeline.seed", "dataset.pipeline.standardize",
+            "model.prior.intercept_mean", "model.prior.intercept_sd",
+            "model.prior.slope_mean", "model.prior.slope_sd",
+            "config.n_chains", "config.n_draws", "config.target_accept",
+            "param_names", "step_sizes", "divergence_iterations", "accept_rates",
         ],
     )
     def test_missing_nested_key_exits_3_naming_it(
         self, logit_dir, probit_dir, small_bank_csv, score_csv, tmp_path, capsys, dotted
     ):
+        """Dropped, or replaced by a value of another JSON type."""
         *parents, leaf = dotted.split(".")
 
-        def drop(header):
+        def parent(header):
             node = header
             for part in parents:
                 node = node[part]
-            del node[leaf]
+            return node
 
-        chain = _rewrite_header(os.path.join(logit_dir, "logit.chain"),
-                                str(tmp_path / "damaged.chain"), drop)
+        def drop(header):
+            del parent(header)[leaf]
+
+        def retype(header):
+            node = parent(header)
+            node[leaf] = {int: True, list: "x", dict: "x"}.get(type(node[leaf]), [])
+
         probit = os.path.join(probit_dir, "probit.chain")
-        for argv in (["predict", chain, "--data", score_csv],
-                     ["compare", probit, chain, "--data", small_bank_csv],
-                     ["diagnose", chain]):
-            assert main(argv) == EXIT_DATA, argv[0]
-            assert dotted in capsys.readouterr().err
+        for change in (drop, retype):
+            chain = _rewrite_header(os.path.join(logit_dir, "logit.chain"),
+                                    str(tmp_path / f"{change.__name__}.chain"), change)
+            for argv in (["predict", chain, "--data", score_csv],
+                         ["compare", probit, chain, "--data", small_bank_csv],
+                         ["diagnose", chain]):
+                assert main(argv) == EXIT_DATA, (change.__name__, argv[0])
+                err = capsys.readouterr().err
+                assert err.startswith("error:") and err.count("\n") == 1
+                assert dotted in err, (change.__name__, argv[0])
 
     def test_format_1_file_exits_3(
         self, logit_dir, probit_dir, small_bank_csv, score_csv, tmp_path, capsys
@@ -700,7 +739,7 @@ class TestChainHeaderKeys:
             assert main(argv) == EXIT_DATA, argv[0]
             assert "not a bernreg-chain/2 file" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, value", [("balance", "sideways"), ("subsample", "many")])
+    @pytest.mark.parametrize("key, value", [("balance", "sideways")])
     def test_bad_pipeline_value_exits_2(
         self, logit_dir, probit_dir, small_bank_csv, tmp_path, capsys, key, value
     ):
@@ -714,6 +753,23 @@ class TestChainHeaderKeys:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("key, value", [("subsample", "many")])
+    def test_wrongly_typed_pipeline_value_exits_3(
+        self, logit_dir, probit_dir, small_bank_csv, tmp_path, capsys, key, value
+    ):
+        """A stored value of the wrong type is a corrupt file, not a bad option."""
+        def spoil(header):
+            header["dataset"]["pipeline"][key] = value
+
+        chain = _rewrite_header(os.path.join(logit_dir, "logit.chain"),
+                                str(tmp_path / "spoiled.chain"), spoil)
+        code = main(["compare", os.path.join(probit_dir, "probit.chain"), chain,
+                     "--data", small_bank_csv])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"dataset.pipeline.{key}" in err
+
     @pytest.mark.parametrize(
         "dotted, value",
         [
@@ -722,10 +778,17 @@ class TestChainHeaderKeys:
             ("model.prior", [3.5, 1.0, 0.0, 0.5]),
             ("model.prior.slope_sd", "missing"),
             ("dataset.pipeline.delimiter", [";"]),
+            ("param_names", [1]),
+            ("step_sizes", []),
+            ("step_sizes", ["a"]),
+            ("accept_rates", [0.9, 0.9, 0.9]),
+            ("divergence_iterations", ["ab"]),
+            ("divergence_iterations", [[0.5], []]),
         ],
     )
-    def test_bad_stored_value_exits_2_naming_it(
-        self, logit_dir, probit_dir, small_bank_csv, tmp_path, capsys, dotted, value
+    def test_bad_stored_value_exits_3_naming_it(
+        self, logit_dir, probit_dir, small_bank_csv, score_csv, tmp_path, capsys,
+        dotted, value
     ):
         *parents, leaf = dotted.split(".")
 
@@ -740,12 +803,14 @@ class TestChainHeaderKeys:
 
         chain = _rewrite_header(os.path.join(logit_dir, "logit.chain"),
                                 str(tmp_path / "spoiled.chain"), spoil)
-        code = main(["compare", os.path.join(probit_dir, "probit.chain"), chain,
-                     "--data", small_bank_csv])
-        err = capsys.readouterr().err
-        assert code == EXIT_USAGE
-        assert err.startswith("error:") and err.count("\n") == 1
-        assert dotted in err
+        probit = os.path.join(probit_dir, "probit.chain")
+        for argv in (["predict", chain, "--data", score_csv],
+                     ["compare", probit, chain, "--data", small_bank_csv],
+                     ["diagnose", chain]):
+            assert main(argv) == EXIT_DATA, argv[0]
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert dotted in err, argv[0]
 
     def test_multi_character_stored_delimiter_exits_2(
         self, logit_dir, probit_dir, small_bank_csv, tmp_path, capsys

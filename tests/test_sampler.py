@@ -173,12 +173,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SamplerConfig(**kwargs)
 
-    def test_round_trip_dict(self):
-        config = SamplerConfig(n_chains=2, n_warmup=50, n_draws=75, seed=9)
-        assert SamplerConfig.from_dict(vars(config)) == config
-        # Headers written before init_radius was removed still load.
-        assert SamplerConfig.from_dict({**vars(config), "init_radius": 2.0}) == config
-
 
 class TestWarmupSchedule:
     def test_canonical_1000(self):
