@@ -28,7 +28,7 @@ from .data import (
 )
 from .diagnostics import MIN_DRAWS, summarize
 from .errors import BernregError, DataError, MismatchError, NumericalError
-from .loo import compare as loo_compare, pointwise_loglik, psis_loo
+from .loo import HIGH_K_THRESHOLD, compare as loo_compare, pointwise_loglik, psis_loo
 from .model import LINKS, ModelSpec, PriorSpec, default_priors
 from .oracle import run_verification
 from .predict import SCALES, posterior_predict
@@ -157,6 +157,8 @@ def _prior_override(args):
 
 
 def cmd_fit(args):
+    if args.threads < 1:
+        raise ValueError(f"threads must be at least 1, got {args.threads}")
     config = RunConfig(
         prior=_prior_override(args),
         **{name: getattr(args, name) for name in _FIT_FIELDS},
@@ -259,7 +261,7 @@ def cmd_compare(args):
     total_high_k = 0
     for draws, header in fits:
         model = _rebuild_model(header, table)
-        # No name holds the S x N matrix, so it is freed before the next one.
+        # No name holds the S x D matrix, so it is freed before the next one.
         loo_result = psis_loo(pointwise_loglik(draws, model))
         total_high_k += loo_result.n_high_k
         base = f"{model.link}_model"
@@ -277,7 +279,7 @@ def cmd_compare(args):
         args.format,
     )
     if total_high_k:
-        _warn(f"{total_high_k} observations with Pareto k above 0.7")
+        _warn(f"{total_high_k} observations with Pareto k above {HIGH_K_THRESHOLD}")
     return EXIT_OK
 
 

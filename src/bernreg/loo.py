@@ -9,10 +9,11 @@ raw maximum. Small draw counts (S < 25) pass through unsmoothed with the
 shape reported as NaN. Aggregates use the population-variance standard
 error, and comparisons subtract the best model's pointwise values.
 
-`pointwise_loglik` fills the S x N log-likelihood matrix and `psis_loo`
-smooths it in the same _LOO_BLOCK observations at a time, as arrays, so
-each loop holds a few MB beside the matrix whatever N is. `psis_smooth`
-is the same smoothing for one vector of log weights.
+`pointwise_loglik` fills an S x D matrix over the model's D distinct
+(x, y) rows with the posterior's kernel, and `psis_loo` smooths it in the
+same _LOO_BLOCK rows at a time, then gives each of the N observations its
+row's results: copies of a row have identical columns, so every aggregate
+stays per observation. `psis_smooth` smooths one vector of log weights.
 """
 
 import math
@@ -22,11 +23,11 @@ import numpy as np
 
 from .data import dataset_fingerprint
 from .errors import MismatchError
-from .model import bernoulli_loglik_terms, linear_predictor
+from .model import linear_predictor, log_cdf_and_ratio
 
 HIGH_K_THRESHOLD = 0.7
 _MIN_TAIL_DRAWS = 25
-# Observations per block, filled by pointwise_loglik and smoothed by
+# Distinct rows per block, filled by pointwise_loglik and smoothed by
 # psis_loo. At S = 4,000 the block's GPD grid (64 x 43 x 190) is 4 MB
 # and each (64, S) copy 2 MB.
 _LOO_BLOCK = 64
@@ -34,30 +35,30 @@ _LOO_BLOCK = 64
 
 @dataclass
 class LogLikMatrix:
-    """Pointwise log-likelihood, draws by observations, plus data identity."""
+    """Log-likelihood of draws by distinct rows, each observation's row, data identity."""
 
     values: np.ndarray
+    inverse: np.ndarray
     fingerprint: str
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
+        self.inverse = np.asarray(self.inverse)
         if self.values.ndim != 2:
-            raise ValueError("log-likelihood matrix must be 2-D (draws, observations)")
+            raise ValueError("log-likelihood matrix must be 2-D (draws, distinct rows)")
 
 
 def pointwise_loglik(draws, model):
-    """S x N per-observation log-likelihood over pooled draws, in LOO blocks."""
+    """S x D log-likelihood of the distinct rows over pooled draws, in LOO blocks."""
     beta = draws.pooled()
-    x = model.design.values
-    y = model.target
+    x, sign, _, inverse = model.weighted_rows
     out = np.empty((beta.shape[0], x.shape[0]))
     for start in range(0, x.shape[0], _LOO_BLOCK):
         block = slice(start, start + _LOO_BLOCK)
-        eta = linear_predictor(beta, x[block])
-        out[:, block] = bernoulli_loglik_terms(model.link, eta, y[block])
-    return LogLikMatrix(
-        values=out, fingerprint=dataset_fingerprint(model.design, model.target)
-    )
+        margin = sign[block] * linear_predictor(beta, x[block])
+        out[:, block] = log_cdf_and_ratio(model.link, margin)[0]
+    fingerprint = dataset_fingerprint(model.design, model.target)
+    return LogLikMatrix(values=out, inverse=inverse, fingerprint=fingerprint)
 
 
 def tail_length(n_draws):
@@ -251,20 +252,19 @@ class LooResult:
 
 
 def psis_loo(loglik):
-    """Smooth each observation's weights and aggregate the pointwise elpd.
+    """Smooth each distinct row's weights, give every observation its row's
+    results, and aggregate the pointwise elpd over observations.
 
-    Observations are taken _LOO_BLOCK at a time, so the temporaries stay
-    at a few MB whatever N is.
+    Rows are taken _LOO_BLOCK at a time, so the temporaries stay at a few
+    MB whatever D is.
     """
-    values = loglik.values
-    n_obs = values.shape[1]
-    pointwise = np.empty(n_obs)
-    lppd = np.empty(n_obs)
-    pareto_k = np.empty(n_obs)
-    for start in range(0, n_obs, _LOO_BLOCK):
-        stop = min(start + _LOO_BLOCK, n_obs)
-        block = np.ascontiguousarray(values[:, start:stop].T)
-        pointwise[start:stop], lppd[start:stop], pareto_k[start:stop] = _psis_block(block)
+    values, inverse = loglik.values, loglik.inverse
+    by_row = np.empty((3, values.shape[1]))  # elpd, lppd and Pareto k
+    for start in range(0, values.shape[1], _LOO_BLOCK):
+        block = slice(start, start + _LOO_BLOCK)
+        by_row[:, block] = _psis_block(np.ascontiguousarray(values[:, block].T))
+    pointwise, lppd, pareto_k = by_row[:, inverse]
+    n_obs = inverse.size
     elpd_loo = float(np.sum(pointwise))
     return LooResult(
         elpd_loo=elpd_loo,

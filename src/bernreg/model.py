@@ -16,8 +16,8 @@ sigma(-t) = (e if t >= 0 else 1) / (1 + e); for probit they are
 log Phi(t) and exp(-t^2 / 2 - log sqrt(2 pi) - log Phi(t)), with log Phi(t)
 taken as log(ndtr(t)) for t >= -5 and as log_ndtr(t) below, well before
 ndtr underflows. Either way about one transcendental pair per distinct
-row. `bernoulli_loglik_terms` stays one term per observation, for
-pointwise LOO.
+row. `log_cdf_and_ratio` is that one kernel: the posterior sums it over
+the weighted rows, and pointwise LOO reads it row by row.
 """
 
 import math
@@ -120,18 +120,18 @@ class ModelSpec:
 
     @cached_property
     def weighted_rows(self):
-        """(x, sign, weight): each distinct (x, y) row of the design, its
-        2y - 1, and how many observations share it.
+        """(x, sign, weight, inverse): each distinct (x, y) row of the design,
+        its 2y - 1, how many observations share it, and each observation's row.
 
-        Built on the first posterior evaluation, so commands that only read
-        pointwise terms never pay for the sort.
+        Built on first use: the posterior and pointwise LOO both pay for the sort.
         """
-        rows, counts = np.unique(
+        rows, inverse, counts = np.unique(
             np.column_stack([self.design.values, self.target]),
-            axis=0, return_counts=True,
+            axis=0, return_inverse=True, return_counts=True,
         )
         x = np.ascontiguousarray(rows[:, :-1])
-        return x, 2.0 * rows[:, -1] - 1.0, counts.astype(np.float64)
+        # numpy 2.0.x returns the axis=0 inverse as a column.
+        return x, 2.0 * rows[:, -1] - 1.0, counts.astype(np.float64), inverse.ravel()
 
     @cached_property
     def prior_terms(self):
@@ -169,30 +169,14 @@ def linear_predictor(beta, design_values):
     return beta[..., 0, None] + beta[..., 1:] @ design_values.T
 
 
-def bernoulli_loglik_terms(link, eta, y):
-    """Per-observation log p(y | eta); stable in both tails."""
-    eta = np.asarray(eta, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+def log_cdf_and_ratio(link, margin):
+    """(log F(t), f(t) / F(t)) at signed margins t = (2y - 1) * eta: the
+    log-likelihood of each row and the magnitude of its score."""
     if link == LOGIT:
-        # y*log(sigma(eta)) + (1-y)*log(sigma(-eta)) = y*eta - log(1+e^eta)
-        return y * eta - np.logaddexp(0.0, eta)
-    if link == PROBIT:
-        # log Phi(eta) or log Phi(-eta) by y, with no 0 * (-inf).
-        return special.log_ndtr((2.0 * y - 1.0) * eta)
-    raise ValueError(f"unknown link {link!r}")
-
-
-def log_posterior_and_gradient(beta, model):
-    """(log posterior, gradient) over the model's weighted distinct rows."""
-    beta = np.asarray(beta, dtype=np.float64).ravel()
-    x, sign, weight = model.weighted_rows
-    margin = sign * linear_predictor(beta, x)
-
-    if model.link == LOGIT:
         e = np.exp(-np.abs(margin))
         loglik = np.minimum(margin, 0.0) - np.log1p(e)
         ratio = np.where(margin >= 0.0, e, 1.0) / (1.0 + e)
-    else:
+    elif link == PROBIT:
         # log(ndtr) costs about half of log_ndtr; below t = -5 (Phi < 2.9e-7)
         # log_ndtr takes over, far above where ndtr underflows (t ~ -37).
         loglik = np.log(special.ndtr(np.maximum(margin, _PROBIT_LOG_CUT)))
@@ -201,6 +185,16 @@ def log_posterior_and_gradient(beta, model):
             loglik[deep] = special.log_ndtr(margin[deep])
         # phi / Phi in log space keeps both tails finite.
         ratio = np.exp(-0.5 * margin * margin - _HALF_LOG_2PI - loglik)
+    else:
+        raise ValueError(f"unknown link {link!r}")
+    return loglik, ratio
+
+
+def log_posterior_and_gradient(beta, model):
+    """(log posterior, gradient) over the model's weighted distinct rows."""
+    beta = np.asarray(beta, dtype=np.float64).ravel()
+    x, sign, weight, _ = model.weighted_rows
+    loglik, ratio = log_cdf_and_ratio(model.link, sign * linear_predictor(beta, x))
     score = weight * sign * ratio
 
     # The normal prior, constants included.

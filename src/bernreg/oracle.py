@@ -224,7 +224,7 @@ def exact_loo(model, config):
     Refit i swaps the config seed for substream i of the base seed, so
     results do not depend on refit order and match across reruns.
     """
-    from .model import ModelSpec, bernoulli_loglik_terms, linear_predictor
+    from .model import ModelSpec, linear_predictor, log_cdf_and_ratio
     from .rngutil import substream_seed
     from .sampler import sample
 
@@ -243,8 +243,8 @@ def exact_loo(model, config):
         )
         config_i = replace(config, seed=substream_seed(config.seed, i))
         draws = sample(model_i, config_i)
-        eta = linear_predictor(draws.pooled(), x[i:i + 1])[:, 0]
-        terms = bernoulli_loglik_terms(model.link, eta, y[i])
+        margin = (2.0 * y[i] - 1.0) * linear_predictor(draws.pooled(), x[i:i + 1])[:, 0]
+        terms = log_cdf_and_ratio(model.link, margin)[0]
         lpds.append(float(logsumexp(terms) - math.log(len(terms))))
     return math.fsum(lpds)
 
@@ -253,7 +253,7 @@ def run_verification(seed=0):
     """Dual-route checks of the core numerics; returns CheckResults."""
     from .model import ModelSpec, PriorSpec, default_priors
     from .sampler import SamplerConfig, sample
-    from .loo import pointwise_loglik, psis_loo
+    from .loo import HIGH_K_THRESHOLD, pointwise_loglik, psis_loo
 
     results = []
 
@@ -328,7 +328,7 @@ def run_verification(seed=0):
             passed=gap < 0.5 and approx.n_high_k < 2,
             detail=(
                 f"|psis - exact| = {gap:.4f} (limit 0.5), "
-                f"{approx.n_high_k} observations with k > 0.7 (limit < 2)"
+                f"{approx.n_high_k} observations with k > {HIGH_K_THRESHOLD} (limit < 2)"
             ),
         )
     )

@@ -444,7 +444,7 @@ def sample(target, config, *, threads=1):
         return _run_chain(target, config, i, mode, metric, chol)
 
     indices = list(range(config.n_chains))
-    if threads is None or threads <= 1:
+    if threads <= 1:
         results = [run(i) for i in indices]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from bernreg.model import bernoulli_loglik_terms, linear_predictor
+from bernreg.model import linear_predictor, log_cdf_and_ratio
 from bernreg.sampler import PosteriorDraws, SamplerConfig
 
 import bankgen
@@ -58,5 +58,5 @@ def make_draws(array, param_names=None, seed=0):
 
 def total_loglik(beta, model):
     """Summed pointwise log-likelihood of a model at one coefficient vector."""
-    eta = linear_predictor(beta, model.design.values)
-    return float(np.sum(bernoulli_loglik_terms(model.link, eta, model.target)))
+    margin = (2.0 * model.target - 1.0) * linear_predictor(beta, model.design.values)
+    return float(np.sum(log_cdf_and_ratio(model.link, margin)[0]))

@@ -576,6 +576,7 @@ class TestUsageErrors:
             (["--chains", "0"], EXIT_USAGE),
             (["--subsample", "5000"], EXIT_DATA),
             (["--draws", "3"], EXIT_USAGE),
+            (["--threads", "0"], EXIT_USAGE),
         ],
     )
     def test_rejected_fit_writes_nothing(self, small_bank_csv, tmp_path, extra, expected):
@@ -891,13 +892,18 @@ class TestBenchmarkTracer:
                 "loo.pointwise_loglik", "loo.psis_loo"} <= {s["name"] for s in spans}
         loglik = [s for s in spans if s["name"] == "loo.pointwise_loglik"]
         assert len(loglik) == 2
-        # The benchmark's loo.loglik_mb reads the whole S x N matrix.
+        # The benchmark's loo.loglik_mb reads the whole S x D matrix over
+        # the D distinct (x, y) training rows: 122 of the 200 here.
         chains = (os.path.join(logit_dir, "logit.chain"),
                   os.path.join(probit_dir, "probit.chain"))
+        table = cli.parse_dataset(small_bank_csv, RunConfig.delimiter)
         for span, chain in zip(loglik, chains):
             header = json.loads(_read_bytes(chain).split(b"\n", 1)[0])
             n_draws = header["config"]["n_chains"] * header["config"]["n_draws"]
-            assert span["attrs"]["bytes"] == 8 * n_draws * header["dataset"]["n_rows"]
+            design, target, _, _ = cli._training_set(table, header["dataset"]["pipeline"])
+            n_distinct = len(np.unique(np.column_stack([design.values, target]), axis=0))
+            assert n_distinct < header["dataset"]["n_rows"]
+            assert span["attrs"]["bytes"] == 8 * n_draws * n_distinct
 
     def test_predict_spans(self, logit_dir, score_csv, tmp_path):
         spans = self._spans(

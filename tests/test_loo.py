@@ -18,14 +18,21 @@ from bernreg.loo import (
     psis_smooth,
     tail_length,
 )
-from bernreg.model import ModelSpec, PriorSpec
+from bernreg.model import ModelSpec, PriorSpec, linear_predictor, log_cdf_and_ratio
 from bernreg.oracle import _synthetic_model, exact_loo
 from bernreg.report import render_comparison_json
 from bernreg.sampler import SamplerConfig, sample
 
 from conftest import make_draws, total_loglik
+from test_model import _duplicated_model
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
+def _per_observation(values, fingerprint):
+    """A log-likelihood matrix whose every column is its own observation."""
+    return LogLikMatrix(values=values, inverse=np.arange(values.shape[1]),
+                        fingerprint=fingerprint)
 
 
 def _fitted(link="logit", n=40, k=1, seed=3, draws_seed=11):
@@ -39,6 +46,7 @@ class TestPointwiseLoglik:
         model, draws = _fitted(n=15)
         matrix = pointwise_loglik(draws, model)
         assert matrix.values.shape == (600, 15)
+        by_observation = matrix.values[:, matrix.inverse]
         pooled = draws.pooled()
         for s in (0, 77, 599):
             expected = np.empty(15)
@@ -50,7 +58,7 @@ class TestPointwiseLoglik:
                     target=model.target[i : i + 1],
                 )
                 expected[i] = total_loglik(pooled[s], single)
-            assert np.allclose(matrix.values[s], expected, atol=1e-10)
+            assert np.allclose(by_observation[s], expected, atol=1e-10)
 
     def test_rows_sum_to_total_loglik(self):
         model, draws = _fitted(n=20)
@@ -58,29 +66,20 @@ class TestPointwiseLoglik:
         pooled = draws.pooled()
         for s in (0, 100):
             total = total_loglik(pooled[s], model)
-            assert matrix.values[s].sum() == pytest.approx(total, abs=1e-9)
+            assert matrix.values[s, matrix.inverse].sum() == pytest.approx(total, abs=1e-9)
 
-    def test_chunking_invariant(self, monkeypatch):
+    def test_chunking_invariant(self):
         model, draws = _fitted(n=30)
         full = pointwise_loglik(draws, model).values
-        import bernreg.loo as loo_module
-
-        # Force tiny chunks by pretending the budget is minuscule.
-        original = loo_module.pointwise_loglik
 
         def tiny_chunks(draws_, model_):
             beta = draws_.pooled()
-            x = model_.design.values
-            y = model_.target
+            x, sign, _, _ = model_.weighted_rows
             out = np.empty((beta.shape[0], x.shape[0]))
             for start in range(0, x.shape[0], 7):
                 stop = min(start + 7, x.shape[0])
-                eta = beta[:, 1:] @ x[start:stop].T + beta[:, :1]
-                from bernreg.model import bernoulli_loglik_terms
-
-                out[:, start:stop] = bernoulli_loglik_terms(
-                    model_.link, eta, y[start:stop]
-                )
+                margin = sign[start:stop] * (beta[:, 1:] @ x[start:stop].T + beta[:, :1])
+                out[:, start:stop] = log_cdf_and_ratio(model_.link, margin)[0]
             return out
 
         assert np.array_equal(tiny_chunks(draws, model), full)
@@ -224,15 +223,14 @@ class TestPsisLoo:
         # Every draw assigns the same likelihood: elpd is just the sum of
         # the per-observation values and the smoothing is a no-op.
         values = np.tile(np.log([0.5, 0.25, 0.8]), (100, 1))
-        matrix = LogLikMatrix(values=values, fingerprint="abc")
-        result = psis_loo(matrix)
+        result = psis_loo(_per_observation(values, "abc"))
         assert result.elpd_loo == pytest.approx(math.log(0.5 * 0.25 * 0.8), abs=1e-12)
         assert result.n_obs == 3
         assert result.fingerprint == "abc"
 
     def test_se_uses_population_variance(self):
         values = np.tile(np.log([0.5, 0.25, 0.8]), (100, 1))
-        result = psis_loo(LogLikMatrix(values=values, fingerprint="x"))
+        result = psis_loo(_per_observation(values, "x"))
         expected = math.sqrt(3 * np.var(result.pointwise_elpd))
         assert result.se_elpd == pytest.approx(expected, abs=1e-12)
 
@@ -240,12 +238,51 @@ class TestPsisLoo:
         model, draws = _fitted(n=12)
         matrix = pointwise_loglik(draws, model)
         base = psis_loo(matrix)
+        # A second copy of observation 0 reads the same column.
         doubled = LogLikMatrix(
-            values=np.concatenate([matrix.values, matrix.values[:, :1]], axis=1),
+            values=matrix.values,
+            inverse=np.append(matrix.inverse, matrix.inverse[0]),
             fingerprint="y",
         )
         res = psis_loo(doubled)
+        assert res.n_obs == 13
         assert res.pointwise_elpd[-1] == pytest.approx(base.pointwise_elpd[0], abs=1e-12)
+        assert res.elpd_loo == pytest.approx(
+            base.elpd_loo + base.pointwise_elpd[0], abs=1e-12
+        )
+
+    @pytest.mark.parametrize("link", ["logit", "probit"])
+    def test_copies_of_a_row_share_its_column(self, link):
+        model = _duplicated_model(link, 4)
+        rng = np.random.default_rng(7)
+        draws = make_draws(rng.normal(0.0, 0.4, (2, 200, model.n_params)))
+        matrix = pointwise_loglik(draws, model)
+        n_rows = len(model.weighted_rows[0])
+        assert matrix.values.shape == (400, n_rows)
+        assert n_rows < model.design.n_rows == matrix.inverse.size
+        result = psis_loo(matrix)
+        for row in range(n_rows):
+            copies = matrix.inverse == row
+            assert np.unique(result.pointwise_elpd[copies]).size == 1
+            assert np.unique(result.pareto_k[copies]).size == 1
+
+        # The same LOO from one column per observation.
+        margin = (2.0 * model.target - 1.0) * linear_predictor(
+            draws.pooled(), model.design.values
+        )
+        reference = psis_loo(
+            _per_observation(log_cdf_and_ratio(link, margin)[0], matrix.fingerprint)
+        )
+        for name in ("elpd_loo", "se_elpd", "p_loo"):
+            assert getattr(result, name) == pytest.approx(
+                getattr(reference, name), rel=1e-12
+            )
+        np.testing.assert_allclose(
+            result.pointwise_elpd, reference.pointwise_elpd, rtol=0, atol=1e-12
+        )
+        np.testing.assert_allclose(result.pareto_k, reference.pareto_k, rtol=0, atol=1e-12)
+        assert result.n_obs == reference.n_obs
+        assert result.k_counts == reference.k_counts
 
     def test_high_k_count_property(self):
         result = LooResult(
@@ -361,7 +398,7 @@ def _scalar_psis_loo(values):
 
 
 def _assert_matches_scalar(values):
-    result = psis_loo(LogLikMatrix(values=values, fingerprint="f"))
+    result = psis_loo(_per_observation(values, "f"))
     pointwise, pareto_k, lppd = _scalar_psis_loo(values)
     np.testing.assert_allclose(result.pointwise_elpd, pointwise, rtol=0, atol=1e-12)
     assert np.array_equal(np.isnan(result.pareto_k), np.isnan(pareto_k))
@@ -437,7 +474,7 @@ class TestLooDiagnostics:
 
     def test_p_loo_zero_when_draws_agree(self):
         values = np.tile(np.log([0.5, 0.25, 0.8]), (100, 1))
-        result = psis_loo(LogLikMatrix(values=values, fingerprint="p"))
+        result = psis_loo(_per_observation(values, "p"))
         assert result.p_loo == pytest.approx(0.0, abs=1e-12)
 
     def test_p_loo_positive_and_in_comparison_output(self):
@@ -529,7 +566,6 @@ class TestExactLoo:
 
         from dataclasses import replace as dc_replace
 
-        from bernreg.model import bernoulli_loglik_terms
         from bernreg.rngutil import substream_seed
 
         i = 2
@@ -544,7 +580,7 @@ class TestExactLoo:
         draws = sample(model_i, config_i)
         beta = draws.pooled()
         eta = beta[:, 0] + beta[:, 1:] @ model.design.values[i]
-        terms = bernoulli_loglik_terms(model.link, eta, model.target[i])
+        terms, _ = log_cdf_and_ratio(model.link, (2.0 * model.target[i] - 1.0) * eta)
         lpd_i = float(logsumexp(terms) - math.log(len(terms)))
 
         # Recompute the full exact_loo sum with i's contribution swapped in:
@@ -583,7 +619,7 @@ class TestExactLoo:
         exact_loo(model, SamplerConfig(n_chains=1, n_warmup=10, n_draws=4, seed=0))
         assert len(refits) == 5
         for i in (0, 2, 4):
-            rows, sign, weight = refits[i].weighted_rows
+            rows, sign, weight, _ = refits[i].weighted_rows
             repeated = (rows[:, 0] == 0.7) & (sign == 1.0)
             assert weight[repeated].tolist() == [2.0]
             assert weight.sum() == 4.0

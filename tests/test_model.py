@@ -8,18 +8,19 @@ from scipy import special
 
 from bernreg.data import DesignMatrix
 from bernreg.errors import MismatchError
+from bernreg.loo import pointwise_loglik
 from bernreg.model import (
     ModelSpec,
     PriorSpec,
-    bernoulli_loglik_terms,
     default_priors,
     linear_predictor,
+    log_cdf_and_ratio,
     log_posterior_and_gradient,
     success_probability,
 )
 from bernreg.oracle import finite_diff_gradient
 
-from conftest import total_loglik
+from conftest import make_draws, total_loglik
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -113,10 +114,8 @@ class TestLinks:
         assert np.allclose(logit_link(etas), [logit_link(e) for e in etas])
         assert np.allclose(probit_link(etas), [probit_link(e) for e in etas])
 
-    @pytest.mark.parametrize("function", [
-        success_probability,
-        lambda link, eta: bernoulli_loglik_terms(link, eta, np.ones_like(eta)),
-    ], ids=["success_probability", "bernoulli_loglik_terms"])
+    @pytest.mark.parametrize("function", [success_probability, log_cdf_and_ratio],
+                             ids=["success_probability", "log_cdf_and_ratio"])
     def test_unknown_link_raises(self, function):
         with pytest.raises(ValueError, match="unknown link 'cauchit'"):
             function("cauchit", np.array([0.0, 1.0]))
@@ -210,13 +209,15 @@ class TestLogLikelihood:
 
     def test_extreme_eta_stays_finite(self):
         y = np.array([1.0, 0.0])
+        margin = (2.0 * y - 1.0) * np.array([-40.0, 40.0])
         for link in ("logit", "probit"):
-            terms = bernoulli_loglik_terms(link, np.array([-40.0, 40.0]), y)
+            terms, ratio = log_cdf_and_ratio(link, margin)
             assert np.all(np.isfinite(terms))
             assert np.all(terms < 0)
+            assert np.all(np.isfinite(ratio))
 
     def test_probit_deep_tail_matches_reference(self):
-        terms = bernoulli_loglik_terms("probit", np.array([-40.0, -10.0]), [1.0, 1.0])
+        terms, _ = log_cdf_and_ratio("probit", np.array([-40.0, -10.0]))
         assert abs(terms[0] - LOG_PHI_MINUS_40) < 1e-9 * abs(LOG_PHI_MINUS_40)
         assert abs(terms[1] - LOG_PHI_MINUS_10) < 1e-12 * abs(LOG_PHI_MINUS_10)
 
@@ -359,11 +360,18 @@ class TestProbitSignedMargin:
                 _assert_matches_row_by_row(rng.normal(0.0, scale, 5), model)
 
     def test_pointwise_terms_match_log_ndtr_of_signed_eta(self):
+        # LOO reads the posterior's kernel exactly, and that kernel's
+        # log Phi(t) agrees with log_ndtr to rounding on the whole grid.
         eta = np.linspace(-40.0, 40.0, 801)
-        for y in (0.0, 1.0):
-            terms = bernoulli_loglik_terms("probit", eta, np.full(eta.size, y))
-            expected = special.log_ndtr(eta) if y else special.log_ndtr(-eta)
-            assert np.array_equal(terms, expected)
+        draws = make_draws(np.array([[[0.0, 1.0]]]))
+        for model in _eta_grid_models("probit", eta)[:2]:
+            matrix = pointwise_loglik(draws, model)
+            terms = matrix.values[0][matrix.inverse]
+            t = (2.0 * model.target - 1.0) * eta
+            assert np.array_equal(terms, log_cdf_and_ratio("probit", t)[0])
+            expected = special.log_ndtr(t)
+            tolerance = 1e-15 * np.maximum(1.0, np.abs(expected))
+            assert np.all(np.abs(terms - expected) <= tolerance)
 
 
 def _duplicated_model(link, seed, n_distinct=12, max_copies=40, k=3):
@@ -384,10 +392,14 @@ class TestWeightedRows:
         x = np.array([[0.5, 1.0], [0.5, 1.0], [-2.0, 0.0], [0.5, 1.0], [-2.0, 0.0]])
         y = np.array([1.0, 1.0, 0.0, 0.0, 0.0])
         model = ModelSpec("logit", default_priors("logit"), DesignMatrix.from_values(x), y)
-        rows, sign, weight = model.weighted_rows
+        rows, sign, weight, inverse = model.weighted_rows
         found = {(tuple(r), s): w for r, s, w in zip(rows.tolist(), sign, weight)}
         assert found == {((0.5, 1.0), 1.0): 2.0, ((0.5, 1.0), -1.0): 1.0,
                          ((-2.0, 0.0), -1.0): 2.0}
+        # Each observation's distinct row is its own (x, y).
+        assert inverse.shape == (5,)
+        assert np.array_equal(rows[inverse], x)
+        assert np.array_equal(sign[inverse], 2.0 * y - 1.0)
 
     def test_built_on_first_posterior_call_only(self):
         model = _simple_model("logit", n=30, k=2)
