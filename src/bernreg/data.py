@@ -441,13 +441,13 @@ def encode_new(metadata, table):
     for j, name in enumerate(columns):
         if name in encoding_map:
             codes = encoding_map[name]
-            raw = np.empty(n, dtype=np.float64)
-            for i, level in enumerate(table.categorical[name]):
-                if level not in codes:
-                    raise MismatchError(
-                        f"column {name!r}: level {level!r} was not seen in training"
-                    )
-                raw[i] = codes[level]
+            try:
+                raw = np.fromiter(map(codes.__getitem__, table.categorical[name]),
+                                  dtype=np.float64, count=n)
+            except KeyError as unseen:
+                raise MismatchError(
+                    f"column {name!r}: level {unseen.args[0]!r} was not seen in training"
+                ) from None
         else:
             raw = np.asarray(table.numeric[name], dtype=np.float64)
         center, scale = scaling[name]

@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sp_fft
-from scipy import special
 
 from .errors import Degenerate, NumericalError
 
@@ -70,6 +68,8 @@ def _rank_normalize(arr):
     the sum of two tie-group boundaries plus one, a whole or half
     integer, so it is exact in float64.
     """
+    from scipy.special import ndtri
+
     flat = arr.ravel()
     order = np.argsort(flat, kind="mergesort")
     ordered = flat[order]
@@ -80,7 +80,7 @@ def _rank_normalize(arr):
     bounds = np.append(np.flatnonzero(starts), flat.size)
     ranks = np.empty(flat.size)
     ranks[order] = 0.5 * (bounds[dense] + bounds[dense - 1] + 1)
-    return special.ndtri((ranks.reshape(arr.shape) - 0.375) / (arr.size + 0.25))
+    return ndtri((ranks.reshape(arr.shape) - 0.375) / (arr.size + 0.25))
 
 
 def _check_degenerate(arr):
@@ -100,6 +100,8 @@ def split_rhat(chains):
 
 
 def _autocovariance_fft(x):
+    from scipy import fft as sp_fft
+
     n = len(x)
     m = sp_fft.next_fast_len(2 * n)
     centered = x - x.mean()

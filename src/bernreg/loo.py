@@ -10,10 +10,10 @@ shape reported as NaN. Aggregates use the population-variance standard
 error, and comparisons subtract the best model's pointwise values.
 
 `pointwise_loglik` fills an S x D matrix over the model's D distinct
-(x, y) rows with the posterior's kernel, and `psis_loo` smooths it in the
-same _LOO_BLOCK rows at a time, then gives each of the N observations its
-row's results: copies of a row have identical columns, so every aggregate
-stays per observation. `psis_smooth` smooths one vector of log weights.
+(x, y) rows with the posterior's kernel (its log F half only), and
+`psis_loo` smooths it in the same _LOO_BLOCK rows at a time, then gives
+each of the N observations its row's results: copies of a row have
+identical columns, so every aggregate stays per observation.
 """
 
 import math
@@ -56,7 +56,7 @@ def pointwise_loglik(draws, model):
     for start in range(0, x.shape[0], _LOO_BLOCK):
         block = slice(start, start + _LOO_BLOCK)
         margin = sign[block] * linear_predictor(beta, x[block])
-        out[:, block] = log_cdf_and_ratio(model.link, margin)[0]
+        out[:, block] = log_cdf_and_ratio(model.link, margin, with_ratio=False)[0]
     fingerprint = dataset_fingerprint(model.design, model.target)
     return LogLikMatrix(values=out, inverse=inverse, fingerprint=fingerprint)
 
@@ -181,20 +181,6 @@ def _smooth_rows(lw):
     lw[smooth] = smoothed
     pareto_k[smooth] = k[:, 0]
     return pareto_k
-
-
-def psis_smooth(raw_log_weights):
-    """(smoothed log weights, tail shape k) of one vector, by `_smooth_rows`.
-
-    Inputs too small or too flat to fit come back as a copy, with k NaN.
-    """
-    lw = np.asarray(raw_log_weights, dtype=np.float64).ravel()
-    shift = lw.max(initial=-math.inf)  # an empty input passes through
-    out = lw - shift
-    k = _smooth_rows(out[None])[0]
-    if math.isnan(k):
-        return lw.copy(), math.nan
-    return out + shift, float(k)
 
 
 def _psis_block(loglik):

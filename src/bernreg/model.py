@@ -25,7 +25,6 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
-from scipy import special
 
 from .data import DesignMatrix
 from .errors import MismatchError
@@ -149,14 +148,22 @@ def success_probability(link, eta):
     """P(y = 1 | eta) as an array, kept inside (0, 1): the logistic sigmoid in
     its two-branch stable form, or the standard-normal CDF."""
     eta = np.asarray(eta, dtype=np.float64)
+    p = np.empty_like(eta)  # an array even for 0-d eta, so out= works
     if link == LOGIT:
-        z = np.exp(-np.abs(eta))
-        p = np.where(eta >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+        # e = exp(-|eta|); p = 1 / (1 + e) for eta >= 0, else e / (1 + e).
+        np.abs(eta, out=p)
+        np.negative(p, out=p)
+        np.exp(p, out=p)
+        denominator = 1.0 + p
+        np.copyto(p, 1.0, where=eta >= 0)
+        np.divide(p, denominator, out=p)
     elif link == PROBIT:
-        p = special.ndtr(eta)
+        from scipy.special import ndtr
+
+        ndtr(eta, out=p)
     else:
         raise ValueError(f"unknown link {link!r}")
-    return np.clip(p, _TINY, _ONE_MINUS_EPS)
+    return np.clip(p, _TINY, _ONE_MINUS_EPS, out=p)
 
 
 def linear_predictor(beta, design_values):
@@ -169,22 +176,31 @@ def linear_predictor(beta, design_values):
     return beta[..., 0, None] + beta[..., 1:] @ design_values.T
 
 
-def log_cdf_and_ratio(link, margin):
+def log_cdf_and_ratio(link, margin, *, with_ratio=True):
     """(log F(t), f(t) / F(t)) at signed margins t = (2y - 1) * eta: the
-    log-likelihood of each row and the magnitude of its score."""
+    log-likelihood of each row and the magnitude of its score.
+
+    With `with_ratio=False` the ratio is not computed and comes back None;
+    log F(t) is the same either way.
+    """
+    ratio = None
     if link == LOGIT:
         e = np.exp(-np.abs(margin))
         loglik = np.minimum(margin, 0.0) - np.log1p(e)
-        ratio = np.where(margin >= 0.0, e, 1.0) / (1.0 + e)
+        if with_ratio:
+            ratio = np.where(margin >= 0.0, e, 1.0) / (1.0 + e)
     elif link == PROBIT:
+        from scipy.special import log_ndtr, ndtr
+
         # log(ndtr) costs about half of log_ndtr; below t = -5 (Phi < 2.9e-7)
         # log_ndtr takes over, far above where ndtr underflows (t ~ -37).
-        loglik = np.log(special.ndtr(np.maximum(margin, _PROBIT_LOG_CUT)))
+        loglik = np.log(ndtr(np.maximum(margin, _PROBIT_LOG_CUT)))
         deep = margin < _PROBIT_LOG_CUT
         if deep.any():
-            loglik[deep] = special.log_ndtr(margin[deep])
-        # phi / Phi in log space keeps both tails finite.
-        ratio = np.exp(-0.5 * margin * margin - _HALF_LOG_2PI - loglik)
+            loglik[deep] = log_ndtr(margin[deep])
+        if with_ratio:
+            # phi / Phi in log space keeps both tails finite.
+            ratio = np.exp(-0.5 * margin * margin - _HALF_LOG_2PI - loglik)
     else:
         raise ValueError(f"unknown link {link!r}")
     return loglik, ratio

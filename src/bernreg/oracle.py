@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import MismatchError, NumericalError
 
@@ -224,6 +223,8 @@ def exact_loo(model, config):
     Refit i swaps the config seed for substream i of the base seed, so
     results do not depend on refit order and match across reruns.
     """
+    from scipy.special import logsumexp
+
     from .model import ModelSpec, linear_predictor, log_cdf_and_ratio
     from .rngutil import substream_seed
     from .sampler import sample
@@ -244,7 +245,7 @@ def exact_loo(model, config):
         config_i = replace(config, seed=substream_seed(config.seed, i))
         draws = sample(model_i, config_i)
         margin = (2.0 * y[i] - 1.0) * linear_predictor(draws.pooled(), x[i:i + 1])[:, 0]
-        terms = log_cdf_and_ratio(model.link, margin)[0]
+        terms = log_cdf_and_ratio(model.link, margin, with_ratio=False)[0]
         lpds.append(float(logsumexp(terms) - math.log(len(terms))))
     return math.fsum(lpds)
 

@@ -3,17 +3,20 @@
 Probability scale summarizes the success probability draws directly;
 outcome scale draws one 0/1 outcome per posterior draw from one uniform
 stream, substream 0 of the seed: with S posterior draws, row r reads
-uniforms [r * S, (r + 1) * S) of it. A block of rows starts its own
-generator on that stream and advances it to the block's first row, so a
-row's result depends on its position alone, not on the blocking or on how
-many rows are scored. Row statistics are weighted-
-mixture statistics over draws (population sd, inverse-ECDF quantiles),
-which makes probability-scale output exactly invariant to duplicating
-the posterior draws and keeps outcome-scale est_error at
-sqrt(p * (1 - p)), inside the binomial bound checked on every row.
+uniforms [r * S, (r + 1) * S) of it. One generator per call reads the
+stream block after block, in row order, with no `advance`, so a row's
+result depends on its position alone, not on the blocking or on how many
+rows are scored. Row statistics are weighted-mixture statistics over
+draws (population sd, inverse-ECDF quantiles), which makes
+probability-scale output exactly invariant to duplicating the posterior
+draws and keeps outcome-scale est_error at sqrt(p * (1 - p)), inside the
+binomial bound checked on every row.
 
 Rows are scored in blocks of about _PREDICT_BLOCK_VALUES link values, so
 the array temporaries stay at a few hundred KB for any number of rows.
+On the probability scale each interval end is selected by its own
+single-kth partition: numpy 2.x selects a single kth with SIMD where the
+CPU has it, but a list of kth in a scalar loop.
 """
 
 import math
@@ -71,17 +74,16 @@ def posterior_predict(draws, values, link, *, scale="outcome", seed=0):
     slopes_t = np.ascontiguousarray(beta[:, 1:].T)
     n_draws = beta.shape[0]
     bound_slack = 1e-12
-    quantile_ids = [_ecdf_index(n_draws, 0.025), _ecdf_index(n_draws, 0.975)]
+    low_id, high_id = _ecdf_index(n_draws, 0.025), _ecdf_index(n_draws, 0.975)
 
     block = max(1, _PREDICT_BLOCK_VALUES // n_draws)
+    rng = substream_rng(seed, 0)
     rows = []
     for start in range(0, values.shape[0], block):
         pi = success_probability(link, values[start:start + block] @ slopes_t + intercept)
         if scale == "probability":
             sample = pi
         else:
-            rng = substream_rng(seed, 0)
-            rng.bit_generator.advance(start * n_draws)
             sample = (rng.random(pi.shape) < pi).astype(np.float64)
         estimate = sample.mean(axis=1)
         est_error = sample.std(axis=1)
@@ -92,12 +94,15 @@ def posterior_predict(draws, values, link, *, scale="outcome", seed=0):
                 "the binomial bound"
             )
         if scale == "probability":
-            sample.partition(quantile_ids, axis=1)
-            lower, upper = sample[:, quantile_ids].T
+            sample.partition(low_id, axis=1)
+            lower = sample[:, low_id].copy()
+            sample.partition(high_id, axis=1)
+            upper = sample[:, high_id]
         else:
             # Order statistic j of 0/1 draws is 1 exactly when j >= #zeros.
             zeros = n_draws - sample.sum(axis=1)
-            lower, upper = (np.array(quantile_ids)[:, None] >= zeros).astype(np.float64)
+            lower = (low_id >= zeros).astype(np.float64)
+            upper = (high_id >= zeros).astype(np.float64)
         for r, fields in enumerate(zip(estimate.tolist(), est_error.tolist(),
                                        lower.tolist(), upper.tolist())):
             rows.append(PredictionRow(start + r, *fields, scale))

@@ -1,14 +1,17 @@
 """Text and JSON rendering of summaries, comparisons, and predictions.
 
 Text tables are fixed-width with right-aligned numbers; undefined
-diagnostics print as NA. All JSON goes through render_json: records
-(summary rows, comparison rows, predictions, checks, run configs)
-serialize as their dataclass fields, NaN becomes null, and the output
-is indented, key-sorted, and holds full-precision values.
+diagnostics print as NA. JSON goes through render_json: records
+(summary rows, comparison rows, checks, run configs) serialize as their
+dataclass fields, NaN becomes null, and the output is indented,
+key-sorted, and holds full-precision values. Prediction JSON, one record
+per scored row, is written directly, row by row, with the bytes
+render_json gives for it: json's indent=2 encoder runs in pure Python.
 """
 
 import json
 import math
+from json.encoder import encode_basestring_ascii
 
 
 def _fmt(value, places, width):
@@ -88,8 +91,34 @@ def render_predictions_text(rows):
     return "\n".join(lines) + "\n"
 
 
+def _json_number(value):
+    """A float or int as render_json writes it: its repr, NaN as null, and
+    infinities as json spells them."""
+    if not isinstance(value, float):
+        return int.__repr__(value)
+    if -math.inf < value < math.inf:
+        return float.__repr__(value)
+    if value != value:
+        return "null"
+    return "Infinity" if value > 0 else "-Infinity"
+
+
 def render_predictions_json(rows):
-    return render_json({"predictions": rows})
+    """render_json({"predictions": rows}), byte for byte, a row at a time."""
+    if not rows:
+        return '{\n  "predictions": []\n}\n'
+    records = [
+        '    {\n'
+        f'      "ci_lower": {_json_number(r.ci_lower)},\n'
+        f'      "ci_upper": {_json_number(r.ci_upper)},\n'
+        f'      "est_error": {_json_number(r.est_error)},\n'
+        f'      "estimate": {_json_number(r.estimate)},\n'
+        f'      "index": {_json_number(r.index)},\n'
+        f'      "scale": {encode_basestring_ascii(r.scale)}\n'
+        '    }'
+        for r in rows
+    ]
+    return '{\n  "predictions": [\n' + ",\n".join(records) + "\n  ]\n}\n"
 
 
 def render_checks_text(checks):

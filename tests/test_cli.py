@@ -928,3 +928,25 @@ class TestStartup:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
+
+    def test_import_and_logit_predict_load_no_scipy(self, logit_dir, score_csv):
+        # scipy is imported where the probit link, the diagnostics and the
+        # oracle call it, so start-up and a logit predict never load it.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        chain = os.path.join(logit_dir, "logit.chain")
+        probe = (
+            "import contextlib, io, sys, bernreg.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = bernreg.cli.main(['predict', {chain!r}, '--data', {score_csv!r}])\n"
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == ["[]", "0 []"]

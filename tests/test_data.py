@@ -348,6 +348,12 @@ class TestEncodeNew:
         clone.categorical["job"] = ["astronaut"] * 3
         with pytest.raises(MismatchError, match="level 'astronaut' was not seen"):
             encode_new(design.metadata(), clone)
+        # Seen levels first: the error names the column and the first unseen level.
+        clone = tiny_table.take(np.arange(4))
+        clone.categorical["job"] = clone.categorical["job"][:2] + ["astronaut", "cosmonaut"]
+        with pytest.raises(MismatchError,
+                           match="^column 'job': level 'astronaut' was not seen in training$"):
+            encode_new(design.metadata(), clone)
 
     def test_column_mismatch_rejected(self, tiny_table):
         design, _ = encode(tiny_table)

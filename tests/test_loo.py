@@ -11,11 +11,11 @@ from bernreg.loo import (
     _LOO_BLOCK,
     LogLikMatrix,
     LooResult,
+    _smooth_rows,
     _stable_tail,
     compare,
     pointwise_loglik,
     psis_loo,
-    psis_smooth,
     tail_length,
 )
 from bernreg.model import ModelSpec, PriorSpec, linear_predictor, log_cdf_and_ratio
@@ -160,6 +160,20 @@ class TestStableTail:
         assert np.array_equal(tail_ids, ref_ids)
         assert np.array_equal(tail, ref_tail, equal_nan=True)
         assert np.array_equal(cutoff, ref_cutoff, equal_nan=True)
+
+
+def psis_smooth(raw_log_weights):
+    """(smoothed log weights, tail shape k) of one vector, by `_smooth_rows`.
+
+    Inputs too small or too flat to fit come back as a copy, with k NaN.
+    """
+    lw = np.asarray(raw_log_weights, dtype=np.float64).ravel()
+    shift = lw.max(initial=-math.inf)  # an empty input passes through
+    out = lw - shift
+    k = _smooth_rows(out[None])[0]
+    if math.isnan(k):
+        return lw.copy(), math.nan
+    return out + shift, float(k)
 
 
 class TestPsisSmooth:

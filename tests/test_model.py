@@ -216,6 +216,14 @@ class TestLogLikelihood:
             assert np.all(terms < 0)
             assert np.all(np.isfinite(ratio))
 
+    @pytest.mark.parametrize("link", ["logit", "probit"])
+    def test_log_cdf_alone_has_the_same_bits(self, link):
+        # LOO asks for log F(t) only; it must be the posterior's log F(t).
+        margin = np.linspace(-45.0, 45.0, 901)
+        terms, ratio = log_cdf_and_ratio(link, margin)
+        alone, no_ratio = log_cdf_and_ratio(link, margin, with_ratio=False)
+        assert np.array_equal(alone, terms) and no_ratio is None and ratio is not None
+
     def test_probit_deep_tail_matches_reference(self):
         terms, _ = log_cdf_and_ratio("probit", np.array([-40.0, -10.0]))
         assert abs(terms[0] - LOG_PHI_MINUS_40) < 1e-9 * abs(LOG_PHI_MINUS_40)

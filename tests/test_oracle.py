@@ -164,13 +164,31 @@ def _bernreg_imports(tree):
     return {name.split(".")[1] for name in dotted if name.startswith("bernreg.")}
 
 
+def _import_time_packages(tree):
+    """Top-level packages a parsed module imports when it is loaded: every
+    import outside a function body, at any depth of the module's statements."""
+    packages = set()
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            packages |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            packages.add(node.module.split(".")[0])
+        pending.extend(ast.iter_child_nodes(node))
+    return packages
+
+
 def test_library_modules_do_not_import_the_sampler():
     """The modules that the commands share reach neither the sampler nor the
-    verification and command layers, even inside a function."""
+    verification and command layers, even inside a function; and no module
+    of the package loads scipy when it is imported, only where it is called."""
     package = pathlib.Path(bernreg.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")}
     reached = {
-        module: _bernreg_imports(ast.parse((package / f"{module}.py").read_text()))
-        & {"sampler", "oracle", "cli"}
+        module: _bernreg_imports(trees[module]) & {"sampler", "oracle", "cli"}
         for module in ("data", "model", "loo", "diagnostics", "predict", "report",
                        "rngutil", "errors")
     }
@@ -178,3 +196,14 @@ def test_library_modules_do_not_import_the_sampler():
     # The parser sees both import forms, at module level and in a function.
     probe = ast.parse("from . import cli\ndef f():\n    import bernreg.sampler\n")
     assert _bernreg_imports(probe) == {"cli", "sampler"}
+
+    assert {"model", "diagnostics", "oracle", "cli"} <= trees.keys()
+    loads_scipy = sorted(m for m, tree in trees.items() if "scipy" in _import_time_packages(tree))
+    assert loads_scipy == []
+    # Module level means outside any function, even under `if` or in a class.
+    probe = ast.parse(
+        "import numpy as np\nif True:\n    from scipy import special\n"
+        "class C:\n    import json\n"
+        "def f():\n    from scipy.special import ndtr\n    import math\n"
+    )
+    assert _import_time_packages(probe) == {"numpy", "scipy", "json"}

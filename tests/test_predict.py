@@ -8,7 +8,7 @@ from bernreg import predict
 from bernreg.errors import MismatchError, NumericalError
 from bernreg.model import success_probability
 from bernreg.predict import PredictionRow, _ecdf_index, posterior_predict
-from bernreg.report import render_predictions_json
+from bernreg.report import render_json, render_predictions_json
 from bernreg.rngutil import substream_rng
 
 from conftest import make_draws
@@ -96,6 +96,25 @@ class TestProbabilityScale:
         a = posterior_predict(draws, np.empty((1, 0)), "logit", scale="probability")[0]
         b = posterior_predict(draws, np.empty((1, 0)), "probit", scale="probability")[0]
         assert a.estimate != b.estimate
+
+
+    @pytest.mark.parametrize("link", ["logit", "probit"])
+    @pytest.mark.parametrize("n_draws", [1, 10, 200, 2000])
+    def test_interval_is_exact_order_statistics(self, link, n_draws):
+        # Each bound is selected by its own partition: the same values as
+        # indexing a full sort, bit for bit.
+        rng = np.random.default_rng(n_draws)
+        arr = rng.normal([0.3, -0.8], 0.7, size=(n_draws, 2))
+        arr[1::5] = arr[0::5][: len(arr[1::5])]  # repeated draws
+        draws = make_draws(arr.reshape(1, n_draws, 2), ("Intercept", "x1"))
+        block_rows = max(1, predict._PREDICT_BLOCK_VALUES // n_draws)
+        values = rng.standard_normal((block_rows + 3, 1)) * 3.0
+        rows = posterior_predict(draws, values, link, scale="probability")
+        eta = arr[:, 0] + np.outer(values[:, 0], arr[:, 1])
+        ordered = np.sort(success_probability(link, eta), axis=1)
+        low, high = _ecdf_index(n_draws, 0.025), _ecdf_index(n_draws, 0.975)
+        assert [r.ci_lower for r in rows] == ordered[:, low].tolist()
+        assert [r.ci_upper for r in rows] == ordered[:, high].tolist()
 
 
 class TestOutcomeScale:
@@ -259,3 +278,24 @@ class TestValidation:
         row = PredictionRow(0, 0.5, 0.1, 0.3, 0.7, "probability")
         d = json.loads(render_predictions_json([row]))["predictions"][0]
         assert d["estimate"] == 0.5 and d["scale"] == "probability"
+
+
+class TestPredictionJson:
+    """render_predictions_json writes the rows itself, with render_json's bytes."""
+
+    @pytest.mark.parametrize("values", [
+        [0.25, 0.4330127018922193, 0.0, 1.0],
+        [math.nan, math.nan, math.nan, math.nan],
+        [math.inf, -math.inf, 0.0, 1.0],
+        [5e-324, 1e16, -0.0, 0.1 + 0.2],
+        [np.float64(1 / 3), np.float64(math.nan), np.float64(-math.inf), 2.5e-7],
+    ], ids=["ordinary", "nan", "infinite", "extremes", "numpy-floats"])
+    def test_same_bytes_as_render_json(self, values):
+        rows = [PredictionRow(i, *np.roll(values, i).tolist(), scale)
+                for i, scale in enumerate(["outcome", "probability", "outcome"])]
+        rows.append(PredictionRow(3, *values, "probability"))  # unconverted numpy values
+        assert render_predictions_json(rows) == render_json({"predictions": rows})
+
+    def test_empty_list(self):
+        assert render_predictions_json([]) == render_json({"predictions": []})
+        assert render_predictions_json([]) == '{\n  "predictions": []\n}\n'
