@@ -10,6 +10,7 @@ error raised (see `errors`).
 import argparse
 import dataclasses
 import datetime
+import json
 import os
 import sys
 
@@ -228,9 +229,18 @@ def cmd_diagnose(args):
     return EXIT_OK
 
 
-def _rebuild_model(header, table):
-    """Recreate the training design a chain file header describes."""
-    design, target, _, _ = _training_set(table, header["dataset"]["pipeline"])
+def _rebuild_model(header, table, training_sets):
+    """Recreate the training design a chain file header describes.
+
+    `training_sets` holds the (design, target) of each pipeline built so
+    far, keyed by its sorted JSON, so fits of one pipeline share one build.
+    The stored design and fingerprint are checked for every header.
+    """
+    pipeline = header["dataset"]["pipeline"]
+    key = json.dumps(pipeline, sort_keys=True)
+    if key not in training_sets:
+        training_sets[key] = _training_set(table, pipeline)[:2]
+    design, target = training_sets[key]
     if design.metadata() != header["model"]["design"]:
         raise MismatchError(
             "rebuilt design does not match the design stored in the chain file; "
@@ -257,10 +267,11 @@ def cmd_compare(args):
             + ", ".join(sorted(map(repr, delimiters)))
         )
     table = parse_dataset(args.data, delimiters.pop())
+    training_sets = {}
     results = {}
     total_high_k = 0
     for draws, header in fits:
-        model = _rebuild_model(header, table)
+        model = _rebuild_model(header, table, training_sets)
         # No name holds the S x D matrix, so it is freed before the next one.
         loo_result = psis_loo(pointwise_loglik(draws, model))
         total_high_k += loo_result.n_high_k

@@ -1,7 +1,9 @@
 """Delimited-file parsing, sampling, class balancing, and design encoding.
 
 The expected input is the 21-column direct-marketing table: ten categorical
-predictors, ten numeric predictors, and a yes/no response. Categorical
+predictors, ten numeric predictors, and a yes/no response. A parsed table
+holds one string per level of each categorical column, shared by every
+row of that level, and one float64 array per numeric column. Categorical
 columns are label-encoded (codes 1..L in lexicographic level order, one
 column per predictor) and all predictor columns are optionally standardized;
 the resulting design matrix keeps enough metadata to encode new rows the
@@ -11,6 +13,7 @@ same way later.
 import csv
 import hashlib
 import io
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,8 +82,9 @@ class RecordTable:
     def take(self, indices):
         """New table holding the given row positions, in the given order."""
         idx = np.asarray(indices, dtype=np.int64)
+        rows = idx.tolist()
         return RecordTable(
-            categorical={k: [v[i] for i in idx] for k, v in self.categorical.items()},
+            categorical={k: [v[i] for i in rows] for k, v in self.categorical.items()},
             numeric={k: v[idx] for k, v in self.numeric.items()},
             target=self.target[idx],
             source_indices=self.source_indices[idx],
@@ -130,8 +134,9 @@ def _read_table(source, delimiter, columns, categorical, require_target):
         pos = {c: names.index(c) for c in names}
 
         cat = {c: [] for c in columns if c in categorical}
-        num = {c: [] for c in columns if c not in categorical}
-        cat_fields = [(pos[c], cat[c].append) for c in cat]
+        num = {c: array("d") for c in columns if c not in categorical}
+        # One dict per column maps each level's text to its first copy.
+        cat_fields = [(pos[c], {}.setdefault, cat[c].append) for c in cat]
         num_fields = [(pos[c], c, num[c].append) for c in num]
         target_pos = pos.get(TARGET_COLUMN)
         target = []
@@ -142,8 +147,9 @@ def _read_table(source, delimiter, columns, categorical, require_target):
                 raise DataError(
                     f"row {row_number}: expected {len(names)} fields, got {len(row)}"
                 )
-            for i, append in cat_fields:
-                append(row[i].strip())
+            for i, level, append in cat_fields:
+                text = row[i].strip()
+                append(level(text, text))
             for i, c, append in num_fields:
                 text = row[i].strip()
                 try:
@@ -166,7 +172,7 @@ def _read_table(source, delimiter, columns, categorical, require_target):
 
     return RecordTable(
         categorical=cat,
-        numeric={c: np.asarray(v, dtype=np.float64) for c, v in num.items()},
+        numeric={c: np.frombuffer(v, dtype=np.float64) for c, v in num.items()},
         target=np.asarray(target, dtype=np.int8),
         source_indices=np.arange(len(target), dtype=np.int64),
         predictor_order=tuple(columns),

@@ -86,7 +86,10 @@ def posterior_predict(draws, values, link, *, scale="outcome", seed=0):
         else:
             sample = (rng.random(pi.shape) < pi).astype(np.float64)
         estimate = sample.mean(axis=1)
-        est_error = sample.std(axis=1)
+        # sample.std(axis=1) op for op, reusing the mean instead of summing again.
+        deviation = sample - estimate[:, None]
+        np.multiply(deviation, deviation, out=deviation)
+        est_error = np.sqrt(deviation.sum(axis=1) / n_draws)
         over = est_error**2 > estimate * (1.0 - estimate) + 1.0 / n_draws + bound_slack
         if over.any():
             raise NumericalError(

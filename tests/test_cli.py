@@ -339,6 +339,34 @@ class TestCompare:
         names = {r["name"] for r in payload["rows"]}
         assert names == {"logit_model", "logit_model_2"}
 
+    def test_fits_of_one_pipeline_share_one_training_set(
+        self, logit_dir, probit_dir, small_bank_csv, monkeypatch
+    ):
+        calls = []
+        prepare = cli.prepare_training_table
+
+        def counted(*args):
+            calls.append(args[1:])
+            return prepare(*args)
+
+        monkeypatch.setattr(cli, "prepare_training_table", counted)
+        chains = [os.path.join(logit_dir, "logit.chain"),
+                  os.path.join(probit_dir, "probit.chain")]
+        assert main(["compare", *chains, "--data", small_bank_csv]) == EXIT_OK
+        assert len(calls) == 1
+
+    def test_shared_training_set_still_checks_each_fingerprint(
+        self, logit_dir, small_bank_csv, tmp_path, capsys
+    ):
+        chain = os.path.join(logit_dir, "logit.chain")
+
+        def tamper(header):
+            header["dataset"]["fingerprint"] = "0" * 16
+
+        other = _rewrite_header(chain, str(tmp_path / "other.chain"), tamper)
+        assert main(["compare", chain, other, "--data", small_bank_csv]) == EXIT_MISMATCH
+        assert f"differs from stored {'0' * 16}" in capsys.readouterr().err
+
     def test_previous_loglik_matrix_freed_before_next(
         self, logit_dir, probit_dir, small_bank_csv, tmp_path, monkeypatch
     ):

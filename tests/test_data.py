@@ -1,5 +1,6 @@
 import io
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,14 @@ def tiny_csv(tmp_path_factory):
 @pytest.fixture(scope="module")
 def tiny_table(tiny_csv):
     return parse_dataset(tiny_csv, delimiter=";")
+
+
+@pytest.fixture(scope="module")
+def bank_5000_csv(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("bank5000")
+    return bankgen.write_bank_csv(
+        os.path.join(str(directory), "bank5000.csv"), n_rows=5000, seed=5
+    )
 
 
 def _csv_lines(path):
@@ -153,6 +162,26 @@ class TestParse:
             assert back.categorical[column] == tiny_table.categorical[column]
         for column in NUMERIC_COLUMNS:
             assert np.array_equal(back.numeric[column], tiny_table.numeric[column])
+
+
+class TestParseMemory:
+    def test_one_string_object_per_level(self, bank_5000_csv):
+        table = parse_dataset(bank_5000_csv, delimiter=";")
+        for column in CATEGORICAL_COLUMNS:
+            values = table.categorical[column]
+            assert len({id(v) for v in values}) == len(set(values))
+
+    def test_table_bytes_per_row(self, bank_5000_csv):
+        # Shared level strings and float64 buffers: no Python object per cell.
+        tracemalloc.start()
+        try:
+            table = parse_dataset(bank_5000_csv, delimiter=";")
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.n_rows == 5000
+        assert retained / 5000 < 300
+        assert peak / 5000 < 400
 
 
 class TestSampling:

@@ -230,6 +230,22 @@ class TestBlocksAgainstRowLoop:
         else:
             np.testing.assert_allclose(np.array(got), np.array(expected), rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("link", ["logit", "probit"])
+    @pytest.mark.parametrize("scale", ["outcome", "probability"])
+    def test_est_error_has_the_bits_of_std(self, link, scale):
+        # est_error reuses the block's mean; it must equal sample.std(axis=1).
+        rng = np.random.default_rng(31)
+        n_draws = 2000
+        arr = rng.normal([0.2, -0.6], 0.5, size=(n_draws, 2))
+        draws = make_draws(arr.reshape(2, n_draws // 2, 2), ("Intercept", "x1"))
+        values = rng.standard_normal((2 * (predict._PREDICT_BLOCK_VALUES // n_draws) + 3, 1))
+        rows = posterior_predict(draws, values, link, scale=scale, seed=13)
+        sample = success_probability(link, arr[:, 0] + np.outer(values[:, 0], arr[:, 1]))
+        if scale == "outcome":
+            uniforms = substream_rng(13, 0).random(sample.shape)
+            sample = (uniforms < sample).astype(np.float64)
+        assert [r.est_error for r in rows] == sample.std(axis=1).tolist()
+
     @pytest.mark.parametrize("rows_per_block", [1, 3, 7])
     def test_smaller_blocks_change_no_row(self, monkeypatch, rows_per_block):
         rng = np.random.default_rng(29)
