@@ -6,10 +6,11 @@ are replaced by normal scores of their average ranks (with the (r - 3/8)
 numpy and exact in float64), and the classic between/within ratio is
 computed on the scores. Effective sample size divides total draws by an
 autocorrelation time estimated with Geyer's initial-positive and
-monotone truncation rules from FFT autocovariances (the O(n^2) direct
-sum is kept in the oracle module as the reference); the tail variant takes the smaller ESS of the
-0.05/0.95 exceedance indicators. Constant input raises Degenerate, and
-the summary layer reports those fields as NA instead of inventing 1.00.
+monotone truncation rules from FFT autocovariances (the tests keep the
+O(n^2) direct sum as the reference); the tail variant takes the smaller
+ESS of the 0.05/0.95 exceedance indicators. Constant input raises
+Degenerate, and the summary layer reports those fields as NA instead of
+inventing 1.00.
 """
 
 import math

@@ -49,6 +49,8 @@ class PriorSpec:
     slope_sd: float
 
     def __post_init__(self):
+        if not all(math.isfinite(value) for value in vars(self).values()):
+            raise ValueError("prior means and standard deviations must be finite")
         if not (self.intercept_sd > 0 and self.slope_sd > 0):
             raise ValueError("prior standard deviations must be positive")
 

@@ -4,11 +4,9 @@ The references are deliberately naive: plain Python loops, math-module
 scalar functions, fsum accumulation, no shared code with the modules
 being validated. The grid integrator handles at most three parameters
 and re-integrates on widened axes as a self-check; the finite-difference
-gradient is a plain central difference; the autocovariance is a direct
-sum over every lag, the reference for the diagnostics' FFT path.
-`exact_loo`, the reference for PSIS-LOO, refits the model with the
-sampler once per observation left out: it is independent of PSIS, not
-of NUTS.
+gradient is a plain central difference. `exact_loo`, the reference for
+PSIS-LOO, refits the model with the sampler once per observation left
+out: it is independent of PSIS, not of NUTS.
 """
 
 import itertools
@@ -59,16 +57,6 @@ def finite_diff_gradient(fn, point, h=1e-5):
             )
         out.append((f_plus - f_minus) / (2.0 * h))
     return np.asarray(out)
-
-
-def autocovariance_direct(x):
-    """Biased autocovariance at every lag by direct O(n^2) summation."""
-    n = len(x)
-    centered = x - x.mean()
-    out = np.empty(n)
-    for lag in range(n):
-        out[lag] = np.dot(centered[: n - lag], centered[lag:]) / n
-    return out
 
 
 def _log_sigmoid(eta):

@@ -16,8 +16,9 @@ iteration. A target whose -H is not positive definite, or that is not
 finite at the origin, fails before any chain runs; every bernreg model is
 log-concave. Momenta are drawn as r = L^-T z, so r ~ N(0, Sigma^-1), and
 the velocity Sigma r drives the leapfrog position update, the kinetic
-energy r^T Sigma r / 2 and the U-turn checks; each subtree keeps the
-velocities of its two ends for those checks.
+energy r^T Sigma r / 2 and the U-turn checks. Each transition builds its
+tree with a closure over the transition's state, and every subtree keeps
+its two ends as (theta, r, v, grad) tuples for growth and those checks.
 
 Chain c draws from substream c of the configured seed, so any chain's
 output is independent of how many chains run, of thread count, and of
@@ -111,43 +112,20 @@ class PosteriorDraws:
         return self.draws.reshape(-1, self.draws.shape[2])
 
 
-class _Stats:
-    """Acceptance statistic accumulated over every leapfrog leaf."""
-
-    __slots__ = ("alpha_sum", "n")
-
-    def __init__(self):
-        self.alpha_sum = 0.0
-        self.n = 0
-
-    def add(self, log_weight):
-        self.alpha_sum += math.exp(min(0.0, log_weight))
-        self.n += 1
-
-    @property
-    def mean(self):
-        return self.alpha_sum / self.n if self.n else 0.0
-
-
 class _Subtree:
-    __slots__ = (
-        "theta_m", "r_m", "v_m", "grad_m", "theta_p", "r_p", "v_p", "grad_p",
-        "theta_prop", "logp_prop", "grad_prop", "log_w", "r_sum",
-        "divergent", "turning",
-    )
+    """Its two ends as (theta, r, v, grad), its proposal as (theta, logp,
+    grad), its log weight and momentum sum, and whether it must stop."""
 
+    __slots__ = ("minus", "plus", "prop", "log_w", "r_sum", "divergent", "turning")
 
-def _leaf(theta, r, v, logp, grad, log_w, divergent):
-    leaf = _Subtree()
-    leaf.theta_m = leaf.theta_p = leaf.theta_prop = theta
-    leaf.r_m = leaf.r_p = leaf.r_sum = r
-    leaf.v_m = leaf.v_p = v
-    leaf.grad_m = leaf.grad_p = leaf.grad_prop = grad
-    leaf.logp_prop = logp
-    leaf.log_w = log_w
-    leaf.divergent = divergent
-    leaf.turning = False
-    return leaf
+    def __init__(self, theta, r, v, logp, grad, log_w, divergent):
+        """A leaf: one state is both ends and the proposal."""
+        self.minus = self.plus = (theta, r, v, grad)
+        self.prop = (theta, logp, grad)
+        self.log_w = log_w
+        self.r_sum = r
+        self.divergent = divergent
+        self.turning = False
 
 
 def _momentum(rng, chol):
@@ -174,10 +152,8 @@ def _uturn(rho, v_first, v_last):
 
 
 def _end(tree, direction):
-    """(theta, r, grad) at the tree's end in `direction`, where it grows."""
-    if direction > 0:
-        return tree.theta_p, tree.r_p, tree.grad_p
-    return tree.theta_m, tree.r_m, tree.grad_m
+    """The end tuple in `direction`, where the tree grows."""
+    return tree.plus if direction > 0 else tree.minus
 
 
 def _merge(old, new, direction, biased, rng):
@@ -191,69 +167,66 @@ def _merge(old, new, direction, biased, rng):
         p_new = math.exp(new.log_w - log_w) if np.isfinite(log_w) else 0.0
     chosen = new if rng.random() < p_new else old
 
-    merged = _Subtree()
-    merged.theta_m, merged.r_m, merged.grad_m = left.theta_m, left.r_m, left.grad_m
-    merged.theta_p, merged.r_p, merged.grad_p = right.theta_p, right.r_p, right.grad_p
-    merged.v_m, merged.v_p = left.v_m, right.v_p
-    merged.theta_prop = chosen.theta_prop
-    merged.logp_prop = chosen.logp_prop
-    merged.grad_prop = chosen.grad_prop
+    merged = _Subtree.__new__(_Subtree)
+    merged.minus, merged.plus, merged.prop = left.minus, right.plus, chosen.prop
     merged.log_w = float(log_w)
     merged.r_sum = left.r_sum + right.r_sum
     merged.divergent = False
+    (_, r_lp, v_lp, _), (_, r_rm, v_rm, _) = left.plus, right.minus
+    v_first, v_last = left.minus[2], right.plus[2]
     # Whole-trajectory check plus the two cross-subtree checks.
     merged.turning = (
-        _uturn(merged.r_sum, left.v_m, right.v_p)
-        or _uturn(left.r_sum + right.r_m, left.v_m, right.v_m)
-        or _uturn(left.r_p + right.r_sum, left.v_p, right.v_p)
+        _uturn(merged.r_sum, v_first, v_last)
+        or _uturn(left.r_sum + r_rm, v_first, v_rm)
+        or _uturn(r_lp + right.r_sum, v_lp, v_last)
     )
     return merged
-
-
-def _build(target, depth, direction, theta, r, grad, h0, eps, metric, rng, stats):
-    if depth == 0:
-        theta1, r1, logp1, grad1 = _leapfrog(
-            target, theta, r, grad, direction * eps, metric
-        )
-        v1 = metric @ r1
-        h1 = _hamiltonian(logp1, r1, v1)
-        log_w = h1 - h0
-        bad = not (math.isfinite(h1) and np.all(np.isfinite(grad1)))
-        divergent = bad or (h0 - h1) > DIVERGENCE_THRESHOLD
-        stats.add(-math.inf if bad else log_w)
-        return _leaf(theta1, r1, v1, logp1, grad1, -math.inf if bad else log_w, divergent)
-
-    first = _build(
-        target, depth - 1, direction, theta, r, grad, h0, eps, metric, rng, stats
-    )
-    if first.divergent or first.turning:
-        return first
-    second = _build(
-        target, depth - 1, direction, *_end(first, direction), h0, eps, metric, rng, stats
-    )
-    if second.divergent or second.turning:
-        first.divergent = second.divergent
-        first.turning = second.turning
-        return first
-    return _merge(first, second, direction, False, rng)
 
 
 def _nuts_step(target, theta, logp, grad, eps, metric, chol, rng, max_depth):
     """One transition; returns (theta, logp, grad, divergent, mean_alpha).
 
-    `chol` is the lower Cholesky factor of `metric`.
+    `chol` is the lower Cholesky factor of `metric`. The acceptance
+    statistic is averaged over every leapfrog leaf in the order built.
     """
     r0 = _momentum(rng, chol)
     v0 = metric @ r0
     h0 = _hamiltonian(logp, r0, v0)
-    tree = _leaf(theta, r0, v0, logp, grad, 0.0, False)
-    stats = _Stats()
+    alpha_sum = 0.0
+    n_leaves = 0
+
+    def build(depth, direction, end):
+        """The subtree of 2**depth leapfrog steps from `end` in `direction`."""
+        nonlocal alpha_sum, n_leaves
+        if depth == 0:
+            theta0, r, _, grad0 = end
+            theta1, r1, logp1, grad1 = _leapfrog(
+                target, theta0, r, grad0, direction * eps, metric
+            )
+            v1 = metric @ r1
+            h1 = _hamiltonian(logp1, r1, v1)
+            bad = not (math.isfinite(h1) and np.all(np.isfinite(grad1)))
+            log_w = -math.inf if bad else h1 - h0
+            alpha_sum += math.exp(min(0.0, log_w))
+            n_leaves += 1
+            divergent = bad or (h0 - h1) > DIVERGENCE_THRESHOLD
+            return _Subtree(theta1, r1, v1, logp1, grad1, log_w, divergent)
+
+        first = build(depth - 1, direction, end)
+        if first.divergent or first.turning:
+            return first
+        second = build(depth - 1, direction, _end(first, direction))
+        if second.divergent or second.turning:
+            first.divergent = second.divergent
+            first.turning = second.turning
+            return first
+        return _merge(first, second, direction, False, rng)
+
+    tree = _Subtree(theta, r0, v0, logp, grad, 0.0, False)
     divergent = False
     for depth in range(max_depth):
         direction = 1 if rng.random() < 0.5 else -1
-        sub = _build(
-            target, depth, direction, *_end(tree, direction), h0, eps, metric, rng, stats
-        )
+        sub = build(depth, direction, _end(tree, direction))
         if sub.divergent:
             divergent = True
             break
@@ -262,7 +235,8 @@ def _nuts_step(target, theta, logp, grad, eps, metric, chol, rng, max_depth):
         tree = _merge(tree, sub, direction, True, rng)
         if tree.turning:
             break
-    return tree.theta_prop, tree.logp_prop, tree.grad_prop, divergent, stats.mean
+    mean_alpha = alpha_sum / n_leaves if n_leaves else 0.0
+    return (*tree.prop, divergent, mean_alpha)
 
 
 class _DualAveraging:

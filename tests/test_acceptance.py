@@ -28,19 +28,17 @@ import conftest
 from conftest import make_draws
 
 from bernreg.cli import main
-from bernreg.data import DesignMatrix, encode, parse_dataset, prepare_training_table
+from bernreg.data import encode, parse_dataset, prepare_training_table
 from bernreg.diagnostics import ess_bulk, ess_tail, split_rhat, summarize
 from bernreg.loo import compare, pointwise_loglik, psis_loo
 from bernreg.model import (
     ModelSpec,
-    PriorSpec,
     default_priors,
-    linear_predictor,
     log_posterior_and_gradient,
-    success_probability,
 )
 from bernreg.oracle import (
     GridSpec,
+    _synthetic_model,
     exact_loo,
     finite_diff_gradient,
     grid_posterior_moments,
@@ -65,22 +63,6 @@ def _verdict(name, passed, detail):
     print(line)
     conftest.ACCEPTANCE_LINES.append(line)
     return passed
-
-
-def _random_model(link, n_rows, n_slopes, seed, prior=None):
-    """Small logistic-truth dataset for oracle comparisons."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    x = rng.standard_normal((n_rows, n_slopes))
-    truth = rng.normal(0.0, 0.8, n_slopes + 1)
-    prob = success_probability("logit", linear_predictor(truth, x))
-    y = (rng.random(n_rows) < prob).astype(np.float64)
-    if y.min() == y.max():
-        y[0] = 1.0 - y[0]
-    if prior is None:
-        prior = PriorSpec(0.0, 2.0, 0.0, 2.0)
-    return ModelSpec(
-        link=link, prior=prior, design=DesignMatrix.from_values(x), target=y
-    )
 
 
 @pytest.fixture(scope="session")
@@ -114,7 +96,7 @@ class TestGradientCorrectness:
             for _ in range(100):
                 n_rows = int(rng.integers(5, 51))
                 n_slopes = int(rng.integers(1, 6))
-                model = _random_model(
+                model = _synthetic_model(
                     link, n_rows, n_slopes, int(rng.integers(2**32))
                 )
                 beta = rng.normal(0.0, 2.0, n_slopes + 1)
@@ -134,7 +116,7 @@ class TestGradientCorrectness:
 
 class TestSamplerAgainstQuadrature:
     def test_two_parameter_moments_match_grid_integration(self):
-        model = _random_model("logit", 50, 1, seed=7)
+        model = _synthetic_model("logit", 50, 1, seed=7)
         draws = sample(
             model, SamplerConfig(n_chains=4, n_warmup=1000, n_draws=1000, seed=42)
         )
@@ -172,7 +154,7 @@ class TestSamplerAgainstQuadrature:
 
 class TestLooAgainstExactRefits:
     def test_importance_sampling_matches_refit_per_observation(self):
-        model = _random_model(
+        model = _synthetic_model(
             "logit", 100, 1, seed=11, prior=default_priors("logit")
         )
         config = SamplerConfig(n_chains=2, n_warmup=300, n_draws=400, seed=1)

@@ -6,6 +6,7 @@ import dataclasses
 import datetime
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -605,6 +606,8 @@ class TestUsageErrors:
             (["--subsample", "5000"], EXIT_DATA),
             (["--draws", "3"], EXIT_USAGE),
             (["--threads", "0"], EXIT_USAGE),
+            (["--prior-slopes", "0", "inf"], EXIT_USAGE),
+            (["--prior-intercept", "nan", "1"], EXIT_USAGE),
         ],
     )
     def test_rejected_fit_writes_nothing(self, small_bank_csv, tmp_path, extra, expected):
@@ -840,6 +843,23 @@ class TestChainHeaderKeys:
             err = capsys.readouterr().err
             assert err.startswith("error:") and err.count("\n") == 1
             assert dotted in err, argv[0]
+
+    @pytest.mark.parametrize("key, value", [("slope_sd", math.inf),
+                                            ("intercept_mean", math.nan)])
+    def test_non_finite_stored_prior_exits_2(
+        self, logit_dir, probit_dir, small_bank_csv, tmp_path, capsys, key, value
+    ):
+        def spoil(header):
+            header["model"]["prior"][key] = value
+
+        chain = _rewrite_header(os.path.join(logit_dir, "logit.chain"),
+                                str(tmp_path / "spoiled.chain"), spoil)
+        code = main(["compare", os.path.join(probit_dir, "probit.chain"), chain,
+                     "--data", small_bank_csv])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: prior means and standard deviations must be finite\n"
+        )
 
     def test_multi_character_stored_delimiter_exits_2(
         self, logit_dir, probit_dir, small_bank_csv, tmp_path, capsys

@@ -15,12 +15,22 @@ from bernreg.diagnostics import (
     summarize,
 )
 from bernreg.errors import Degenerate, NumericalError
-from bernreg.oracle import autocovariance_direct
 from bernreg.report import render_summary_json
 
 from conftest import make_draws
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
+def autocovariance_direct(x):
+    """Biased autocovariance at every lag by direct O(n^2) summation: the
+    reference for `diagnostics._autocovariance_fft`."""
+    n = len(x)
+    centered = x - x.mean()
+    out = np.empty(n)
+    for lag in range(n):
+        out[lag] = np.dot(centered[: n - lag], centered[lag:]) / n
+    return out
 
 
 class TestQuantile:

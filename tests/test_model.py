@@ -140,6 +140,15 @@ class TestPriors:
         with pytest.raises(ValueError):
             PriorSpec(0.0, 1.0, 0.0, -2.0)
 
+    def test_non_finite_value_rejected(self):
+        for field in ("intercept_mean", "intercept_sd", "slope_mean", "slope_sd"):
+            for value in (math.inf, -math.inf, math.nan):
+                values = dict(intercept_mean=0.0, intercept_sd=1.0,
+                              slope_mean=0.0, slope_sd=1.0)
+                values[field] = value
+                with pytest.raises(ValueError, match="finite"):
+                    PriorSpec(**values)
+
     def test_log_prior_single_intercept_at_mean(self):
         # Density of N(3.5, 1) at its mean: -log(sqrt(2 pi)).
         value = _log_prior(np.array([3.5]), PriorSpec(3.5, 1.0, 0.0, 0.5))

@@ -20,6 +20,8 @@ from bernreg.sampler import (
     sample,
 )
 
+import recursive_nuts
+
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
@@ -335,6 +337,70 @@ class TestDivergences:
         target = StandardNormalTarget(2)
         draws = sample(target, SamplerConfig(n_chains=2, n_warmup=300, n_draws=400, seed=21))
         assert sum(draws.divergence_counts) == 0
+
+
+def _pin_case(name):
+    """(target, start, eps, metric, max_depth) for one transition-pin case."""
+    if name == "standard-normal":
+        return StandardNormalTarget(3), np.full(3, 0.5), 0.7, np.eye(3), 10
+    if name == "dense-metric":
+        return CorrelatedNormalTarget(DENSE_METRIC), np.full(3, 0.5), 0.6, DENSE_METRIC, 10
+    if name == "unit-metric":
+        # The metric ignores the correlation, so the cross-subtree checks
+        # decide some merges.
+        return CorrelatedNormalTarget(DENSE_METRIC), np.full(3, 0.5), 0.3, np.eye(3), 10
+    if name == "logit-model":
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((60, 2))
+        y = (rng.random(60) < 1.0 / (1.0 + np.exp(-(0.3 + x @ [0.9, -0.4])))).astype(float)
+        model = ModelSpec("logit", PriorSpec(0.0, 2.0, 0.0, 2.0),
+                          DesignMatrix.from_values(x), y)
+        mode, metric = _laplace(model)
+        return model, mode, 0.9, metric, 10
+    if name == "divergent":
+        return StandardNormalTarget(2), np.full(2, 0.5), 3.0, np.eye(2), 10
+    # A tiny step never turns, so every tree stops at max_depth.
+    return StandardNormalTarget(2), np.full(2, 0.5), 1e-3, np.eye(2), 3
+
+
+def _transitions(step, target, theta, eps, metric, max_depth, seed, n=25):
+    """The bits of n chained transitions of `step` under default_rng(seed),
+    with the generator state after each."""
+    chol = np.linalg.cholesky(metric)
+    rng = np.random.default_rng(seed)
+    logp, grad = target.logp_grad(theta)
+    out = []
+    for _ in range(n):
+        theta, logp, grad, divergent, alpha = step(
+            target, theta, logp, grad, eps, metric, chol, rng, max_depth
+        )
+        out.append((theta.tobytes(), float(logp).hex(), grad.tobytes(), divergent,
+                    float(alpha).hex(), rng.bit_generator.state["state"]))
+    return out
+
+
+class TestTransitionPin:
+    """`_nuts_step` against the recursive tree in `recursive_nuts`, bit for bit."""
+
+    @pytest.mark.parametrize("case", ["standard-normal", "dense-metric", "unit-metric",
+                                      "logit-model", "divergent", "saturated-depth"])
+    def test_matches_the_recursive_tree(self, case):
+        target, start, eps, metric, max_depth = _pin_case(case)
+        divergences = 0
+        for seed in range(4):
+            expected = _transitions(recursive_nuts._nuts_step, target, start, eps,
+                                    metric, max_depth, seed)
+            actual = _transitions(_nuts_step, target, start, eps, metric, max_depth, seed)
+            assert actual == expected
+            divergences += sum(t[3] for t in expected)
+        assert (divergences > 0) == (case == "divergent")
+
+    def test_saturated_case_builds_every_leaf(self):
+        target = CountingTarget(2)
+        _, start, eps, metric, max_depth = _pin_case("saturated-depth")
+        _transitions(_nuts_step, target, start, eps, metric, max_depth, 0, n=5)
+        # One start gradient, then 1 + 2 + 4 leaves per transition.
+        assert target.calls == 1 + 5 * (2**max_depth - 1)
 
 
 class TestLeapfrogReversibility:
