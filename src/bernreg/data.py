@@ -5,9 +5,9 @@ predictors, ten numeric predictors, and a yes/no response. A parsed table
 holds one string per level of each categorical column, shared by every
 row of that level, and one float64 array per numeric column. Categorical
 columns are label-encoded (codes 1..L in lexicographic level order, one
-column per predictor) and all predictor columns are optionally standardized;
-the resulting design matrix keeps enough metadata to encode new rows the
-same way later.
+column per predictor) and all predictor columns are optionally standardized.
+`encode` learns that metadata and `encode_new` applies it, to training rows
+and scored rows alike, so new rows are coded exactly like the fit.
 """
 
 import csv
@@ -384,46 +384,37 @@ class DesignMatrix:
 def encode(table, standardize=True):
     """(DesignMatrix, target) from a record table.
 
-    Categorical codes are 1..L in lexicographic level order. Standardization
+    Categorical codes are 1..L in lexicographic level order, and the rows
+    are coded by `encode_new`, the coder of scored rows. Standardization
     centers and scales by the sample sd (denominator n-1); constant columns
     keep scale 1 and are flagged instead of divided by zero.
     """
     if table.n_rows == 0:
         raise DataError("cannot encode an empty table")
-    n = table.n_rows
-    columns = []
-    encoding_map = {}
-    scaling = {}
+    names = tuple(table.predictor_order)
+    encoding_map = {
+        name: {level: i + 1 for i, level in enumerate(sorted(set(table.categorical[name])))}
+        for name in names if name in table.categorical
+    }
+    scaling = {name: (0.0, 1.0) for name in names}
+    metadata = {"column_names": names, "encoding_map": encoding_map, "scaling": scaling}
+    values = encode_new(metadata, table)
     constants = []
-    for name in table.predictor_order:
-        if name in table.categorical:
-            levels = sorted(set(table.categorical[name]))
-            codes = {level: i + 1 for i, level in enumerate(levels)}
-            encoding_map[name] = codes
-            col = np.asarray([codes[v] for v in table.categorical[name]], dtype=np.float64)
-        else:
-            col = np.asarray(table.numeric[name], dtype=np.float64)
+    for name, col in zip(names, values.T):
         if standardize:
             center = float(col.mean())
-            scale = float(col.std(ddof=1)) if n > 1 else 0.0
+            scale = float(col.std(ddof=1)) if table.n_rows > 1 else 0.0
             if scale == 0.0:
                 scale = 1.0
                 constants.append(name)
-            col = (col - center) / scale
+            col -= center
+            col /= scale
             scaling[name] = (center, scale)
-        else:
-            if np.ptp(col) == 0.0:
-                constants.append(name)
-            scaling[name] = (0.0, 1.0)
-        columns.append(col)
-    design = DesignMatrix(
-        values=np.column_stack(columns) if columns else np.empty((n, 0)),
-        column_names=tuple(table.predictor_order),
-        encoding_map=encoding_map,
-        scaling=scaling,
-        standardized=standardize,
-        constant_columns=tuple(constants),
-    )
+        elif np.ptp(col) == 0.0:
+            constants.append(name)
+    design = DesignMatrix(values=values, column_names=names, encoding_map=encoding_map,
+                          scaling=scaling, standardized=standardize,
+                          constant_columns=tuple(constants))
     return design, table.target.astype(np.float64)
 
 

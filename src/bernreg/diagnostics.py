@@ -2,15 +2,15 @@
 
 Rhat is the rank-normalized split form: chains are halved, pooled draws
 are replaced by normal scores of their average ranks (with the (r - 3/8)
-/ (S + 1/4) offset; ties share the mean of their ranks, computed in
-numpy and exact in float64), and the classic between/within ratio is
-computed on the scores. Effective sample size divides total draws by an
-autocorrelation time estimated with Geyer's initial-positive and
-monotone truncation rules from FFT autocovariances (the tests keep the
-O(n^2) direct sum as the reference); the tail variant takes the smaller
-ESS of the 0.05/0.95 exceedance indicators. Constant input raises
-Degenerate, and the summary layer reports those fields as NA instead of
-inventing 1.00.
+/ (S + 1/4) offset; ties share the mean of their ranks, exact in
+float64), and the classic between/within ratio is computed on the
+scores, which `summarize` builds once per parameter for bulk ESS too.
+Effective sample size divides total draws by an autocorrelation time
+(Geyer's initial-positive and monotone truncation rules) from one FFT of
+all split chains; the tests keep the O(n^2) direct sum as the reference.
+The tail variant takes the smaller ESS of the 0.05/0.95 exceedance
+indicators. Constant input raises Degenerate, and the summary layer
+reports those fields as NA instead of inventing 1.00.
 """
 
 import math
@@ -53,6 +53,8 @@ def _as_chain_matrix(chains):
         )
     if not np.all(np.isfinite(arr)):
         raise ValueError("chains contain non-finite values")
+    if np.ptp(arr) == 0.0:
+        raise Degenerate("all draws are identical; diagnostic undefined")
     return arr
 
 
@@ -84,38 +86,37 @@ def _rank_normalize(arr):
     return ndtri((ranks.reshape(arr.shape) - 0.375) / (arr.size + 0.25))
 
 
-def _check_degenerate(arr):
-    if np.ptp(arr) == 0.0:
-        raise Degenerate("all draws are identical; diagnostic undefined")
+def _normal_split(chains):
+    """Rank-normalized split chains, the input of R-hat and bulk ESS."""
+    return _rank_normalize(_split_chains(_as_chain_matrix(chains)))
 
 
-def split_rhat(chains):
-    """Rank-normalized split potential scale reduction factor."""
-    arr = _as_chain_matrix(chains)
-    _check_degenerate(arr)
-    split = _rank_normalize(_split_chains(arr))
+def _rhat_from_split(split):
     m, n = split.shape
     within = float(np.mean(np.var(split, axis=1, ddof=1)))
     between = n * float(np.var(np.mean(split, axis=1), ddof=1))
     return math.sqrt(((n - 1.0) / n * within + between / n) / within)
 
 
+def split_rhat(chains):
+    """Rank-normalized split potential scale reduction factor."""
+    return _rhat_from_split(_normal_split(chains))
+
+
 def _autocovariance_fft(x):
+    """Biased autocovariance of each row of x, one FFT along the last axis."""
     from scipy import fft as sp_fft
 
-    n = len(x)
+    n = x.shape[-1]
     m = sp_fft.next_fast_len(2 * n)
-    centered = x - x.mean()
-    spectrum = sp_fft.rfft(centered, m)
-    acov = sp_fft.irfft(spectrum * np.conjugate(spectrum), m)[:n]
-    return np.real(acov) / n
+    spectrum = sp_fft.rfft(x - x.mean(axis=-1, keepdims=True), m)
+    return sp_fft.irfft(spectrum * np.conjugate(spectrum), m)[..., :n] / n
 
 
 def _tau_estimate(split):
     """Autocorrelation time from split chains; Geyer truncation rules."""
     m, n = split.shape
-    acov = np.vstack([_autocovariance_fft(split[c]) for c in range(m)])
-    mean_acov = acov.mean(axis=0)
+    mean_acov = _autocovariance_fft(split).mean(axis=0)
     mean_var = float(mean_acov[0]) * n / (n - 1.0)
     var_plus = mean_var * (n - 1.0) / n
     if m > 1:
@@ -166,16 +167,12 @@ def _ess_from_split(split):
 
 def ess_bulk(chains):
     """Effective sample size of rank-normalized split chains."""
-    arr = _as_chain_matrix(chains)
-    _check_degenerate(arr)
-    split = _rank_normalize(_split_chains(arr))
-    return _ess_from_split(split)
+    return _ess_from_split(_normal_split(chains))
 
 
 def ess_tail(chains):
     """Smaller ESS of the 5% and 95% exceedance indicator chains."""
     arr = _as_chain_matrix(chains)
-    _check_degenerate(arr)
     out = math.inf
     for p in (0.05, 0.95):
         cut = quantile(arr.ravel(), p)
@@ -208,8 +205,9 @@ def summarize(draws):
         estimate = float(pooled.mean())
         est_error = float(pooled.std(ddof=1)) if pooled.size > 1 else 0.0
         try:
-            rhat = split_rhat(chains)
-            bulk = ess_bulk(chains)
+            split = _normal_split(chains)
+            rhat = _rhat_from_split(split)
+            bulk = _ess_from_split(split)
             tail = ess_tail(chains)
         except Degenerate:
             rhat = bulk = tail = float("nan")

@@ -363,6 +363,22 @@ class TestEncodeNew:
         values = encode_new(design.metadata(), tiny_table)
         assert np.allclose(values, design.values, atol=1e-12)
 
+    @pytest.mark.parametrize("standardize", [True, False])
+    @pytest.mark.parametrize("rows", ["all", "constant-columns", "one-row"])
+    def test_training_rows_give_the_training_bytes(self, tiny_table, standardize, rows):
+        # encode codes its rows with encode_new, so scoring the training rows
+        # under the stored metadata reproduces the design bit for bit.
+        table = tiny_table.take(np.arange(1 if rows == "one-row" else tiny_table.n_rows))
+        if rows == "constant-columns":
+            table.numeric["age"] = np.full(table.n_rows, 33.0)
+            table.categorical["job"] = ["admin."] * table.n_rows
+        design, _ = encode(table, standardize=standardize)
+        if rows != "all":
+            assert {"age", "job"} <= set(design.constant_columns)
+        values = encode_new(design.metadata(), table)
+        assert values.dtype == design.values.dtype and values.shape == design.values.shape
+        assert values.tobytes() == design.values.tobytes()
+
     def test_non_positive_stored_scale_rejected_before_dividing(self, tiny_table):
         design, _ = encode(tiny_table, standardize=True)
         for bad in (0.0, -1.0):

@@ -167,7 +167,8 @@ class TestEss:
     def test_fft_matches_direct(self, monkeypatch):
         cases = [_iid_chains(seed, n_draws=500) for seed in range(5)]
         fft = [(ess_bulk(c), ess_tail(c)) for c in cases]
-        monkeypatch.setattr(diagnostics, "_autocovariance_fft", autocovariance_direct)
+        monkeypatch.setattr(diagnostics, "_autocovariance_fft",
+                            lambda rows: np.vstack([autocovariance_direct(r) for r in rows]))
         for chains, (bulk, tail) in zip(cases, fft):
             assert bulk == pytest.approx(ess_bulk(chains), rel=1e-8)
             assert tail == pytest.approx(ess_tail(chains), rel=1e-8)
@@ -178,6 +179,14 @@ class TestEss:
         assert np.allclose(
             _autocovariance_fft(x), autocovariance_direct(x), rtol=1e-8, atol=1e-12
         )
+
+    def test_rows_transformed_together_match_rows_alone(self):
+        rng = np.random.default_rng(14)
+        for m, n in ((2, 50), (5, 301), (16, 1000)):
+            rows = rng.standard_normal((m, n))
+            batched = _autocovariance_fft(rows)
+            for row, acov in zip(rows, batched):
+                assert np.array_equal(acov, _autocovariance_fft(row))
 
     def test_constant_raises(self):
         with pytest.raises(Degenerate):

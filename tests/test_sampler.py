@@ -16,7 +16,6 @@ from bernreg.sampler import (
     _leapfrog,
     _momentum,
     _nuts_step,
-    _warmup_schedule,
     sample,
 )
 
@@ -139,6 +138,15 @@ class TruncatedNormalTarget(StandardNormalTarget):
         return super().logp_grad(theta)
 
 
+class HalfCliffTarget(StandardNormalTarget):
+    """A standard normal with log p = -inf above z = 1."""
+
+    def logp_grad(self, theta):
+        if np.max(theta) > 1.0:
+            return -math.inf, np.zeros(self.dim)
+        return super().logp_grad(theta)
+
+
 def _record_metrics(monkeypatch):
     """Patch _nuts_step to record the (metric, chol) of every transition."""
     seen = []
@@ -174,6 +182,38 @@ class TestConfigValidation:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             SamplerConfig(**kwargs)
+
+
+def _warmup_schedule(n_warmup):
+    """(opening end, metric window ends, closing start), iteration counts.
+
+    Stan's windowed warmup layout: the canonical 75/25-doubling/50 layout
+    applies from 150 iterations up and shrinks proportionally below that;
+    the final window absorbs any remainder too small to double again.
+    The sampler's warmup adapts only the step size, so these tests are
+    the layout's only user.
+    """
+    if n_warmup >= 150:
+        opening, closing, base = 75, 50, 25
+    else:
+        scale = n_warmup / 150.0
+        opening = int(75 * scale)
+        closing = int(50 * scale)
+        base = max(1, int(25 * scale))
+    span = n_warmup - opening - closing
+    if span <= 0:
+        return n_warmup, [], n_warmup
+    ends = []
+    pos = opening
+    width = base
+    while pos < opening + span:
+        end = pos + width
+        if end + 2 * width > opening + span:
+            end = opening + span
+        ends.append(end)
+        pos = end
+        width *= 2
+    return opening, ends, opening + span
 
 
 class TestWarmupSchedule:
@@ -311,27 +351,28 @@ class TestDivergences:
         )
         assert divergent
 
-    def test_divergences_recorded_per_chain(self):
-        # Warmup-free run with an absurd fixed step size: every iteration of
-        # every chain must be flagged.
-        class Fixed(StandardNormalTarget):
-            pass
-
-        target = Fixed(1)
-        config = SamplerConfig(n_chains=2, n_warmup=0, n_draws=5, seed=3)
-
-        # bypass adaptation by sampling with eps from find-reasonable on a
-        # normal target: instead drive _nuts_step directly
-        rng = np.random.default_rng(1)
-        theta = np.zeros(1)
-        logp, grad = target.logp_grad(theta)
+    def test_divergences_recorded_per_chain(self, monkeypatch):
+        # Trajectories that cross the cliff at z = 1 diverge; the others do
+        # not. The spy sees every transition: each chain runs its warmup,
+        # then its draws, and chain 1 runs after chain 0.
+        config = SamplerConfig(n_chains=2, n_warmup=50, n_draws=100, seed=3)
         flags = []
-        for _ in range(5):
-            theta, logp, grad, divergent, _ = _nuts_step(
-                target, theta, logp, grad, 1e8, np.eye(1), np.eye(1), rng, 10
-            )
-            flags.append(divergent)
-        assert all(flags)
+        original = sampler._nuts_step
+
+        def spy(*args):
+            result = original(*args)
+            flags.append(result[3])
+            return result
+
+        monkeypatch.setattr(sampler, "_nuts_step", spy)
+        draws = sample(HalfCliffTarget(1), config)
+        per_chain = config.n_warmup + config.n_draws
+        assert len(flags) == config.n_chains * per_chain
+        for c, recorded in enumerate(draws.divergence_iterations):
+            chain = flags[c * per_chain:(c + 1) * per_chain]
+            warmup, kept = chain[:config.n_warmup], chain[config.n_warmup:]
+            assert any(warmup) and any(kept) and not all(kept)
+            assert recorded == tuple(i for i, divergent in enumerate(kept) if divergent)
 
     def test_healthy_run_has_no_divergences(self):
         target = StandardNormalTarget(2)
