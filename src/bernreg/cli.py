@@ -272,7 +272,7 @@ def cmd_compare(args):
     total_high_k = 0
     for draws, header in fits:
         model = _rebuild_model(header, table, training_sets)
-        # No name holds the S x D matrix, so it is freed before the next one.
+        # No name holds the distinct rows x draws matrix: it is freed before the next.
         loo_result = psis_loo(pointwise_loglik(draws, model))
         total_high_k += loo_result.n_high_k
         base = f"{model.link}_model"

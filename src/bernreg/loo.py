@@ -9,11 +9,12 @@ raw maximum. Small draw counts (S < 25) pass through unsmoothed with the
 shape reported as NaN. Aggregates use the population-variance standard
 error, and comparisons subtract the best model's pointwise values.
 
-`pointwise_loglik` fills an S x D matrix over the model's D distinct
-(x, y) rows with the posterior's kernel (its log F half only), and
-`psis_loo` smooths it in the same _LOO_BLOCK rows at a time, then gives
-each of the N observations its row's results: copies of a row have
-identical columns, so every aggregate stays per observation.
+`pointwise_loglik` fills a D x S matrix, the model's D distinct (x, y)
+rows by the draws, with the posterior's kernel (its log F half only),
+walking `model.row_blocks`. `psis_loo` smooths it in blocks of the same
+`block_rows` rows, each a contiguous slice, then gives each of the N
+observations its row's results: copies of a row have identical rows of
+the matrix, so every aggregate stays per observation.
 """
 
 import math
@@ -23,40 +24,35 @@ import numpy as np
 
 from .data import dataset_fingerprint
 from .errors import MismatchError
-from .model import linear_predictor, log_cdf_and_ratio
+from .model import block_rows, log_cdf_and_ratio, row_blocks
 
 HIGH_K_THRESHOLD = 0.7
 _MIN_TAIL_DRAWS = 25
-# Distinct rows per block, filled by pointwise_loglik and smoothed by
-# psis_loo. At S = 4,000 the block's GPD grid (64 x 43 x 190) is 4 MB
-# and each (64, S) copy 2 MB.
-_LOO_BLOCK = 64
 
 
 @dataclass
 class LogLikMatrix:
-    """Log-likelihood of draws by distinct rows, each observation's row, data identity."""
+    """Log-likelihood of distinct rows by draws, each observation's row, data identity."""
 
     values: np.ndarray
     inverse: np.ndarray
     fingerprint: str
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
+        self.values = np.ascontiguousarray(self.values, dtype=np.float64)
         self.inverse = np.asarray(self.inverse)
         if self.values.ndim != 2:
-            raise ValueError("log-likelihood matrix must be 2-D (draws, distinct rows)")
+            raise ValueError("log-likelihood matrix must be 2-D (distinct rows, draws)")
 
 
 def pointwise_loglik(draws, model):
-    """S x D log-likelihood of the distinct rows over pooled draws, in LOO blocks."""
+    """D x S log-likelihood of the distinct rows over pooled draws, in row blocks."""
     beta = draws.pooled()
     x, sign, _, inverse = model.weighted_rows
-    out = np.empty((beta.shape[0], x.shape[0]))
-    for start in range(0, x.shape[0], _LOO_BLOCK):
-        block = slice(start, start + _LOO_BLOCK)
-        margin = sign[block] * linear_predictor(beta, x[block])
-        out[:, block] = log_cdf_and_ratio(model.link, margin, with_ratio=False)[0]
+    out = np.empty((x.shape[0], beta.shape[0]))
+    for rows, eta in row_blocks(beta, x):
+        eta *= sign[rows, None]
+        out[rows] = log_cdf_and_ratio(model.link, eta, with_ratio=False)[0]
     fingerprint = dataset_fingerprint(model.design, model.target)
     return LogLikMatrix(values=out, inverse=inverse, fingerprint=fingerprint)
 
@@ -241,14 +237,15 @@ def psis_loo(loglik):
     """Smooth each distinct row's weights, give every observation its row's
     results, and aggregate the pointwise elpd over observations.
 
-    Rows are taken _LOO_BLOCK at a time, so the temporaries stay at a few
-    MB whatever D is.
+    Rows are taken `block_rows` at a time, so the temporaries stay at a
+    few MB whatever D is.
     """
     values, inverse = loglik.values, loglik.inverse
-    by_row = np.empty((3, values.shape[1]))  # elpd, lppd and Pareto k
-    for start in range(0, values.shape[1], _LOO_BLOCK):
-        block = slice(start, start + _LOO_BLOCK)
-        by_row[:, block] = _psis_block(np.ascontiguousarray(values[:, block].T))
+    by_row = np.empty((3, values.shape[0]))  # elpd, lppd and Pareto k
+    step = block_rows(values.shape[1])
+    for start in range(0, values.shape[0], step):
+        block = slice(start, start + step)
+        by_row[:, block] = _psis_block(values[block])
     pointwise, lppd, pareto_k = by_row[:, inverse]
     n_obs = inverse.size
     elpd_loo = float(np.sum(pointwise))

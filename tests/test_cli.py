@@ -940,7 +940,7 @@ class TestBenchmarkTracer:
                 "loo.pointwise_loglik", "loo.psis_loo"} <= {s["name"] for s in spans}
         loglik = [s for s in spans if s["name"] == "loo.pointwise_loglik"]
         assert len(loglik) == 2
-        # The benchmark's loo.loglik_mb reads the whole S x D matrix over
+        # The benchmark's loo.loglik_mb reads the whole D x S matrix over
         # the D distinct (x, y) training rows: 122 of the 200 here.
         chains = (os.path.join(logit_dir, "logit.chain"),
                   os.path.join(probit_dir, "probit.chain"))

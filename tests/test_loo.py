@@ -8,7 +8,6 @@ from scipy.special import logsumexp
 
 from bernreg.errors import MismatchError, NumericalError
 from bernreg.loo import (
-    _LOO_BLOCK,
     LogLikMatrix,
     LooResult,
     _smooth_rows,
@@ -18,7 +17,13 @@ from bernreg.loo import (
     psis_loo,
     tail_length,
 )
-from bernreg.model import ModelSpec, PriorSpec, linear_predictor, log_cdf_and_ratio
+from bernreg.model import (
+    ModelSpec,
+    PriorSpec,
+    block_rows,
+    linear_predictor,
+    log_cdf_and_ratio,
+)
 from bernreg.oracle import _synthetic_model, exact_loo
 from bernreg.report import render_comparison_json
 from bernreg.sampler import SamplerConfig, sample
@@ -30,9 +35,22 @@ pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def _per_observation(values, fingerprint):
-    """A log-likelihood matrix whose every column is its own observation."""
-    return LogLikMatrix(values=values, inverse=np.arange(values.shape[1]),
+    """A log-likelihood matrix from (draws, observations) values, whose every
+    observation is its own row."""
+    return LogLikMatrix(values=values.T, inverse=np.arange(values.shape[1]),
                         fingerprint=fingerprint)
+
+
+def _chunked_loglik(draws, model, chunk):
+    """(D, S) pointwise log-likelihood, `chunk` distinct rows at a time."""
+    beta = draws.pooled()
+    x, sign, _, _ = model.weighted_rows
+    out = np.empty((x.shape[0], beta.shape[0]))
+    for start in range(0, x.shape[0], chunk):
+        stop = min(start + chunk, x.shape[0])
+        margin = sign[start:stop, None] * (x[start:stop] @ beta[:, 1:].T + beta[:, 0])
+        out[start:stop] = log_cdf_and_ratio(model.link, margin)[0]
+    return out
 
 
 def _fitted(link="logit", n=40, k=1, seed=3, draws_seed=11):
@@ -45,8 +63,8 @@ class TestPointwiseLoglik:
     def test_matches_naive_per_draw(self):
         model, draws = _fitted(n=15)
         matrix = pointwise_loglik(draws, model)
-        assert matrix.values.shape == (600, 15)
-        by_observation = matrix.values[:, matrix.inverse]
+        assert matrix.values.shape == (15, 600)
+        by_observation = matrix.values[matrix.inverse].T
         pooled = draws.pooled()
         for s in (0, 77, 599):
             expected = np.empty(15)
@@ -66,28 +84,29 @@ class TestPointwiseLoglik:
         pooled = draws.pooled()
         for s in (0, 100):
             total = total_loglik(pooled[s], model)
-            assert matrix.values[s, matrix.inverse].sum() == pytest.approx(total, abs=1e-9)
+            assert matrix.values[matrix.inverse, s].sum() == pytest.approx(total, abs=1e-9)
 
     def test_chunking_invariant(self):
         model, draws = _fitted(n=30)
         full = pointwise_loglik(draws, model).values
+        assert np.array_equal(_chunked_loglik(draws, model, 7), full)
 
-        def tiny_chunks(draws_, model_):
-            beta = draws_.pooled()
-            x, sign, _, _ = model_.weighted_rows
-            out = np.empty((beta.shape[0], x.shape[0]))
-            for start in range(0, x.shape[0], 7):
-                stop = min(start + 7, x.shape[0])
-                margin = sign[start:stop] * (beta[:, 1:] @ x[start:stop].T + beta[:, :1])
-                out[:, start:stop] = log_cdf_and_ratio(model_.link, margin)[0]
-            return out
-
-        assert np.array_equal(tiny_chunks(draws, model), full)
+    @pytest.mark.parametrize("link", ["logit", "probit"])
+    def test_lone_last_row_matches_chunks(self, link):
+        # 65 distinct rows at 1,024 draws leave one row after the last
+        # full block; numpy would send that row alone to BLAS's
+        # matrix-vector routine, whose bits differ from a matrix product's.
+        model = _synthetic_model(link, 65, 3, 4)
+        rng = np.random.default_rng(9)
+        draws = make_draws(rng.normal(0.0, 0.5, (2, 512, model.n_params)))
+        full = pointwise_loglik(draws, model).values
+        assert full.shape[0] == 65 and full.shape[0] % block_rows(1024) == 1
+        assert np.array_equal(_chunked_loglik(draws, model, 5), full)
 
     @pytest.mark.parametrize("link", ["logit", "probit"])
     def test_builds_in_loo_blocks(self, link):
-        # Filled _LOO_BLOCK observations at a time, the matrix is nearly all
-        # the memory pointwise_loglik takes.
+        # Filled a row block at a time, the matrix is nearly all the memory
+        # pointwise_loglik takes.
         model = _synthetic_model(link, 1000, 3, 6)
         rng = np.random.default_rng(2)
         draws = make_draws(rng.normal(0.0, 0.5, (2, 1000, model.n_params)))
@@ -97,7 +116,7 @@ class TestPointwiseLoglik:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert matrix.values.shape == (2000, 1000)
+        assert matrix.values.shape == (1000, 2000)
         assert peak < 1.5 * matrix.values.nbytes
 
     def test_dimension_mismatch(self):
@@ -252,7 +271,7 @@ class TestPsisLoo:
         model, draws = _fitted(n=12)
         matrix = pointwise_loglik(draws, model)
         base = psis_loo(matrix)
-        # A second copy of observation 0 reads the same column.
+        # A second copy of observation 0 reads the same row.
         doubled = LogLikMatrix(
             values=matrix.values,
             inverse=np.append(matrix.inverse, matrix.inverse[0]),
@@ -272,7 +291,7 @@ class TestPsisLoo:
         draws = make_draws(rng.normal(0.0, 0.4, (2, 200, model.n_params)))
         matrix = pointwise_loglik(draws, model)
         n_rows = len(model.weighted_rows[0])
-        assert matrix.values.shape == (400, n_rows)
+        assert matrix.values.shape == (n_rows, 400)
         assert n_rows < model.design.n_rows == matrix.inverse.size
         result = psis_loo(matrix)
         for row in range(n_rows):
@@ -434,7 +453,7 @@ class TestPsisLooBlocks:
 
     def test_repeated_draws_and_ragged_last_block(self):
         rng = np.random.default_rng(21)
-        n_obs = 2 * _LOO_BLOCK + 5
+        n_obs = 2 * block_rows(400) + 5
         values = rng.standard_normal((400, n_obs)) * rng.uniform(0.1, 3.0, n_obs) - 1.0
         # NUTS repeats a draw when it rejects: whole rows of ties.
         values[1::10] = values[0::10]
@@ -444,7 +463,7 @@ class TestPsisLooBlocks:
 
     def test_fewer_than_25_draws_pass_through(self):
         rng = np.random.default_rng(5)
-        values = rng.standard_normal((20, _LOO_BLOCK + 3))
+        values = rng.standard_normal((20, block_rows(20) + 3))
         result = _assert_matches_scalar(values)
         assert np.isnan(result.pareto_k).all()
 

@@ -114,6 +114,22 @@ class TestLinks:
         assert np.allclose(logit_link(etas), [logit_link(e) for e in etas])
         assert np.allclose(probit_link(etas), [probit_link(e) for e in etas])
 
+    def test_logit_has_the_bits_of_the_masked_copy(self):
+        # The two-branch sigmoid picks 1 where eta >= 0 with a maximum, not
+        # a masked copy; e = exp(-|eta|) <= 1, so the bits cannot move.
+        def masked_copy(eta):
+            e = np.exp(-np.abs(eta))
+            p = e.copy()
+            np.copyto(p, 1.0, where=eta >= 0)
+            np.divide(p, 1.0 + e, out=p)
+            return np.clip(p, np.finfo(np.float64).tiny, 1.0 - np.finfo(np.float64).epsneg)
+
+        edges = np.array([0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, np.nan])
+        mixed = np.random.default_rng(41).normal(0.0, 6.0, (16, 2000))
+        for eta in (edges, mixed, mixed[:, :1].copy()):
+            got = logit_link(eta)
+            assert np.array_equal(got.view(np.int64), masked_copy(eta).view(np.int64))
+
     @pytest.mark.parametrize("function", [success_probability, log_cdf_and_ratio],
                              ids=["success_probability", "log_cdf_and_ratio"])
     def test_unknown_link_raises(self, function):
@@ -383,7 +399,7 @@ class TestProbitSignedMargin:
         draws = make_draws(np.array([[[0.0, 1.0]]]))
         for model in _eta_grid_models("probit", eta)[:2]:
             matrix = pointwise_loglik(draws, model)
-            terms = matrix.values[0][matrix.inverse]
+            terms = matrix.values[matrix.inverse, 0]
             t = (2.0 * model.target - 1.0) * eta
             assert np.array_equal(terms, log_cdf_and_ratio("probit", t)[0])
             expected = special.log_ndtr(t)

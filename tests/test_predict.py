@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from bernreg import predict
+from bernreg import model, predict
 from bernreg.errors import MismatchError, NumericalError
-from bernreg.model import success_probability
+from bernreg.model import block_rows, success_probability
 from bernreg.predict import PredictionRow, _ecdf_index, posterior_predict
 from bernreg.report import render_json, render_predictions_json
 from bernreg.rngutil import substream_rng
@@ -107,8 +107,7 @@ class TestProbabilityScale:
         arr = rng.normal([0.3, -0.8], 0.7, size=(n_draws, 2))
         arr[1::5] = arr[0::5][: len(arr[1::5])]  # repeated draws
         draws = make_draws(arr.reshape(1, n_draws, 2), ("Intercept", "x1"))
-        block_rows = max(1, predict._PREDICT_BLOCK_VALUES // n_draws)
-        values = rng.standard_normal((block_rows + 3, 1)) * 3.0
+        values = rng.standard_normal((block_rows(n_draws) + 3, 1)) * 3.0
         rows = posterior_predict(draws, values, link, scale="probability")
         eta = arr[:, 0] + np.outer(values[:, 0], arr[:, 1])
         ordered = np.sort(success_probability(link, eta), axis=1)
@@ -219,8 +218,7 @@ class TestBlocksAgainstRowLoop:
         arr = rng.normal([-0.5, 0.8, -1.2, 0.3], 0.4, size=(n_draws, 4))
         arr[1::7] = arr[0::7][: len(arr[1::7])]  # repeated draws
         draws = make_draws(arr.reshape(2, n_draws // 2, 4), ("Intercept", "a", "b", "c"))
-        block_rows = predict._PREDICT_BLOCK_VALUES // n_draws
-        values = rng.standard_normal((3 * block_rows + 5, 3)) * 2.0
+        values = rng.standard_normal((3 * block_rows(n_draws) + 5, 3)) * 2.0
         rows = posterior_predict(draws, values, link, scale=scale, seed=23)
         expected = _naive_predict(draws, values, link, scale, seed=23)
         got = [(r.index, r.estimate, r.est_error, r.ci_lower, r.ci_upper) for r in rows]
@@ -238,7 +236,7 @@ class TestBlocksAgainstRowLoop:
         n_draws = 2000
         arr = rng.normal([0.2, -0.6], 0.5, size=(n_draws, 2))
         draws = make_draws(arr.reshape(2, n_draws // 2, 2), ("Intercept", "x1"))
-        values = rng.standard_normal((2 * (predict._PREDICT_BLOCK_VALUES // n_draws) + 3, 1))
+        values = rng.standard_normal((2 * block_rows(n_draws) + 3, 1))
         rows = posterior_predict(draws, values, link, scale=scale, seed=13)
         sample = success_probability(link, arr[:, 0] + np.outer(values[:, 0], arr[:, 1]))
         if scale == "outcome":
@@ -252,19 +250,39 @@ class TestBlocksAgainstRowLoop:
         draws = _coef_draws(rng.standard_normal(600), slopes=rng.standard_normal(600))
         values = rng.standard_normal((40, 1))
         default = posterior_predict(draws, values, "logit", scale="outcome", seed=5)
-        monkeypatch.setattr(predict, "_PREDICT_BLOCK_VALUES", rows_per_block * 600)
+        monkeypatch.setattr(model, "_BLOCK_VALUES", rows_per_block * 600)
         blocked = posterior_predict(draws, values, "logit", scale="outcome", seed=5)
         assert [vars(r) for r in blocked] == [vars(r) for r in default]
+
+    @pytest.mark.parametrize("link", ["logit", "probit"])
+    def test_a_row_does_not_depend_on_how_many_rows_are_scored(self, link):
+        # numpy sends a one-row product to BLAS's matrix-vector routine,
+        # whose bits differ from the matrix product's: a row scored alone,
+        # or left alone after the last full block, must not take it. The
+        # difference is in the last bits of eta, so whether a summary shows
+        # it depends on the draws; at this seed rows 7 and 16 show it.
+        rng = np.random.default_rng(44)
+        n_draws = 2000
+        arr = rng.normal([0.3, 0.8, -0.5, 1.1], 0.4, size=(n_draws, 4))
+        draws = make_draws(arr.reshape(2, n_draws // 2, 4), ("Intercept", "a", "b", "c"))
+        values = rng.standard_normal((40, 3)) * 1.5
+        many = posterior_predict(draws, values, link, scale="probability")
+        for i in (0, 7, 16):
+            alone = posterior_predict(draws, values[i:i + 1], link, scale="probability")
+            assert vars(alone[0]) == dict(vars(many[i]), index=0)
+        assert 17 % block_rows(n_draws) == 1
+        seventeen = posterior_predict(draws, values[:17], link, scale="probability")
+        assert vars(seventeen[16]) == vars(many[16])
 
     def test_binomial_bound_names_the_first_bad_row(self, monkeypatch):
         # An unbounded "link" makes a row's spread exceed any probability's.
         monkeypatch.setattr(predict, "success_probability", lambda link, eta: eta)
         slopes = np.tile([1.0, -1.0], 50)
         draws = _coef_draws(np.full(100, 0.5), slopes=slopes)
-        block_rows = predict._PREDICT_BLOCK_VALUES // 100
-        values = np.zeros((2 * block_rows, 1))
-        values[block_rows + 3] = 3.0
-        with pytest.raises(NumericalError, match=f"row {block_rows + 3}:"):
+        rows_per_block = block_rows(100)
+        values = np.zeros((2 * rows_per_block, 1))
+        values[rows_per_block + 3] = 3.0
+        with pytest.raises(NumericalError, match=f"row {rows_per_block + 3}:"):
             posterior_predict(draws, values, "logit", scale="probability")
 
 

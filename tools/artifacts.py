@@ -13,6 +13,9 @@ paths:
 - `compare` of the two plain fits, in both formats;
 - `predict` of every row with each plain fit, at both scales and in
   both formats;
+- `fit` of each link with 2 chains of 150 warmup + 1,000 draws at seed
+  42, then `compare` of those two fits and `predict` of every row with
+  each, at both scales, in JSON: at S = 2,000 a row block is 16 rows;
 - `verify --format json`.
 
 Each command's stdout, stderr and exit code go to OUT/cmd/<name>.out,
@@ -39,6 +42,7 @@ import bankgen  # noqa: E402
 SURROGATE_ROWS = 41188
 SURROGATE_SEED = 20260815
 FIT = ["--chains", "2", "--warmup", "150", "--draws", "100", "--seed", "42"]
+LONG_FIT = ["--chains", "2", "--warmup", "150", "--draws", "1000", "--seed", "42"]
 LINKS = ("logit", "probit")
 FORMATS = ("text", "json")
 
@@ -61,6 +65,17 @@ def commands():
                 out.append((f"predict-{link}-{scale}-{fmt}",
                             ["predict", chain, "--data", "bank.csv", "--scale", scale,
                              "--format", fmt]))
+    long_chains = [f"{link}-long/{link}.chain" for link in LINKS]
+    for link in LINKS:
+        out.append((f"fit-{link}-long", ["fit", "--data", "bank.csv", "--link", link]
+                    + LONG_FIT + ["--out", f"{link}-long"]))
+    out.append(("compare-long-json",
+                ["compare", "--data", "bank.csv", *long_chains, "--format", "json"]))
+    for link, chain in zip(LINKS, long_chains):
+        for scale in ("outcome", "probability"):
+            out.append((f"predict-{link}-long-{scale}-json",
+                        ["predict", chain, "--data", "bank.csv", "--scale", scale,
+                         "--format", "json"]))
     out.append(("verify-json", ["verify", "--format", "json"]))
     return out
 
