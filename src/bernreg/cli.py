@@ -17,7 +17,6 @@ import sys
 from . import chainfile, report
 from .data import (
     BALANCE_MODES,
-    dataset_fingerprint,
     encode,
     encode_new,
     holdout_split,
@@ -185,7 +184,7 @@ def cmd_fit(args):
 
     model_info = {"link": config.link, "prior": prior.to_dict(), "design": design.metadata()}
     dataset_info = {
-        "fingerprint": dataset_fingerprint(design, target),
+        "fingerprint": model.fingerprint,
         "n_rows": int(design.n_rows),
         "pipeline": pipeline,
         "balance": balance_report.to_dict() if balance_report else None,
@@ -230,7 +229,7 @@ def cmd_diagnose(args):
 
 
 def _rebuild_model(header, table, training_sets):
-    """Recreate the training design a chain file header describes.
+    """Recreate the model a chain file header describes, checked against it.
 
     `training_sets` holds the (design, target) of each pipeline built so
     far, keyed by its sorted JSON, so fits of one pipeline share one build.
@@ -241,19 +240,19 @@ def _rebuild_model(header, table, training_sets):
     if key not in training_sets:
         training_sets[key] = _training_set(table, pipeline)[:2]
     design, target = training_sets[key]
-    if design.metadata() != header["model"]["design"]:
+    stored = header["model"]
+    if design.metadata() != stored["design"]:
         raise MismatchError(
             "rebuilt design does not match the design stored in the chain file; "
             "the data file differs from the one used to fit"
         )
-    fingerprint = dataset_fingerprint(design, target)
-    if fingerprint != header["dataset"]["fingerprint"]:
+    model = ModelSpec(stored["link"], PriorSpec.from_dict(stored["prior"]), design, target)
+    if model.fingerprint != header["dataset"]["fingerprint"]:
         raise MismatchError(
-            f"rebuilt dataset fingerprint {fingerprint} differs from stored "
+            f"rebuilt dataset fingerprint {model.fingerprint} differs from stored "
             f"{header['dataset']['fingerprint']}"
         )
-    model = header["model"]
-    return ModelSpec(model["link"], PriorSpec.from_dict(model["prior"]), design, target)
+    return model
 
 
 def cmd_compare(args):
@@ -268,10 +267,13 @@ def cmd_compare(args):
         )
     table = parse_dataset(args.data, delimiters.pop())
     training_sets = {}
+    # Every file is checked before any LOO, and the parsed table is freed,
+    # so a D x S matrix is the one large thing held while LOO runs.
+    fits = [(draws, _rebuild_model(header, table, training_sets)) for draws, header in fits]
+    del table
     results = {}
     total_high_k = 0
-    for draws, header in fits:
-        model = _rebuild_model(header, table, training_sets)
+    for draws, model in fits:
         # No name holds the distinct rows x draws matrix: it is freed before the next.
         loo_result = psis_loo(pointwise_loglik(draws, model))
         total_high_k += loo_result.n_high_k

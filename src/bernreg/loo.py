@@ -11,10 +11,13 @@ error, and comparisons subtract the best model's pointwise values.
 
 `pointwise_loglik` fills a D x S matrix, the model's D distinct (x, y)
 rows by the draws, with the posterior's kernel (its log F half only),
-walking `model.row_blocks`. `psis_loo` smooths it in blocks of the same
-`block_rows` rows, each a contiguous slice, then gives each of the N
-observations its row's results: copies of a row have identical rows of
-the matrix, so every aggregate stays per observation.
+walking `model.row_blocks`. The data fingerprint comes from the model:
+its cached `fingerprint` is read before the matrix is allocated, so no
+hash of the data runs while a matrix is alive. `psis_loo` smooths the
+matrix in blocks of the same `block_rows` rows, each a contiguous slice,
+then gives each of the N observations its row's results: copies of a row
+have identical rows of the matrix, so every aggregate stays per
+observation.
 """
 
 import math
@@ -22,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import dataset_fingerprint
 from .errors import MismatchError
 from .model import block_rows, log_cdf_and_ratio, row_blocks
 
@@ -49,11 +51,11 @@ def pointwise_loglik(draws, model):
     """D x S log-likelihood of the distinct rows over pooled draws, in row blocks."""
     beta = draws.pooled()
     x, sign, _, inverse = model.weighted_rows
+    fingerprint = model.fingerprint
     out = np.empty((x.shape[0], beta.shape[0]))
     for rows, eta in row_blocks(beta, x):
         eta *= sign[rows, None]
         out[rows] = log_cdf_and_ratio(model.link, eta, with_ratio=False)[0]
-    fingerprint = dataset_fingerprint(model.design, model.target)
     return LogLikMatrix(values=out, inverse=inverse, fingerprint=fingerprint)
 
 

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -357,7 +358,7 @@ class TestCompare:
         assert len(calls) == 1
 
     def test_shared_training_set_still_checks_each_fingerprint(
-        self, logit_dir, small_bank_csv, tmp_path, capsys
+        self, logit_dir, small_bank_csv, tmp_path, capsys, monkeypatch
     ):
         chain = os.path.join(logit_dir, "logit.chain")
 
@@ -365,8 +366,54 @@ class TestCompare:
             header["dataset"]["fingerprint"] = "0" * 16
 
         other = _rewrite_header(chain, str(tmp_path / "other.chain"), tamper)
+        loo_calls = []
+        monkeypatch.setattr(cli, "pointwise_loglik", lambda *args: loo_calls.append(args))
         assert main(["compare", chain, other, "--data", small_bank_csv]) == EXIT_MISMATCH
         assert f"differs from stored {'0' * 16}" in capsys.readouterr().err
+        assert loo_calls == []
+
+    def test_table_freed_and_fingerprints_taken_before_any_loo(
+        self, logit_dir, probit_dir, small_bank_csv, monkeypatch
+    ):
+        tables = []
+        parse_dataset = cli.parse_dataset
+
+        def watched_parse(*args):
+            table = parse_dataset(*args)
+            tables.append(weakref.ref(table))
+            return table
+
+        # One entry per pointwise_loglik call: None while it runs, then a
+        # weak reference to the D x S matrix it returned.
+        matrices = []
+        pointwise_loglik = cli.pointwise_loglik
+
+        def checked_loglik(draws, model):
+            assert [ref() is None for ref in tables] == [True]
+            matrices.append(None)
+            loglik = pointwise_loglik(draws, model)
+            matrices[-1] = weakref.ref(loglik.values)
+            return loglik
+
+        # Matrices alive at each fingerprint, counted where ModelSpec looks it up.
+        alive_at_fingerprint = []
+        home = sys.modules[cli.ModelSpec.__module__]
+        dataset_fingerprint = home.dataset_fingerprint
+
+        def counted(design, target):
+            alive_at_fingerprint.append(
+                sum(ref is None or ref() is not None for ref in matrices)
+            )
+            return dataset_fingerprint(design, target)
+
+        monkeypatch.setattr(cli, "parse_dataset", watched_parse)
+        monkeypatch.setattr(cli, "pointwise_loglik", checked_loglik)
+        monkeypatch.setattr(home, "dataset_fingerprint", counted)
+        chains = [os.path.join(logit_dir, "logit.chain"),
+                  os.path.join(probit_dir, "probit.chain")]
+        assert main(["compare", *chains, "--data", small_bank_csv]) == EXIT_OK
+        assert len(matrices) == 2
+        assert alive_at_fingerprint == [0, 0]
 
     def test_previous_loglik_matrix_freed_before_next(
         self, logit_dir, probit_dir, small_bank_csv, tmp_path, monkeypatch
