@@ -2,10 +2,11 @@
 
 The expected input is the 21-column direct-marketing table: ten categorical
 predictors, ten numeric predictors, and a yes/no response. A parsed table
-holds one string per level of each categorical column, shared by every
-row of that level, and one float64 array per numeric column. Categorical
-columns are label-encoded (codes 1..L in lexicographic level order, one
-column per predictor) and all predictor columns are optionally standardized.
+holds one (rows, predictors) float64 matrix in predictor order, in which a
+categorical column holds each row's index into that column's sorted tuple
+of level names. Categorical columns are label-encoded (codes 1..L in
+lexicographic level order, one column per predictor) and all predictor
+columns are optionally standardized.
 `encode` learns that metadata and `encode_new` applies it, to training rows
 and scored rows alike, so new rows are coded exactly like the fit.
 """
@@ -14,7 +15,8 @@ import csv
 import hashlib
 import io
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import islice
 
 import numpy as np
 
@@ -51,22 +53,22 @@ BALANCE_MODES = ("before", "after", "off")
 
 @dataclass
 class RecordTable:
-    """Parsed rows: raw category strings, numeric arrays, 0/1 target."""
+    """Parsed rows: a C-contiguous (rows, predictors) float64 matrix, 0/1 target.
 
-    categorical: dict
-    numeric: dict
+    Column j of `values` is predictor_order[j]. A categorical column holds
+    each row's index into `levels[name]`, its sorted tuple of level names.
+    """
+
+    values: np.ndarray
+    levels: dict
     target: np.ndarray
     source_indices: np.ndarray
     predictor_order: tuple = PREDICTOR_ORDER
 
     def __post_init__(self):
         n = len(self.target)
-        for name, col in self.categorical.items():
-            if len(col) != n:
-                raise ValueError(f"column {name!r} length differs from target")
-        for name, col in self.numeric.items():
-            if len(col) != n:
-                raise ValueError(f"column {name!r} length differs from target")
+        if self.values.shape != (n, len(self.predictor_order)):
+            raise ValueError("values shape differs from (target length, predictors)")
         if len(self.source_indices) != n:
             raise ValueError("source_indices length differs from target")
 
@@ -82,21 +84,19 @@ class RecordTable:
     def take(self, indices):
         """New table holding the given row positions, in the given order."""
         idx = np.asarray(indices, dtype=np.int64)
-        rows = idx.tolist()
-        return RecordTable(
-            categorical={k: [v[i] for i in rows] for k, v in self.categorical.items()},
-            numeric={k: v[idx] for k, v in self.numeric.items()},
-            target=self.target[idx],
-            source_indices=self.source_indices[idx],
-            predictor_order=self.predictor_order,
-        )
+        return replace(self, values=self.values[idx], target=self.target[idx],
+                       source_indices=self.source_indices[idx])
 
 
 def _open_text(source):
-    """A text stream over a path or a copy of a text stream's contents."""
+    """A seekable text stream over a path, or a copy of a stream's or a pipe's text."""
     if hasattr(source, "read"):
         return io.StringIO(source.read())
-    return open(source, "r", encoding="utf-8-sig", newline="")
+    stream = open(source, "r", encoding="utf-8-sig", newline="")
+    if stream.seekable():
+        return stream
+    with stream:
+        return io.StringIO(stream.read())
 
 
 def _check_header(names, expected):
@@ -113,11 +113,19 @@ def _check_header(names, expected):
         raise DataError("duplicate columns in header")
 
 
+class _Levels(dict):
+    """Cell text -> its first-seen index among the column's distinct texts, as a float."""
+
+    def __missing__(self, text):
+        self[text] = code = float(len(self))
+        return code
+
+
 def _read_table(source, delimiter, columns, categorical, require_target):
     """RecordTable of `columns` (file order is free) plus the yes/no response.
 
     Without `require_target` the response column is optional; a file that
-    lacks it gets an all-zero target.
+    lacks it gets an all-zero target. Every number must be finite.
     """
     if not (isinstance(delimiter, str) and len(delimiter) == 1):
         raise ValueError(f"delimiter must be one character, got {delimiter!r}")
@@ -133,50 +141,49 @@ def _read_table(source, delimiter, columns, categorical, require_target):
         _check_header(names, list(columns) + ([TARGET_COLUMN] if has_target else []))
         pos = {c: names.index(c) for c in names}
 
-        cat = {c: [] for c in columns if c in categorical}
-        num = {c: array("d") for c in columns if c not in categorical}
-        # One dict per column maps each level's text to its first copy.
-        cat_fields = [(pos[c], {}.setdefault, cat[c].append) for c in cat]
-        num_fields = [(pos[c], c, num[c].append) for c in num]
-        target_pos = pos.get(TARGET_COLUMN)
-        target = []
+        coders = {j: _Levels() for j, c in enumerate(columns) if c in categorical}
+        fields = [(pos[c], coders[j].__getitem__ if j in coders else float)
+                  for j, c in enumerate(columns)]
+        flat, target = array("d"), array("b")
+        append = flat.append
         for row_number, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(names):
-                raise DataError(
-                    f"row {row_number}: expected {len(names)} fields, got {len(row)}"
-                )
-            for i, level, append in cat_fields:
-                text = row[i].strip()
-                append(level(text, text))
-            for i, c, append in num_fields:
-                text = row[i].strip()
-                try:
-                    append(float(text))
-                except ValueError:
-                    raise DataError(
-                        f"row {row_number}, column {c!r}: {text!r} is not a number"
-                    ) from None
-            if target_pos is None:
-                target.append(0)
-                continue
-            label = row[target_pos].strip()
+                raise DataError(f"row {row_number}: expected {len(names)} fields, got {len(row)}")
+            try:
+                for i, code in fields:
+                    append(code(row[i]))
+            except ValueError:
+                raise DataError(f"row {row_number}, column {names[i]!r}: "
+                                f"{row[i].strip()!r} is not a number") from None
+            label = row[pos[TARGET_COLUMN]].strip() if has_target else "no"
             if label not in TARGET_LABELS:
-                raise DataError(
-                    f"row {row_number}: target label {label!r} is not yes/no"
-                )
+                raise DataError(f"row {row_number}: target label {label!r} is not yes/no")
             target.append(TARGET_LABELS[label])
+
+        values = np.frombuffer(flat).reshape(len(target), len(columns))
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:  # read the cell again, to name its record and its text as written
+            r, j = divmod(int(bad[0]), len(columns))
+            stream.seek(0)
+            records = (item for item in enumerate(csv.reader(stream, delimiter=delimiter), 1)
+                       if item[1])
+            row_number, row = next(islice(records, r + 1, None))
+            text = row[pos[columns[j]]].strip()
+            raise DataError(f"row {row_number}, column {columns[j]!r}: {text!r} is not finite")
     finally:
         stream.close()
 
-    return RecordTable(
-        categorical=cat,
-        numeric={c: np.frombuffer(v, dtype=np.float64) for c, v in num.items()},
-        target=np.asarray(target, dtype=np.int8),
-        source_indices=np.arange(len(target), dtype=np.int64),
-        predictor_order=tuple(columns),
-    )
+    levels = {}
+    for j, coder in coders.items():  # recode from first-seen text to sorted level order
+        first_seen = [text.strip() for text in coder]
+        levels[columns[j]] = tuple(sorted(set(first_seen)))
+        rank = {name: k for k, name in enumerate(levels[columns[j]])}
+        values[:, j] = np.array([rank[name] for name in first_seen])[values[:, j].astype(int)]
+    return RecordTable(values=values, levels=levels, target=np.frombuffer(target, np.int8),
+                       source_indices=np.arange(len(target), dtype=np.int64),
+                       predictor_order=tuple(columns))
 
 
 def parse_dataset(source, delimiter=";"):
@@ -199,19 +206,14 @@ def write_records(table, path, delimiter=";"):
     """Write a table back out in the input file layout (strings quoted)."""
     columns = list(table.predictor_order) + [TARGET_COLUMN]
     inverse = {v: k for k, v in TARGET_LABELS.items()}
+    levels = [table.levels.get(c) for c in table.predictor_order]
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, delimiter=delimiter, quoting=csv.QUOTE_NONNUMERIC)
         writer.writerow(columns)
-        for i in range(table.n_rows):
-            row = []
-            for c in table.predictor_order:
-                if c in table.categorical:
-                    row.append(table.categorical[c][i])
-                else:
-                    value = table.numeric[c][i]
-                    row.append(int(value) if float(value).is_integer() else float(value))
-            row.append(inverse[int(table.target[i])])
-            writer.writerow(row)
+        for cells, label in zip(table.values.tolist(), table.target.tolist()):
+            row = [names[int(x)] if names is not None else int(x) if x.is_integer() else x
+                   for names, x in zip(levels, cells)]
+            writer.writerow(row + [inverse[label]])
 
 
 def _partial_shuffle_take(n_total, n_take, rng):
@@ -392,10 +394,11 @@ def encode(table, standardize=True):
     if table.n_rows == 0:
         raise DataError("cannot encode an empty table")
     names = tuple(table.predictor_order)
-    encoding_map = {
-        name: {level: i + 1 for i, level in enumerate(sorted(set(table.categorical[name])))}
-        for name in names if name in table.categorical
-    }
+    # Levels are stored sorted, so the codes that occur, ascending, give them in order.
+    present = {name: np.flatnonzero(np.bincount(col.astype(int)))
+               for name, col in zip(names, table.values.T) if name in table.levels}
+    encoding_map = {name: {table.levels[name][k]: i + 1 for i, k in enumerate(codes)}
+                    for name, codes in present.items()}
     scaling = {name: (0.0, 1.0) for name in names}
     metadata = {"column_names": names, "encoding_map": encoding_map, "scaling": scaling}
     values = encode_new(metadata, table)
@@ -436,17 +439,13 @@ def encode_new(metadata, table):
     scaling = metadata["scaling"]
     out = np.empty((n, len(columns)), dtype=np.float64)
     for j, name in enumerate(columns):
+        raw = table.values[:, j]
         if name in encoding_map:
-            codes = encoding_map[name]
-            try:
-                raw = np.fromiter(map(codes.__getitem__, table.categorical[name]),
-                                  dtype=np.float64, count=n)
-            except KeyError as unseen:
-                raise MismatchError(
-                    f"column {name!r}: level {unseen.args[0]!r} was not seen in training"
-                ) from None
-        else:
-            raw = np.asarray(table.numeric[name], dtype=np.float64)
+            codes, levels = raw.astype(int), table.levels[name]
+            raw = np.array([encoding_map[name].get(level, np.nan) for level in levels])[codes]
+            if np.isnan(raw).any():
+                level = levels[codes[np.isnan(raw).argmax()]]
+                raise MismatchError(f"column {name!r}: level {level!r} was not seen in training")
         center, scale = scaling[name]
         if not scale > 0:
             raise ValueError(f"column {name!r} has non-positive scale {scale}")

@@ -721,6 +721,30 @@ class TestUsageErrors:
         code = main(["fit", "--data", str(bad), "--out", str(tmp_path / "out")])
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-Infinity"])
+    def test_non_finite_number_exits_3_before_any_write(
+        self, logit_dir, score_csv, small_bank_csv, tmp_path, capsys, text
+    ):
+        out = tmp_path / "run"
+        for argv, source in (
+            (["fit", "--data", "{}", "--out", str(out), "--subsample", "500",
+              "--chains", "1", "--warmup", "10", "--draws", "10"], small_bank_csv),
+            (["predict", os.path.join(logit_dir, "logit.chain"), "--data", "{}",
+              "--scale", "probability", "--format", "json"], score_csv),
+        ):
+            with open(source, encoding="utf-8", newline="") as handle:
+                rows = list(csv.reader(handle, delimiter=";"))
+            rows[3][rows[0].index("duration")] = text
+            bad = tmp_path / f"{argv[0]}-{text}.csv"
+            with open(bad, "w", encoding="utf-8", newline="") as handle:
+                csv.writer(handle, delimiter=";").writerows(rows)
+            code = main([str(bad) if arg == "{}" else arg for arg in argv])
+            assert code == EXIT_DATA, argv[0]
+            captured = capsys.readouterr()
+            assert captured.err == f"error: row 4, column 'duration': {text!r} is not finite\n"
+            assert captured.out == ""
+        assert not out.exists()
+
     def test_multi_character_delimiter_exits_2(
         self, logit_dir, score_csv, small_bank_csv, tmp_path, capsys
     ):

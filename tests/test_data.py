@@ -1,5 +1,7 @@
+import csv
 import io
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -57,6 +59,23 @@ def _csv_lines(path):
         return handle.read().splitlines()
 
 
+def _column(table, name):
+    """One parsed column: its level names if categorical, else its numbers."""
+    col = table.values[:, table.predictor_order.index(name)]
+    if name in table.levels:
+        return [table.levels[name][int(code)] for code in col]
+    return col
+
+
+def _set_column(table, name, cells):
+    """Replace one column of `table` by these level names or numbers."""
+    if name in table.levels:
+        levels = tuple(sorted(set(cells)))
+        table.levels = {**table.levels, name: levels}
+        cells = [levels.index(cell) for cell in cells]
+    table.values[:, table.predictor_order.index(name)] = cells
+
+
 def _shuffle_take_per_call(n_total, n_take, rng):
     """Fisher-Yates drawing each swap target with its own call."""
     idx = np.arange(n_total, dtype=np.int64)
@@ -69,8 +88,10 @@ def _shuffle_take_per_call(n_total, n_take, rng):
 class TestParse:
     def test_shape_and_types(self, tiny_table):
         assert tiny_table.n_rows == 40
-        assert set(tiny_table.categorical) == set(CATEGORICAL_COLUMNS)
-        assert set(tiny_table.numeric) == set(NUMERIC_COLUMNS)
+        assert set(tiny_table.levels) == set(CATEGORICAL_COLUMNS)
+        assert tiny_table.values.shape == (40, len(CATEGORICAL_COLUMNS) + len(NUMERIC_COLUMNS))
+        assert tiny_table.values.dtype == np.float64
+        assert tiny_table.values.flags.c_contiguous
         assert tiny_table.target.dtype == np.int8
         assert set(np.unique(tiny_table.target)) <= {0, 1}
         assert tiny_table.predictor_order == PREDICTOR_ORDER
@@ -78,31 +99,31 @@ class TestParse:
     def test_reads_values_exactly(self, tiny_csv, tiny_table):
         lines = _csv_lines(tiny_csv)
         first = next(
-            csv_row for csv_row in __import__("csv").reader(lines[1:2], delimiter=";")
+            csv_row for csv_row in csv.reader(lines[1:2], delimiter=";")
         )
         header = next(
-            csv_row for csv_row in __import__("csv").reader(lines[:1], delimiter=";")
+            csv_row for csv_row in csv.reader(lines[:1], delimiter=";")
         )
         for column in ("job", "month"):
-            assert tiny_table.categorical[column][0] == first[header.index(column)]
+            assert _column(tiny_table, column)[0] == first[header.index(column)]
         for column in ("age", "euribor3m"):
-            assert tiny_table.numeric[column][0] == float(first[header.index(column)])
+            assert _column(tiny_table, column)[0] == float(first[header.index(column)])
 
     def test_permuted_header_is_equivalent(self, tiny_csv, tiny_table):
         lines = _csv_lines(tiny_csv)
-        reader = __import__("csv").reader(lines, delimiter=";")
+        reader = csv.reader(lines, delimiter=";")
         rows = list(reader)
         order = list(range(len(rows[0])))[::-1]
         out = io.StringIO()
-        writer = __import__("csv").writer(out, delimiter=";")
+        writer = csv.writer(out, delimiter=";")
         for row in rows:
             writer.writerow([row[i] for i in order])
         permuted = parse_dataset(io.StringIO(out.getvalue()), delimiter=";")
         assert np.array_equal(permuted.target, tiny_table.target)
         for column in CATEGORICAL_COLUMNS:
-            assert permuted.categorical[column] == tiny_table.categorical[column]
+            assert _column(permuted, column) == _column(tiny_table, column)
         for column in NUMERIC_COLUMNS:
-            assert np.array_equal(permuted.numeric[column], tiny_table.numeric[column])
+            assert np.array_equal(_column(permuted, column), _column(tiny_table, column))
 
     def test_alternate_delimiter(self, tiny_csv):
         lines = _csv_lines(tiny_csv)
@@ -136,10 +157,36 @@ class TestParse:
 
     def test_unparseable_number(self, tiny_csv, tiny_table):
         lines = _csv_lines(tiny_csv)
-        age = int(tiny_table.numeric["age"][0])
+        age = int(_column(tiny_table, "age")[0])
         lines[1] = lines[1].replace(str(age), "forty", 1)
         with pytest.raises(DataError, match="row 2, column 'age': 'forty' is not a number"):
             parse_dataset(io.StringIO("\n".join(lines)), delimiter=";")
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-Infinity"])
+    def test_non_finite_number_rejected(self, tiny_csv, tiny_table, text):
+        # A blank record after the header shifts each row's number by one; the
+        # first non-finite cell in row order is named, with its text as written.
+        rows = list(csv.reader(_csv_lines(tiny_csv), delimiter=";"))
+        header = rows[0]
+        rows[3][header.index("duration")] = f" {text} "
+        rows[6][header.index("age")] = "inf"
+        out = io.StringIO()
+        csv.writer(out, delimiter=";").writerows([header, []] + rows[1:])
+        message = f"^row 5, column 'duration': '{re.escape(text)}' is not finite$"
+        with pytest.raises(DataError, match=message):
+            parse_dataset(io.StringIO(out.getvalue()), delimiter=";")
+        design, _ = encode(tiny_table)
+        with pytest.raises(DataError, match=message):
+            parse_new_rows(io.StringIO(out.getvalue()), ";", design.metadata())
+        # A path that cannot seek, such as a pipe, is read again all the same.
+        read_end, write_end = os.pipe()
+        os.write(write_end, out.getvalue().encode("utf-8"))
+        os.close(write_end)
+        try:
+            with pytest.raises(DataError, match=message):
+                parse_dataset(f"/dev/fd/{read_end}", delimiter=";")
+        finally:
+            os.close(read_end)
 
     def test_unknown_target_label(self, tiny_csv):
         lines = _csv_lines(tiny_csv)
@@ -159,20 +206,27 @@ class TestParse:
         back = parse_dataset(path, delimiter=";")
         assert np.array_equal(back.target, tiny_table.target)
         for column in CATEGORICAL_COLUMNS:
-            assert back.categorical[column] == tiny_table.categorical[column]
+            assert _column(back, column) == _column(tiny_table, column)
         for column in NUMERIC_COLUMNS:
-            assert np.array_equal(back.numeric[column], tiny_table.numeric[column])
+            assert np.array_equal(_column(back, column), _column(tiny_table, column))
 
 
 class TestParseMemory:
-    def test_one_string_object_per_level(self, bank_5000_csv):
+    def test_levels_stored_once_sorted_and_decoding_gives_the_csv_text(self, bank_5000_csv):
         table = parse_dataset(bank_5000_csv, delimiter=";")
+        with open(bank_5000_csv, encoding="utf-8", newline="") as handle:
+            rows = list(csv.reader(handle, delimiter=";"))
+        header = rows[0]
         for column in CATEGORICAL_COLUMNS:
-            values = table.categorical[column]
-            assert len({id(v) for v in values}) == len(set(values))
+            levels = table.levels[column]
+            assert isinstance(levels, tuple)
+            assert list(levels) == sorted(set(levels))
+            expected = [row[header.index(column)].strip() for row in rows[1:]]
+            assert _column(table, column) == expected
+            assert set(levels) == set(expected)
 
     def test_table_bytes_per_row(self, bank_5000_csv):
-        # Shared level strings and float64 buffers: no Python object per cell.
+        # One float64 matrix and level names stored once: no Python object per cell.
         tracemalloc.start()
         try:
             table = parse_dataset(bank_5000_csv, delimiter=";")
@@ -324,7 +378,7 @@ class TestEncode:
     def test_unstandardized_numeric_passthrough(self, tiny_table):
         design, target = encode(tiny_table, standardize=False)
         j = design.column_names.index("age")
-        assert np.array_equal(design.values[:, j], tiny_table.numeric["age"])
+        assert np.array_equal(design.values[:, j], _column(tiny_table, "age"))
         assert np.array_equal(target, tiny_table.target.astype(float))
         assert not design.standardized
 
@@ -343,7 +397,7 @@ class TestEncode:
 
     def test_constant_column_flagged_not_divided(self, tiny_table):
         clone = tiny_table.take(np.arange(tiny_table.n_rows))
-        clone.numeric["age"] = np.full(clone.n_rows, 33.0)
+        _set_column(clone, "age", np.full(clone.n_rows, 33.0))
         design, _ = encode(clone, standardize=True)
         assert "age" in design.constant_columns
         j = design.column_names.index("age")
@@ -370,8 +424,8 @@ class TestEncodeNew:
         # under the stored metadata reproduces the design bit for bit.
         table = tiny_table.take(np.arange(1 if rows == "one-row" else tiny_table.n_rows))
         if rows == "constant-columns":
-            table.numeric["age"] = np.full(table.n_rows, 33.0)
-            table.categorical["job"] = ["admin."] * table.n_rows
+            _set_column(table, "age", np.full(table.n_rows, 33.0))
+            _set_column(table, "job", ["admin."] * table.n_rows)
         design, _ = encode(table, standardize=standardize)
         if rows != "all":
             assert {"age", "job"} <= set(design.constant_columns)
@@ -390,21 +444,26 @@ class TestEncodeNew:
     def test_unseen_level_rejected(self, tiny_table):
         design, _ = encode(tiny_table)
         clone = tiny_table.take(np.arange(3))
-        clone.categorical["job"] = ["astronaut"] * 3
+        _set_column(clone, "job", ["astronaut"] * 3)
         with pytest.raises(MismatchError, match="level 'astronaut' was not seen"):
             encode_new(design.metadata(), clone)
         # Seen levels first: the error names the column and the first unseen level.
         clone = tiny_table.take(np.arange(4))
-        clone.categorical["job"] = clone.categorical["job"][:2] + ["astronaut", "cosmonaut"]
+        _set_column(clone, "job", _column(clone, "job")[:2] + ["astronaut", "cosmonaut"])
         with pytest.raises(MismatchError,
                            match="^column 'job': level 'astronaut' was not seen in training$"):
+            encode_new(design.metadata(), clone)
+        # The first row's unseen level, not the first in level order.
+        _set_column(clone, "job", _column(clone, "job")[:2] + ["cosmonaut", "astronaut"])
+        with pytest.raises(MismatchError,
+                           match="^column 'job': level 'cosmonaut' was not seen in training$"):
             encode_new(design.metadata(), clone)
 
     def test_column_mismatch_rejected(self, tiny_table):
         design, _ = encode(tiny_table)
         reordered = RecordTable(
-            categorical=tiny_table.categorical,
-            numeric=tiny_table.numeric,
+            values=tiny_table.values,
+            levels=tiny_table.levels,
             target=tiny_table.target,
             source_indices=tiny_table.source_indices,
             predictor_order=tuple(reversed(PREDICTOR_ORDER)),
@@ -419,10 +478,10 @@ class TestEncodeNew:
         assert np.array_equal(with_target.target, tiny_table.target)
 
         lines = _csv_lines(tiny_csv)
-        reader = __import__("csv").reader(lines, delimiter=";")
+        reader = csv.reader(lines, delimiter=";")
         rows = list(reader)
         out = io.StringIO()
-        writer = __import__("csv").writer(out, delimiter=";")
+        writer = csv.writer(out, delimiter=";")
         for row in rows:
             writer.writerow(row[:-1])
         without = parse_new_rows(io.StringIO(out.getvalue()), ";", design.metadata())

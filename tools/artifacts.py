@@ -13,6 +13,10 @@ paths:
 - `compare` of the two plain fits, in both formats;
 - `predict` of every row with each plain fit, at both scales and in
   both formats;
+- `fit` of the logit link with the same chains at `--balance before`,
+  at `--balance off` and with `--no-standardize`, each followed by
+  `predict` of every row at the probability scale, in JSON: every
+  training-table path and both encodings;
 - `fit` of each link with 2 chains of 150 warmup + 1,000 draws at seed
   42, then `compare` of those two fits and `predict` of every row with
   each, at both scales, in JSON: at S = 2,000 a row block is 16 rows;
@@ -44,6 +48,9 @@ SURROGATE_SEED = 20260815
 FIT = ["--chains", "2", "--warmup", "150", "--draws", "100", "--seed", "42"]
 LONG_FIT = ["--chains", "2", "--warmup", "150", "--draws", "1000", "--seed", "42"]
 LINKS = ("logit", "probit")
+# Logit fits on the other training tables and the unstandardized design.
+VARIANTS = (("before", ["--balance", "before"]), ("off", ["--balance", "off"]),
+            ("raw", ["--no-standardize"]))
 FORMATS = ("text", "json")
 
 
@@ -65,6 +72,12 @@ def commands():
                 out.append((f"predict-{link}-{scale}-{fmt}",
                             ["predict", chain, "--data", "bank.csv", "--scale", scale,
                              "--format", fmt]))
+    for name, extra in VARIANTS:
+        out.append((f"fit-logit-{name}", ["fit", "--data", "bank.csv", "--link", "logit"]
+                    + FIT + extra + ["--out", f"logit-{name}"]))
+        out.append((f"predict-logit-{name}-probability-json",
+                    ["predict", f"logit-{name}/logit.chain", "--data", "bank.csv",
+                     "--scale", "probability", "--format", "json"]))
     long_chains = [f"{link}-long/{link}.chain" for link in LINKS]
     for link in LINKS:
         out.append((f"fit-{link}-long", ["fit", "--data", "bank.csv", "--link", link]
