@@ -6,12 +6,15 @@ facts, the model's link and prior, the design encoding metadata, and the
 dataset fingerprint plus pipeline settings. Floats are written with
 repr (shortest round-trip), so loading reproduces the draws bit-for-bit
 and rewriting produces identical bytes. Any damage reads back as
-CorruptChainFile (exit 3) with the byte offset where parsing stopped. That
-includes each header value a command reads that is missing or of another
-JSON type than `fit` writes, and one message names every such key. A
-well-typed value that its command rejects keeps that command's code: an
-unknown link or balance mode, a multi-character delimiter or a
-non-positive scale exits 2.
+CorruptChainFile (exit 3) with the byte offset where parsing stopped.
+HEADER_SCHEMA, in the header's shape, lists each value that loading or a
+command reads, down to the design's column names, level codes and (center,
+scale) pairs. One that is missing or of another JSON type than `fit`
+writes is damage, and one message names each by its dotted path, as
+model.design.encoding_map.job.<level>. A well-typed value that its command
+rejects keeps that command's code: an unknown link or balance mode, a
+multi-character delimiter, a non-finite center or scale or a non-positive
+scale exits 2.
 """
 
 import dataclasses
@@ -20,6 +23,7 @@ import math
 
 import numpy as np
 
+from .data import DesignMatrix
 from .errors import CorruptChainFile
 from .model import PriorSpec
 from .sampler import PosteriorDraws, SamplerConfig
@@ -31,37 +35,32 @@ FORMAT_TAG = "bernreg-chain/2"
 PIPELINE_KEYS = {"delimiter": str, "subsample": int, "balance": str, "holdout": int,
                  "seed": int, "standardize": bool}
 
-# Every header key, dotted for nesting, that loading or a command reads,
-# with the exact JSON-read type `fit` writes it as (a bool is not an int);
-# (list, kind) is a list whose every entry is a `kind`.
-_HEADER_TYPES = {
-    "param_names": (list, str), "config": dict, "step_sizes": (list, float),
-    "divergence_iterations": (list, (list, int)), "accept_rates": (list, float),
-    "model": dict, "dataset": dict, "model.link": str, "model.prior": dict,
-    "model.design": dict, "model.design.column_names": list,
-    "model.design.encoding_map": dict, "model.design.scaling": dict,
-    "dataset.fingerprint": str, "dataset.pipeline": dict,
-    **{f"config.{f.name}": f.type for f in dataclasses.fields(SamplerConfig)},
-    **{f"model.prior.{f.name}": f.type for f in dataclasses.fields(PriorSpec)},
-    **{f"dataset.pipeline.{key}": kind for key, kind in PIPELINE_KEYS.items()},
+# {name: kind} is an object with those keys, {str: kind} a map whose every
+# value is a `kind`, [kind] a list, (float, float) a list of exactly two, a
+# function gives the kind of the value passed to it, and a type is the exact
+# JSON-read type `fit` writes (a bool is not an int).
+HEADER_SCHEMA = {
+    "param_names": [str], "step_sizes": [float], "divergence_iterations": [[int]],
+    "accept_rates": [float], "config": {f.name: f.type for f in dataclasses.fields(SamplerConfig)},
+    "model": {"link": str, "prior": {f.name: f.type for f in dataclasses.fields(PriorSpec)},
+              "design": DesignMatrix.metadata_schema},
+    "dataset": {"fingerprint": str, "pipeline": PIPELINE_KEYS},
 }
 
 
-def _lookup(header, dotted):
-    """The value at a dotted key, or None where any part is missing."""
-    node = header
-    for part in dotted.split("."):
-        if not isinstance(node, dict):
-            return None
-        node = node.get(part)
-    return node
-
-
-def _is(value, kind):
-    """Whether `value` is exactly of `kind`, an entry of _HEADER_TYPES."""
-    if isinstance(kind, tuple):
-        return type(value) is list and all(_is(v, kind[1]) for v in value)
-    return type(value) is kind
+def schema_errors(value, kind, path=""):
+    """Dotted paths of the values `kind` lists that `value` lacks or mistypes."""
+    if not isinstance(kind, (dict, list, tuple, type)):
+        kind = kind(value)
+    if isinstance(kind, dict) and type(value) is dict:
+        return [bad for key in (value if str in kind else kind)
+                for bad in schema_errors(value.get(key), kind.get(str, kind.get(key)),
+                                         f"{path}.{key}" if path else key)]
+    if isinstance(kind, (list, tuple)) and type(value) is list:  # a bad entry names the list
+        kinds = kind * len(value) if isinstance(kind, list) else kind
+        if len(value) == len(kinds) and not any(map(schema_errors, value, kinds)):
+            return []
+    return [] if type(value) is kind else [path]
 
 
 def save_chain_file(path, draws, model_info, dataset_info):
@@ -107,13 +106,11 @@ def load_chain_file(path):
     if not isinstance(header, dict) or header.get("format") != FORMAT_TAG:
         fail(f"not a {FORMAT_TAG} file")
 
-    bad = [k for k, kind in _HEADER_TYPES.items() if not _is(_lookup(header, k), kind)]
+    bad = schema_errors(header, HEADER_SCHEMA)
     if bad:
         fail("header keys missing or of another type: " + ", ".join(bad))
     try:
-        config = SamplerConfig(
-            **{f.name: header["config"][f.name] for f in dataclasses.fields(SamplerConfig)}
-        )
+        config = SamplerConfig(**{key: header["config"][key] for key in HEADER_SCHEMA["config"]})
     except ValueError as exc:
         fail(f"bad sampler config in header: {exc}")
     for key in ("step_sizes", "divergence_iterations", "accept_rates"):

@@ -299,6 +299,8 @@ def cmd_compare(args):
 def cmd_predict(args):
     draws, header = chainfile.load_chain_file(args.chain)
     metadata = header["model"]["design"]
+    if args.delimiter is None:
+        args.delimiter = header["dataset"]["pipeline"]["delimiter"]
     table = parse_new_rows(args.data, args.delimiter, metadata)
     rows = posterior_predict(
         draws,
@@ -374,7 +376,7 @@ def build_parser():
     pred = sub.add_parser("predict", help="score new rows with a saved fit")
     pred.add_argument("chain", help="chain file from a fit")
     pred.add_argument("--data", required=True, help="delimited rows to score")
-    pred.add_argument("--delimiter", default=RunConfig.delimiter)
+    pred.add_argument("--delimiter", help="default: the delimiter the fit recorded")
     pred.add_argument("--scale", choices=SCALES, default="outcome")
     pred.add_argument("--seed", type=int, default=0)
     pred.add_argument("--format", choices=FORMATS, default="text")

@@ -374,6 +374,13 @@ class DesignMatrix:
             "constant_columns": list(self.constant_columns),
         }
 
+    @staticmethod
+    def metadata_schema(stored):
+        """`chainfile`'s schema of what encoding new rows reads of a stored `metadata()`."""
+        names = stored.get("column_names") if type(stored) is dict else None
+        pairs = {n: (float, float) for n in names if type(n) is str} if type(names) is list else {}
+        return {"column_names": [str], "encoding_map": {str: {str: int}}, "scaling": pairs}
+
     @classmethod
     def from_values(cls, values):
         """Plain numeric design, identity scaling; for synthetic inputs."""
@@ -426,7 +433,7 @@ def encode_new(metadata, table):
 
     Raises MismatchError for a category absent from training or columns
     that do not line up with the stored design, and ValueError for a
-    stored scale that is not positive.
+    stored center or scale that is not finite or a scale that is not positive.
     """
     columns = list(metadata["column_names"])
     if list(table.predictor_order) != columns:
@@ -447,6 +454,8 @@ def encode_new(metadata, table):
                 level = levels[codes[np.isnan(raw).argmax()]]
                 raise MismatchError(f"column {name!r}: level {level!r} was not seen in training")
         center, scale = scaling[name]
+        if not np.isfinite((center, scale)).all():
+            raise ValueError(f"column {name!r} has non-finite center or scale ({center}, {scale})")
         if not scale > 0:
             raise ValueError(f"column {name!r} has non-positive scale {scale}")
         out[:, j] = (raw - center) / scale

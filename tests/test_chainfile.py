@@ -5,8 +5,10 @@ import pytest
 
 from bernreg.chainfile import (
     FORMAT_TAG,
+    HEADER_SCHEMA,
     load_chain_file,
     save_chain_file,
+    schema_errors,
 )
 from bernreg.errors import CorruptChainFile
 
@@ -215,3 +217,44 @@ class TestCorruption:
         open(path, "wb").write(b"\n".join(lines))
         restored, _ = load_chain_file(path)
         assert restored.config == sample_draws.config
+
+
+class TestHeaderSchema:
+    @pytest.mark.parametrize("value, kind, bad", [
+        (1, int, []), (True, int, [""]), (1, float, [""]), (None, str, [""]),
+        ([], [str], []), (["a", 1], [str], [""]), ([[1], []], [[int]], []),
+        ([0.0, 1.0], (float, float), []), ([0.0], (float, float), [""]),
+        ([0.0, 1.0, 2.0], (float, float), [""]), ((0.0, 1.0), (float, float), [""]),
+        ({"a": 1, "b": "x"}, {str: int}, ["b"]), ([], {str: int}, [""]),
+        ({"a": {"b.c": 1.0}}, {str: {str: int}}, ["a.b.c"]),
+        ({"a": 1, "extra": None}, {"a": int, "b": str}, ["b"]),
+        ("x", lambda value: {"a": int}, [""]),
+    ])
+    def test_check_names_each_bad_path(self, value, kind, bad):
+        assert schema_errors(value, kind) == bad
+
+    def test_written_header_passes_and_unlisted_values_are_not_walked(self, tmp_path,
+                                                                      sample_draws):
+        path, raw = _write_and_read_lines(tmp_path, sample_draws)
+        header = json.loads(raw.split(b"\n")[0])
+        assert schema_errors(header, HEADER_SCHEMA) == []
+        header["dataset"]["balance"] = {"duplicated_rows": "unread"}
+        header["model"]["design"]["scaling"]["unused"] = "unread"
+        assert schema_errors(header, HEADER_SCHEMA) == []
+
+    def test_design_needs_a_pair_for_every_column_name(self, tmp_path, sample_draws):
+        path, raw = _write_and_read_lines(tmp_path, sample_draws)
+        lines = raw.split(b"\n")
+        header = json.loads(lines[0])
+        design = header["model"]["design"]
+        del design["scaling"]["x2"]
+        design["encoding_map"] = {"job": {"blue-collar": 1, "admin.": "2"}}
+        design["column_names"].append(3)
+        lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        open(path, "wb").write(b"\n".join(lines))
+        with pytest.raises(CorruptChainFile) as info:
+            load_chain_file(path)
+        assert str(info.value).startswith(
+            "header keys missing or of another type: model.design.column_names, "
+            "model.design.encoding_map.job.admin., model.design.scaling.x2"
+        )

@@ -106,6 +106,15 @@ def _read_text(path):
         return handle.read()
 
 
+def _comma_copy(data_path, out_path):
+    """Write a comma-delimited copy of a semicolon-delimited file; returns out_path."""
+    with open(data_path, encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle, delimiter=";"))
+    with open(out_path, "w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle, delimiter=",").writerows(rows)
+    return out_path
+
+
 def _rewrite_header(chain_path, out_path, change):
     """Copy a chain file, passing its header dict through `change` first."""
     first, rest = _read_bytes(chain_path).split(b"\n", 1)
@@ -458,11 +467,7 @@ class TestCompare:
     def comma_fits(self, small_bank_csv, tmp_path_factory):
         """A comma-delimited copy of the data, and a logit and a probit fit of it."""
         directory = tmp_path_factory.mktemp("comma")
-        data = str(directory / "bank-comma.csv")
-        with open(small_bank_csv, encoding="utf-8", newline="") as handle:
-            rows = list(csv.reader(handle, delimiter=";"))
-        with open(data, "w", encoding="utf-8", newline="") as handle:
-            csv.writer(handle, delimiter=",").writerows(rows)
+        data = _comma_copy(small_bank_csv, str(directory / "bank-comma.csv"))
         chains = []
         for link in ("logit", "probit"):
             out = str(directory / link)
@@ -580,16 +585,42 @@ class TestPredict:
     def test_zero_stored_scale_exits_2_without_warning(
         self, logit_dir, score_csv, tmp_path, capsys
     ):
-        def zero_duration_scale(header):
-            header["model"]["design"]["scaling"]["duration"][1] = 0.0
+        """So does a stored center or scale that json reads as NaN or Infinity."""
+        for entry, value, message in (
+            (1, 0.0, "'duration' has non-positive scale 0.0"),
+            (0, math.nan, "'duration' has non-finite center or scale (nan, "),
+            (1, math.inf, "'duration' has non-finite center or scale ("),
+        ):
+            def spoil(header):
+                header["model"]["design"]["scaling"]["duration"][entry] = value
 
-        chain = _rewrite_header(os.path.join(logit_dir, "logit.chain"),
-                                str(tmp_path / "zero-scale.chain"), zero_duration_scale)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            code = main(["predict", chain, "--data", score_csv])
-        assert code == EXIT_USAGE
-        assert "'duration' has non-positive scale" in capsys.readouterr().err
+            chain = _rewrite_header(os.path.join(logit_dir, "logit.chain"),
+                                    str(tmp_path / f"scale-{entry}-{value}.chain"), spoil)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code = main(["predict", chain, "--data", score_csv])
+            assert code == EXIT_USAGE, value
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert message in err, value
+
+    def test_delimiter_defaults_to_the_fits(self, small_bank_csv, tmp_path, capsys):
+        """The rows a comma-delimited fit holds out score without --delimiter."""
+        data = _comma_copy(small_bank_csv, str(tmp_path / "bank-comma.csv"))
+        out = str(tmp_path / "fit")
+        assert _run_fit(data, out, "--delimiter", ",", "--holdout", "50") == EXIT_OK
+        chain, holdout = os.path.join(out, "logit.chain"), os.path.join(out, "holdout.csv")
+        capsys.readouterr()
+        outputs = []
+        for flag in ([], ["--delimiter", ","]):
+            argv = ["predict", chain, "--data", holdout, "--format", "json"] + flag
+            assert main(argv) == EXIT_OK, flag
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert len(json.loads(outputs[0])["predictions"]) == 50
+        # An explicit flag still overrides the stored delimiter.
+        assert main(["predict", chain, "--data", holdout, "--delimiter", ";"]) == EXIT_DATA
+        assert "missing columns" in capsys.readouterr().err
 
     def test_unseen_level_exits_5(self, logit_dir, score_csv, tmp_path, capsys):
         with open(score_csv, encoding="utf-8", newline="") as handle:
@@ -887,6 +918,11 @@ class TestChainHeaderKeys:
             ("accept_rates", [0.9, 0.9, 0.9]),
             ("divergence_iterations", ["ab"]),
             ("divergence_iterations", [[0.5], []]),
+            ("model.design.scaling.duration", "ab"),
+            ("model.design.scaling.duration", "missing"),
+            ("model.design.encoding_map.job.blue-collar", "x"),
+            ("model.design.column_names", [5]),
+            ("model.design.scaling.duration", [0.0]),
         ],
     )
     def test_bad_stored_value_exits_3_naming_it(

@@ -3,9 +3,9 @@
     PYTHONPATH=src python tools/artifacts.py OUT
 
 Writes the 41,188-row surrogate (`tests/bankgen.py`, the benchmark's seed)
-to OUT/bank.csv and runs, each as `python -m bernreg.cli` in its own
-process with one BLAS thread, OUT as the working directory and relative
-paths:
+to OUT/bank.csv, and a comma-delimited copy of it to OUT/bank-comma.csv,
+and runs, each as `python -m bernreg.cli` in its own process with one BLAS
+thread, OUT as the working directory and relative paths:
 
 - `fit` of each link with 2 chains of 150 warmup + 100 draws at seed 42,
   plain, with `--holdout 500` and with `--threads 2`;
@@ -20,6 +20,11 @@ paths:
 - `fit` of each link with 2 chains of 150 warmup + 1,000 draws at seed
   42, then `compare` of those two fits and `predict` of every row with
   each, at both scales, in JSON: at S = 2,000 a row block is 16 rows;
+- `fit` of each link on the comma-delimited copy with `--delimiter ,
+  --holdout 500` and the short chains, then `compare` of those two fits
+  and `predict --delimiter , --scale probability --format json` of every
+  row with the logit fit: the stored-delimiter paths and the comma
+  holdout writer;
 - `verify --format json`.
 
 Each command's stdout, stderr and exit code go to OUT/cmd/<name>.out,
@@ -33,6 +38,7 @@ checkouts compare as
 """
 
 import argparse
+import csv
 import glob
 import os
 import subprocess
@@ -89,6 +95,15 @@ def commands():
             out.append((f"predict-{link}-long-{scale}-json",
                         ["predict", chain, "--data", "bank.csv", "--scale", scale,
                          "--format", "json"]))
+    comma_chains = [f"{link}-comma/{link}.chain" for link in LINKS]
+    for link in LINKS:
+        out.append((f"fit-{link}-comma", ["fit", "--data", "bank-comma.csv", "--link", link]
+                    + FIT + ["--delimiter", ",", "--holdout", "500", "--out", f"{link}-comma"]))
+    out.append(("compare-comma-json",
+                ["compare", "--data", "bank-comma.csv", *comma_chains, "--format", "json"]))
+    out.append(("predict-logit-comma-probability-json",
+                ["predict", comma_chains[0], "--data", "bank-comma.csv", "--delimiter", ",",
+                 "--scale", "probability", "--format", "json"]))
     out.append(("verify-json", ["verify", "--format", "json"]))
     return out
 
@@ -101,7 +116,13 @@ def main(argv=None):
     if os.listdir(args.out):
         parser.error(f"{args.out} is not empty")
     os.makedirs(os.path.join(args.out, "cmd"))
-    bankgen.write_bank_csv(os.path.join(args.out, "bank.csv"), SURROGATE_ROWS, SURROGATE_SEED)
+    bank = bankgen.write_bank_csv(os.path.join(args.out, "bank.csv"), SURROGATE_ROWS,
+                                  SURROGATE_SEED)
+    with open(bank, encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle, delimiter=";"))
+    with open(os.path.join(args.out, "bank-comma.csv"), "w", encoding="utf-8",
+              newline="") as handle:
+        csv.writer(handle, delimiter=",").writerows(rows)
 
     # The commands run in OUT, so relative PYTHONPATH entries are resolved here.
     path = [os.path.abspath(p) for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
