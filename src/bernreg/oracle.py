@@ -5,13 +5,13 @@ scalar functions, fsum accumulation, no shared code with the modules
 being validated. The grid integrator handles at most three parameters
 and re-integrates on widened axes as a self-check; the finite-difference
 gradient is a plain central difference. `exact_loo`, the reference for
-PSIS-LOO, refits the model with the sampler once per observation left
-out: it is independent of PSIS, not of NUTS.
+PSIS-LOO, integrates every leave-one-out posterior on the same grid, so
+it shares no code with PSIS, the sampler or the model's kernel.
 """
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,6 +38,13 @@ class GridSpec:
             total *= n
         if total > _MAX_GRID_POINTS:
             raise ValueError(f"grid of {total} points exceeds {_MAX_GRID_POINTS}")
+
+    @classmethod
+    def around(cls, pooled, n_points):
+        """Axes at each column's mean +/- 7 sd (ddof 0) of pooled draws."""
+        stats = [(column.mean(), column.std()) for column in pooled.T]
+        return cls(axes=tuple((float(m - 7 * sd), float(m + 7 * sd), n_points)
+                              for m, sd in stats))
 
 
 def finite_diff_gradient(fn, point, h=1e-5):
@@ -70,8 +77,8 @@ def _normal_cdf(eta):
 
 
 def _naive_log_posterior(link, prior, xs, ys, beta):
-    """Scalar log posterior from first principles; no vectorization."""
-    total = []
+    """(per-observation log-likelihoods, log posterior) from first principles."""
+    terms = []
     for xi, yi in zip(xs, ys):
         eta = beta[0]
         for j, v in enumerate(xi):
@@ -82,13 +89,14 @@ def _naive_log_posterior(link, prior, xs, ys, beta):
             p = _normal_cdf(eta)
             p = min(max(p, 1e-300), 1.0 - 1e-16)
             term = math.log(p) if yi else math.log1p(-p)
-        total.append(term)
+        terms.append(term)
+    total = list(terms)
     for j, b in enumerate(beta):
         mean = prior.intercept_mean if j == 0 else prior.slope_mean
         sd = prior.intercept_sd if j == 0 else prior.slope_sd
         z = (b - mean) / sd
         total.append(-0.5 * z * z - math.log(sd) - 0.5 * math.log(2.0 * math.pi))
-    return math.fsum(total)
+    return terms, math.fsum(total)
 
 
 def _axis_points(lo, hi, n):
@@ -96,10 +104,13 @@ def _axis_points(lo, hi, n):
     return [lo + i * step for i in range(n)]
 
 
+def _grid_points(axes):
+    return itertools.product(*[_axis_points(*axis) for axis in axes])
+
+
 def _grid_moments(link, prior, xs, ys, axes):
-    grids = [_axis_points(lo, hi, n) for lo, hi, n in axes]
-    points = list(itertools.product(*grids))
-    logps = [_naive_log_posterior(link, prior, xs, ys, beta) for beta in points]
+    points = list(_grid_points(axes))
+    logps = [_naive_log_posterior(link, prior, xs, ys, beta)[1] for beta in points]
     top = max(logps)
     weights = [math.exp(lp - top) for lp in logps]
     total = math.fsum(weights)
@@ -115,7 +126,7 @@ def _grid_moments(link, prior, xs, ys, axes):
         )
         for j in range(dim)
     ]
-    return means, sds
+    return means + sds
 
 
 def _widened(axes):
@@ -127,36 +138,62 @@ def _widened(axes):
     return tuple(out)
 
 
-def grid_posterior_moments(model, grid):
-    """(means, sds) of each parameter by brute-force grid integration.
+def _grid_loo_terms(link, prior, xs, ys, axes):
+    """log Z - log Z_-i for each observation i, in one pass over the grid:
+    Z sums the joint density over the points, and Z_-i divides each term by
+    p(y_i | beta). Each sum is a running log-sum-exp, so memory holds one
+    (max, sum) pair per observation, not points x observations."""
+    tops = [-math.inf] * (len(ys) + 1)
+    sums = [0.0] * (len(ys) + 1)
+    for beta in _grid_points(axes):
+        terms, joint = _naive_log_posterior(link, prior, xs, ys, beta)
+        for k, value in enumerate([joint] + [joint - t for t in terms]):
+            if value > tops[k]:
+                sums[k] = sums[k] * math.exp(tops[k] - value) + 1.0
+                tops[k] = value
+            else:
+                sums[k] += math.exp(value - tops[k])
+    log_z = [top + math.log(s) for top, s in zip(tops, sums)]
+    return [log_z[0] - log_z_i for log_z_i in log_z[1:]]
 
-    Re-integrates on axes widened by half the range; if any moment moves
-    by 1e-3 or more, the grid cannot be trusted and the call fails
-    instead of returning a wrong reference value.
-    """
-    dim = model.n_params
+
+def _self_checked(integrate, model, grid, what):
+    """integrate(link, prior, xs, ys, axes) on the grid's axes. It fails if
+    any value moves by 1e-3 or more on axes widened by half their range:
+    the grid then cannot be trusted to give a reference value."""
+    dim = model.design.n_columns + 1
     if dim > 3:
         raise NumericalError(f"grid integration supports at most 3 parameters, got {dim}")
     if len(grid.axes) != dim:
-        raise MismatchError(
-            f"{len(grid.axes)} grid axes for {dim} parameters"
-        )
+        raise MismatchError(f"{len(grid.axes)} grid axes for {dim} parameters")
     xs = [list(map(float, row)) for row in model.design.values]
     ys = [int(v) for v in model.target]
-    means, sds = _grid_moments(model.link, model.prior, xs, ys, grid.axes)
-    wide_means, wide_sds = _grid_moments(
-        model.link, model.prior, xs, ys, _widened(grid.axes)
-    )
-    drift = max(
-        max(abs(a - b) for a, b in zip(means, wide_means)),
-        max(abs(a - b) for a, b in zip(sds, wide_sds)),
-    )
+    values = integrate(model.link, model.prior, xs, ys, grid.axes)
+    wide = integrate(model.link, model.prior, xs, ys, _widened(grid.axes))
+    drift = max(abs(a - b) for a, b in zip(values, wide))
     if drift >= _SELF_CHECK_TOLERANCE:
         raise NumericalError(
-            f"moments moved {drift:.2e} under axis widening (limit 1e-3); "
+            f"{what} moved {drift:.2e} under axis widening (limit 1e-3); "
             "use wider or denser axes"
         )
-    return tuple(means), tuple(sds)
+    return values
+
+
+def grid_posterior_moments(model, grid):
+    """(means, sds) of each parameter by brute-force grid integration,
+    self-checked on widened axes."""
+    values = _self_checked(_grid_moments, model, grid, "moments")
+    return tuple(values[:len(grid.axes)]), tuple(values[len(grid.axes):])
+
+
+def exact_loo(model, grid):
+    """Exact LOO elpd on the grid, the sum over i of log Z - log Z_-i,
+    self-checked on widened axes like `grid_posterior_moments`."""
+    n_obs = model.design.n_rows
+    if n_obs > 500:
+        raise NumericalError(f"exact LOO capped at 500 observations, got {n_obs}")
+    return _self_checked(lambda *args: [math.fsum(_grid_loo_terms(*args))],
+                         model, grid, "elpd")[0]
 
 
 @dataclass
@@ -205,39 +242,6 @@ def _check_gradients(link, seed, n_points=100):
     return worst
 
 
-def exact_loo(model, config):
-    """Brute-force LOO elpd: one refit per observation.
-
-    Refit i swaps the config seed for substream i of the base seed, so
-    results do not depend on refit order and match across reruns.
-    """
-    from scipy.special import logsumexp
-
-    from .model import ModelSpec, linear_predictor, log_cdf_and_ratio
-    from .rngutil import substream_seed
-    from .sampler import sample
-
-    n_obs = model.design.n_rows
-    if n_obs > 500:
-        raise NumericalError(f"exact LOO capped at 500 observations, got {n_obs}")
-    x = model.design.values
-    y = model.target
-    lpds = []
-    for i in range(n_obs):
-        keep = np.ones(n_obs, dtype=bool)
-        keep[i] = False
-        design_i = replace(model.design, values=x[keep])
-        model_i = ModelSpec(
-            link=model.link, prior=model.prior, design=design_i, target=y[keep]
-        )
-        config_i = replace(config, seed=substream_seed(config.seed, i))
-        draws = sample(model_i, config_i)
-        margin = (2.0 * y[i] - 1.0) * linear_predictor(draws.pooled(), x[i:i + 1])[:, 0]
-        terms = log_cdf_and_ratio(model.link, margin, with_ratio=False)[0]
-        lpds.append(float(logsumexp(terms) - math.log(len(terms))))
-    return math.fsum(lpds)
-
-
 def run_verification(seed=0):
     """Dual-route checks of the core numerics; returns CheckResults."""
     from .model import ModelSpec, PriorSpec, default_priors
@@ -283,12 +287,7 @@ def run_verification(seed=0):
     config = SamplerConfig(n_chains=4, n_warmup=500, n_draws=500, seed=seed + 7)
     draws = sample(model, config)
     pooled = draws.pooled()
-    grid = GridSpec(axes=tuple(
-        (float(pooled[:, j].mean() - 7 * pooled[:, j].std()),
-         float(pooled[:, j].mean() + 7 * pooled[:, j].std()), 201)
-        for j in range(2)
-    ))
-    means, sds = grid_posterior_moments(model, grid)
+    means, sds = grid_posterior_moments(model, GridSpec.around(pooled, 201))
     from .diagnostics import ess_bulk
 
     worst = 0.0
@@ -304,12 +303,12 @@ def run_verification(seed=0):
         )
     )
 
-    # PSIS against refit-per-observation LOO on a small dataset.
+    # PSIS against exact LOO by grid quadrature on a small dataset.
     model = _synthetic_model("logit", 60, 1, seed + 202, prior=default_priors("logit"))
     config = SamplerConfig(n_chains=2, n_warmup=300, n_draws=400, seed=seed + 13)
     fit = sample(model, config)
     approx = psis_loo(pointwise_loglik(fit, model))
-    exact = exact_loo(model, config)
+    exact = exact_loo(model, GridSpec.around(fit.pooled(), 101))
     gap = abs(approx.elpd_loo - exact)
     results.append(
         CheckResult(

@@ -1,6 +1,6 @@
 """Deterministic substream derivation.
 
-Every seeded stage (chain c, per-observation refit i, pipeline step s)
+Every seeded stage (chain c, pipeline step s, outcome-scale prediction)
 derives its own 64-bit state as splitmix64(seed + (index + 1) * GOLDEN),
 so streams never depend on how many siblings run or in what order.
 """

@@ -24,7 +24,7 @@ from bernreg.model import (
     linear_predictor,
     log_cdf_and_ratio,
 )
-from bernreg.oracle import _synthetic_model, exact_loo
+from bernreg.oracle import GridSpec, _grid_loo_terms, _synthetic_model, exact_loo
 from bernreg.report import render_comparison_json
 from bernreg.sampler import SamplerConfig, sample
 
@@ -588,79 +588,98 @@ class TestCompare:
             compare({"only": good})
 
 
+# Axes at 7 prior sds of the synthetic models' N(0, 2^2) prior.
+_PRIOR_AXES = GridSpec(axes=((-14.0, 14.0, 101), (-14.0, 14.0, 101)))
+
+
+def _dblquad_loo_terms(model, axes):
+    """log Z - log Z_-i for each observation, each Z by scipy's adaptive
+    `dblquad` over the grid's box, from scipy's log-CDFs."""
+    from scipy.integrate import dblquad
+    from scipy.special import log_expit, log_ndtr
+
+    log_cdf = log_expit if model.link == "logit" else log_ndtr
+    x, sign = model.design.values[:, 0], 2.0 * model.target - 1.0
+    (lo0, hi0, _), (lo1, hi1, _) = axes
+    prior = model.prior
+
+    def log_z(keep):
+        def density(b1, b0):
+            loglik = log_cdf(sign[keep] * (b0 + b1 * x[keep])).sum()
+            z0 = (b0 - prior.intercept_mean) / prior.intercept_sd
+            z1 = (b1 - prior.slope_mean) / prior.slope_sd
+            return math.exp(loglik - 0.5 * (z0 * z0 + z1 * z1))
+
+        value, _ = dblquad(density, lo0, hi0, lo1, hi1, epsabs=0.0, epsrel=1e-12)
+        return math.log(value)
+
+    everyone = np.ones(len(x), dtype=bool)
+    return [log_z(everyone) - log_z(everyone & (np.arange(len(x)) != i))
+            for i in range(len(x))]
+
+
+def _grid_loo_terms_of(model, axes):
+    xs = [list(map(float, row)) for row in model.design.values]
+    ys = [int(v) for v in model.target]
+    return _grid_loo_terms(model.link, model.prior, xs, ys, axes)
+
+
 class TestExactLoo:
     def test_matches_direct_computation_tiny(self):
-        # 6 observations: run exact_loo and recompute one left-out lpd by
-        # hand with an identical refit.
-        model = _synthetic_model("logit", 6, 1, 2)
-        config = SamplerConfig(n_chains=1, n_warmup=150, n_draws=150, seed=5)
-        total = exact_loo(model, config)
-        assert math.isfinite(total) and total < 0
+        # N = 3: each grid term log Z - log Z_-i against adaptive quadrature
+        # of Z and Z_-i, for both links; the total is their sum.
+        for link in ("logit", "probit"):
+            model = _synthetic_model(link, 3, 1, 2)
+            reference = _dblquad_loo_terms(model, _PRIOR_AXES.axes)
+            grid = _grid_loo_terms_of(model, _PRIOR_AXES.axes)
+            assert grid == pytest.approx(reference, rel=0, abs=1e-8)
+            assert exact_loo(model, _PRIOR_AXES) == pytest.approx(
+                math.fsum(reference), rel=0, abs=1e-8)
 
-        from dataclasses import replace as dc_replace
+    def test_leaves_out_one_copy_of_a_repeated_row(self):
+        # One row three times: copy i's term leaves out that copy alone, so
+        # Z_-i keeps the other two.
+        from bernreg.data import DesignMatrix
 
-        from bernreg.rngutil import substream_seed
+        model = ModelSpec("logit", PriorSpec(0.0, 2.0, 0.0, 2.0),
+                          DesignMatrix.from_values(np.full((3, 1), 0.7)), np.ones(3))
+        reference = _dblquad_loo_terms(model, _PRIOR_AXES.axes)
+        assert _grid_loo_terms_of(model, _PRIOR_AXES.axes) == pytest.approx(
+            reference, rel=0, abs=1e-8)
+        assert exact_loo(model, _PRIOR_AXES) == pytest.approx(
+            math.fsum(reference), rel=0, abs=1e-8)
 
-        i = 2
-        keep = np.ones(6, dtype=bool)
-        keep[i] = False
-        design_i = dc_replace(model.design, values=model.design.values[keep])
-        model_i = ModelSpec(
-            link=model.link, prior=model.prior, design=design_i,
-            target=model.target[keep],
-        )
-        config_i = dc_replace(config, seed=substream_seed(config.seed, i))
-        draws = sample(model_i, config_i)
-        beta = draws.pooled()
-        eta = beta[:, 0] + beta[:, 1:] @ model.design.values[i]
-        terms, _ = log_cdf_and_ratio(model.link, (2.0 * model.target[i] - 1.0) * eta)
-        lpd_i = float(logsumexp(terms) - math.log(len(terms)))
+    def test_uses_neither_sampler_nor_model_kernel(self, monkeypatch):
+        import scipy.special
 
-        # Recompute the full exact_loo sum with i's contribution swapped in:
-        # identical because the substream seeds decouple the refits.
-        again = exact_loo(model, config)
-        assert again == total
-        # and the hand-computed piece is one of the terms
-        partial = exact_loo(
-            ModelSpec(link=model.link, prior=model.prior,
-                      design=model.design, target=model.target),
-            config,
-        )
-        assert partial == total
-        assert lpd_i < 0
+        from bernreg import model as model_module
+        from bernreg import rngutil, sampler
+
+        model = _synthetic_model("probit", 8, 1, 4)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("exact_loo reached code it is meant to check")
+
+        for module, name in ((sampler, "sample"), (model_module, "log_cdf_and_ratio"),
+                             (model_module, "linear_predictor"),
+                             (rngutil, "substream_seed"), (scipy.special, "logsumexp")):
+            monkeypatch.setattr(module, name, refuse)
+        assert math.isfinite(exact_loo(model, _PRIOR_AXES))
+
+    def test_narrow_axes_fail_self_check(self):
+        model = _synthetic_model("logit", 40, 1, 5)
+        grid = GridSpec(axes=((-0.05, 0.05, 11), (-0.05, 0.05, 11)))
+        with pytest.raises(NumericalError, match="elpd moved .* under axis widening"):
+            exact_loo(model, grid)
 
     def test_deterministic(self):
         model = _synthetic_model("logit", 8, 1, 4)
-        config = SamplerConfig(n_chains=1, n_warmup=100, n_draws=100, seed=9)
-        assert exact_loo(model, config) == exact_loo(model, config)
-
-    def test_refit_leaves_out_one_copy_of_a_repeated_row(self, monkeypatch):
-        from bernreg import sampler
-        from bernreg.data import DesignMatrix
-
-        x = np.array([[0.7], [-1.0], [0.7], [2.0], [0.7]])
-        y = np.array([1.0, 0.0, 1.0, 0.0, 1.0])
-        model = ModelSpec("logit", PriorSpec(0.0, 2.0, 0.0, 2.0),
-                          DesignMatrix.from_values(x), y)
-        refits = []
-
-        def fake_sample(model_i, config_i):
-            refits.append(model_i)
-            return make_draws(np.zeros((1, 4, 2)), model_i.param_names)
-
-        monkeypatch.setattr(sampler, "sample", fake_sample)
-        exact_loo(model, SamplerConfig(n_chains=1, n_warmup=10, n_draws=4, seed=0))
-        assert len(refits) == 5
-        for i in (0, 2, 4):
-            rows, sign, weight, _ = refits[i].weighted_rows
-            repeated = (rows[:, 0] == 0.7) & (sign == 1.0)
-            assert weight[repeated].tolist() == [2.0]
-            assert weight.sum() == 4.0
+        assert exact_loo(model, _PRIOR_AXES) == exact_loo(model, _PRIOR_AXES)
 
     def test_too_large_rejected(self):
         model = _synthetic_model("logit", 501, 1, 0)
         with pytest.raises(NumericalError, match="exact LOO capped at 500 observations"):
-            exact_loo(model, SamplerConfig(n_chains=1, n_warmup=10, n_draws=10, seed=0))
+            exact_loo(model, _PRIOR_AXES)
 
 
 class TestPsisAgainstExact:
@@ -671,6 +690,6 @@ class TestPsisAgainstExact:
         config = SamplerConfig(n_chains=2, n_warmup=250, n_draws=400, seed=31)
         draws = sample(model, config)
         approx = psis_loo(pointwise_loglik(draws, model))
-        exact = exact_loo(model, config)
+        exact = exact_loo(model, GridSpec.around(draws.pooled(), 101))
         assert abs(approx.elpd_loo - exact) < 0.5
         assert approx.n_high_k < 2

@@ -8,7 +8,7 @@ import pytest
 import bernreg
 from bernreg.data import DesignMatrix
 from bernreg.errors import MismatchError, NumericalError
-from bernreg.model import ModelSpec, PriorSpec, log_posterior_and_gradient
+from bernreg.model import ModelSpec, PriorSpec, log_cdf_and_ratio, log_posterior_and_gradient
 from bernreg.oracle import (
     GridSpec,
     _naive_log_posterior,
@@ -64,6 +64,15 @@ class TestGridSpec:
     def test_valid_spec_accepted(self):
         GridSpec(axes=((0.0, 1.0, 3), (-1.0, 1.0, 101)))
 
+    def test_around_pooled_draws(self):
+        # Each axis spans its column's mean +/- 7 population sds.
+        pooled = np.random.default_rng(3).normal([1.0, -2.0], [0.5, 2.0], (400, 2))
+        grid = GridSpec.around(pooled, 51)
+        for (lo, hi, n), column in zip(grid.axes, pooled.T):
+            sd = np.std(column, ddof=0)
+            assert (lo, hi, n) == (column.mean() - 7.0 * sd, column.mean() + 7.0 * sd, 51)
+            assert type(lo) is float and type(hi) is float
+
 
 class TestNaiveLogPosterior:
     def test_agrees_with_vectorized_implementation(self):
@@ -72,7 +81,7 @@ class TestNaiveLogPosterior:
             model = _synthetic_model(link, 25, 2, int(rng.integers(2**32)))
             for _ in range(10):
                 beta = rng.normal(0.0, 1.5, 3)
-                naive = _naive_log_posterior(
+                terms, naive = _naive_log_posterior(
                     link,
                     model.prior,
                     [list(map(float, row)) for row in model.design.values],
@@ -81,6 +90,10 @@ class TestNaiveLogPosterior:
                 )
                 fast = log_posterior_and_gradient(beta, model)[0]
                 assert abs(naive - fast) < 1e-9 * max(1.0, abs(fast))
+                margin = (2.0 * model.target - 1.0) * (
+                    beta[0] + model.design.values @ beta[1:])
+                kernel = log_cdf_and_ratio(link, margin, with_ratio=False)[0]
+                assert np.all(np.abs(terms - kernel) < 1e-9 * np.maximum(1.0, np.abs(kernel)))
 
 
 class TestGridMoments:
