@@ -17,6 +17,7 @@ import sys
 from . import chainfile, report
 from .data import (
     BALANCE_MODES,
+    dataset_fingerprint,
     encode,
     encode_new,
     holdout_split,
@@ -126,15 +127,16 @@ def _warn_rhat(rows):
 
 
 def _training_set(table, pipeline):
-    """(design, target, balance_report, holdout_table) per the stored pipeline dict."""
+    """(design, target, balance_report, holdout_table) per the stored pipeline dict;
+    the holdout leaves the parsed table first, so no copy of its rows is trained on."""
+    holdout_table = None
+    if pipeline["holdout"]:
+        table, holdout_table = holdout_split(
+            table, pipeline["holdout"], substream_seed(pipeline["seed"], HOLDOUT_STREAM)
+        )
     prepared, balance_report = prepare_training_table(
         table, pipeline["subsample"], pipeline["balance"], pipeline["seed"]
     )
-    holdout_table = None
-    if pipeline["holdout"]:
-        prepared, holdout_table = holdout_split(
-            prepared, pipeline["holdout"], substream_seed(pipeline["seed"], HOLDOUT_STREAM)
-        )
     design, target = encode(prepared, standardize=pipeline["standardize"])
     return design, target, balance_report, holdout_table
 
@@ -184,7 +186,7 @@ def cmd_fit(args):
 
     model_info = {"link": config.link, "prior": prior.to_dict(), "design": design.metadata()}
     dataset_info = {
-        "fingerprint": model.fingerprint,
+        "fingerprint": dataset_fingerprint(design, target),
         "n_rows": int(design.n_rows),
         "pipeline": pipeline,
         "balance": balance_report.to_dict() if balance_report else None,
@@ -233,7 +235,7 @@ def _rebuild_model(header, table, training_sets):
 
     `training_sets` holds the (design, target) of each pipeline built so
     far, keyed by its sorted JSON, so fits of one pipeline share one build.
-    The stored design and fingerprint are checked for every header.
+    Each header's stored design and fingerprint are checked against the rebuild.
     """
     pipeline = header["dataset"]["pipeline"]
     key = json.dumps(pipeline, sort_keys=True)
@@ -247,9 +249,10 @@ def _rebuild_model(header, table, training_sets):
             "the data file differs from the one used to fit"
         )
     model = ModelSpec(stored["link"], PriorSpec.from_dict(stored["prior"]), design, target)
-    if model.fingerprint != header["dataset"]["fingerprint"]:
+    fingerprint = dataset_fingerprint(design, target)
+    if fingerprint != header["dataset"]["fingerprint"]:
         raise MismatchError(
-            f"rebuilt dataset fingerprint {model.fingerprint} differs from stored "
+            f"rebuilt dataset fingerprint {fingerprint} differs from stored "
             f"{header['dataset']['fingerprint']}"
         )
     return model
@@ -259,13 +262,15 @@ def cmd_compare(args):
     if len(args.chains) < 2:
         raise ValueError("compare needs at least two chain files")
     fits = [chainfile.load_chain_file(path) for path in args.chains]
-    delimiters = {header["dataset"]["pipeline"]["delimiter"] for _, header in fits}
-    if len(delimiters) > 1:
-        raise MismatchError(
-            "chain files were fitted with different delimiters: "
-            + ", ".join(sorted(map(repr, delimiters)))
-        )
-    table = parse_dataset(args.data, delimiters.pop())
+    delimiters = [header["dataset"]["pipeline"]["delimiter"] for _, header in fits]
+    fingerprints = [header["dataset"]["fingerprint"] for _, header in fits]
+    # Headers that disagree are refused before the data file is read.
+    for what, stored in (("delimiters", delimiters),
+                         ("dataset fingerprints (fits of different data)", fingerprints)):
+        if len(set(stored)) > 1:
+            raise MismatchError(f"chain files store different {what}: " + ", ".join(
+                f"{path} {value!r}" for path, value in zip(args.chains, stored)))
+    table = parse_dataset(args.data, delimiters[0])
     training_sets = {}
     # Every file is checked before any LOO, and the parsed table is freed,
     # so a D x S matrix is the one large thing held while LOO runs.

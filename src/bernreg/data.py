@@ -297,7 +297,8 @@ def stratified_trim(table, n, seed):
 
 
 def holdout_split(table, n_holdout, seed):
-    """(train, holdout) from a seeded full shuffle; rows are disjoint."""
+    """(rest, holdout) from a seeded full shuffle. `fit` splits the parsed table,
+    before any row is copied, so the two sides share no source row."""
     if not 0 < n_holdout < table.n_rows:
         raise DataError(
             f"holdout size {n_holdout} out of range for {table.n_rows} rows"

@@ -11,13 +11,12 @@ error, and comparisons subtract the best model's pointwise values.
 
 `pointwise_loglik` fills a D x S matrix, the model's D distinct (x, y)
 rows by the draws, with the posterior's kernel (its log F half only),
-walking `model.row_blocks`. The data fingerprint comes from the model:
-its cached `fingerprint` is read before the matrix is allocated, so no
-hash of the data runs while a matrix is alive. `psis_loo` smooths the
-matrix in blocks of the same `block_rows` rows, each a contiguous slice,
-then gives each of the N observations its row's results: copies of a row
-have identical rows of the matrix, so every aggregate stays per
-observation.
+walking `model.row_blocks`. `psis_loo` smooths the matrix in blocks of
+the same `block_rows` rows, each a contiguous slice, then gives each of
+the N observations its row's results: copies of a row have identical
+rows of the matrix, so every aggregate stays per observation. `compare`
+ranks the results it is given: the command layer checks that the fits
+share their data before any LOO runs.
 """
 
 import math
@@ -25,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MismatchError
 from .model import block_rows, log_cdf_and_ratio, row_blocks
 
 HIGH_K_THRESHOLD = 0.7
@@ -34,11 +32,10 @@ _MIN_TAIL_DRAWS = 25
 
 @dataclass
 class LogLikMatrix:
-    """Log-likelihood of distinct rows by draws, each observation's row, data identity."""
+    """Log-likelihood of distinct rows by draws, and each observation's row."""
 
     values: np.ndarray
     inverse: np.ndarray
-    fingerprint: str
 
     def __post_init__(self):
         self.values = np.ascontiguousarray(self.values, dtype=np.float64)
@@ -51,12 +48,11 @@ def pointwise_loglik(draws, model):
     """D x S log-likelihood of the distinct rows over pooled draws, in row blocks."""
     beta = draws.pooled()
     x, sign, _, inverse = model.weighted_rows
-    fingerprint = model.fingerprint
     out = np.empty((x.shape[0], beta.shape[0]))
     for rows, eta in row_blocks(beta, x):
         eta *= sign[rows, None]
         out[rows] = log_cdf_and_ratio(model.link, eta, with_ratio=False)[0]
-    return LogLikMatrix(values=out, inverse=inverse, fingerprint=fingerprint)
+    return LogLikMatrix(values=out, inverse=inverse)
 
 
 def tail_length(n_draws):
@@ -214,7 +210,6 @@ class LooResult:
     pointwise_elpd: np.ndarray
     pareto_k: np.ndarray
     n_obs: int
-    fingerprint: str
     p_loo: float = math.nan
 
     @property
@@ -257,7 +252,6 @@ def psis_loo(loglik):
         pointwise_elpd=pointwise,
         pareto_k=pareto_k,
         n_obs=n_obs,
-        fingerprint=loglik.fingerprint,
         p_loo=float(np.sum(lppd)) - elpd_loo,
     )
 
@@ -286,13 +280,6 @@ def compare(results):
     items = list(results.items())
     if len(items) < 2:
         raise ValueError("compare needs at least two models")
-    reference_fp = items[0][1].fingerprint
-    for name, res in items[1:]:
-        if res.fingerprint != reference_fp or res.n_obs != items[0][1].n_obs:
-            raise MismatchError(
-                f"model {name!r} was evaluated on different data "
-                f"({res.fingerprint} vs {reference_fp})"
-            )
     ordered = sorted(items, key=lambda kv: -kv[1].elpd_loo)
     best = ordered[0][1]
     rows = []

@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import DesignMatrix, dataset_fingerprint
+from .data import DesignMatrix
 from .errors import MismatchError
 
 LOGIT = "logit"
@@ -89,9 +89,7 @@ def default_priors(link):
 class ModelSpec:
     """Link + prior + encoded design + 0/1 target; the sampler's input.
 
-    `dim`, `param_names` and `logp_grad` make it a sampler target. The
-    data fingerprint `fit` stores, `compare` checks and LOO results carry
-    is `fingerprint`, computed once per model.
+    `dim`, `param_names` and `logp_grad` make it a sampler target.
     """
 
     link: str
@@ -138,11 +136,6 @@ class ModelSpec:
         x = np.ascontiguousarray(rows[:, :-1])
         # numpy 2.0.x returns the axis=0 inverse as a column.
         return x, 2.0 * rows[:, -1] - 1.0, counts.astype(np.float64), inverse.ravel()
-
-    @cached_property
-    def fingerprint(self):
-        """`dataset_fingerprint` of the design and target, built on first use."""
-        return dataset_fingerprint(self.design, self.target)
 
     @cached_property
     def prior_terms(self):

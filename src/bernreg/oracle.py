@@ -72,8 +72,9 @@ def _log_sigmoid(eta):
     return eta - math.log1p(math.exp(eta))
 
 
-def _normal_cdf(eta):
-    return 0.5 * (1.0 + math.erf(eta / math.sqrt(2.0)))
+def _log_normal_cdf(t):
+    """log Phi(t) from erfc, precise in the lower tail down to its underflow near t = -37."""
+    return math.log(max(0.5 * math.erfc(-t / math.sqrt(2.0)), 1e-300))
 
 
 def _naive_log_posterior(link, prior, xs, ys, beta):
@@ -86,9 +87,7 @@ def _naive_log_posterior(link, prior, xs, ys, beta):
         if link == "logit":
             term = _log_sigmoid(eta) if yi else _log_sigmoid(-eta)
         else:
-            p = _normal_cdf(eta)
-            p = min(max(p, 1e-300), 1.0 - 1e-16)
-            term = math.log(p) if yi else math.log1p(-p)
+            term = _log_normal_cdf(eta) if yi else _log_normal_cdf(-eta)
         terms.append(term)
     total = list(terms)
     for j, b in enumerate(beta):

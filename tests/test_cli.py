@@ -218,8 +218,28 @@ class TestFitArtifacts:
             rows = list(csv.reader(h, delimiter=";"))
         assert len(rows) == 31  # header + 30 rows
         draws, header = chainfile.load_chain_file(os.path.join(out, "logit.chain"))
-        assert header["dataset"]["n_rows"] == 170
+        # The held-out rows leave the parsed table; the subsample is the training set.
+        assert header["dataset"]["n_rows"] == 200
         assert header["dataset"]["pipeline"]["holdout"] == 30
+
+    @pytest.mark.parametrize("subsample", [200, 0])
+    @pytest.mark.parametrize("balance", ["after", "before", "off"])
+    def test_held_out_rows_share_no_source_row_with_training(
+        self, small_bank_csv, monkeypatch, balance, subsample
+    ):
+        trained = []
+        encode = cli.encode
+
+        def spy(table, **kwargs):
+            trained.append(table)
+            return encode(table, **kwargs)
+
+        monkeypatch.setattr(cli, "encode", spy)
+        pipeline = {"subsample": subsample, "balance": balance, "holdout": 100,
+                    "seed": 42, "standardize": True}
+        _, _, _, held = cli._training_set(cli.parse_dataset(small_bank_csv), pipeline)
+        assert held.n_rows == 100 and len(trained) == 1
+        assert np.intersect1d(trained[0].source_indices, held.source_indices).size == 0
 
     def test_one_prior_flag_keeps_the_other_default(self, small_bank_csv, tmp_path):
         out = str(tmp_path / "run")
@@ -369,15 +389,18 @@ class TestCompare:
     def test_shared_training_set_still_checks_each_fingerprint(
         self, logit_dir, small_bank_csv, tmp_path, capsys, monkeypatch
     ):
+        # Both files store one wrong fingerprint, so the headers agree with
+        # each other and only the check against the rebuilt data fires.
         chain = os.path.join(logit_dir, "logit.chain")
 
         def tamper(header):
             header["dataset"]["fingerprint"] = "0" * 16
 
-        other = _rewrite_header(chain, str(tmp_path / "other.chain"), tamper)
+        first, other = (_rewrite_header(chain, str(tmp_path / name), tamper)
+                        for name in ("first.chain", "other.chain"))
         loo_calls = []
         monkeypatch.setattr(cli, "pointwise_loglik", lambda *args: loo_calls.append(args))
-        assert main(["compare", chain, other, "--data", small_bank_csv]) == EXIT_MISMATCH
+        assert main(["compare", first, other, "--data", small_bank_csv]) == EXIT_MISMATCH
         assert f"differs from stored {'0' * 16}" in capsys.readouterr().err
         assert loo_calls == []
 
@@ -404,10 +427,9 @@ class TestCompare:
             matrices[-1] = weakref.ref(loglik.values)
             return loglik
 
-        # Matrices alive at each fingerprint, counted where ModelSpec looks it up.
+        # Matrices alive at each fingerprint of a rebuilt training set.
         alive_at_fingerprint = []
-        home = sys.modules[cli.ModelSpec.__module__]
-        dataset_fingerprint = home.dataset_fingerprint
+        dataset_fingerprint = cli.dataset_fingerprint
 
         def counted(design, target):
             alive_at_fingerprint.append(
@@ -417,7 +439,7 @@ class TestCompare:
 
         monkeypatch.setattr(cli, "parse_dataset", watched_parse)
         monkeypatch.setattr(cli, "pointwise_loglik", checked_loglik)
-        monkeypatch.setattr(home, "dataset_fingerprint", counted)
+        monkeypatch.setattr(cli, "dataset_fingerprint", counted)
         chains = [os.path.join(logit_dir, "logit.chain"),
                   os.path.join(probit_dir, "probit.chain")]
         assert main(["compare", *chains, "--data", small_bank_csv]) == EXIT_OK
@@ -499,6 +521,31 @@ class TestCompare:
             "--data", small_bank_csv,
         ])
         assert code == EXIT_USAGE
+
+    def test_fits_of_different_data_exit_5_before_reading_the_data(
+        self, logit_dir, small_bank_csv, tmp_path, capsys, monkeypatch
+    ):
+        out = str(tmp_path / "probit-seed12")
+        code = main(["fit", "--data", small_bank_csv, "--out", out, "--link", "probit",
+                     "--subsample", "200", "--chains", "1", "--warmup", "20",
+                     "--draws", "10", "--seed", "12"])
+        assert code == EXIT_OK
+        capsys.readouterr()
+        chains = [os.path.join(logit_dir, "logit.chain"), os.path.join(out, "probit.chain")]
+        fingerprints = [chainfile.load_chain_file(path)[1]["dataset"]["fingerprint"]
+                        for path in chains]
+        assert fingerprints[0] != fingerprints[1]
+
+        def refuse(*args):
+            raise AssertionError("compare did work on fits of different data")
+
+        monkeypatch.setattr(cli, "parse_dataset", refuse)
+        monkeypatch.setattr(cli, "pointwise_loglik", refuse)
+        assert main(["compare", *chains, "--data", small_bank_csv]) == EXIT_MISMATCH
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        for path, fingerprint in zip(chains, fingerprints):
+            assert f"{path} {fingerprint!r}" in err
 
     def test_wrong_data_file_exits_5(self, logit_dir, probit_dir, tmp_path, capsys):
         other = bankgen.write_bank_csv(
@@ -608,7 +655,10 @@ class TestPredict:
         """The rows a comma-delimited fit holds out score without --delimiter."""
         data = _comma_copy(small_bank_csv, str(tmp_path / "bank-comma.csv"))
         out = str(tmp_path / "fit")
-        assert _run_fit(data, out, "--delimiter", ",", "--holdout", "50") == EXIT_OK
+        # Held-out rows come from the whole table, so the fit trains on all the
+        # rest: a 200-row subsample lacks a level that a held-out row has.
+        assert _run_fit(data, out, "--delimiter", ",", "--holdout", "50",
+                        "--subsample", "0") == EXIT_OK
         chain, holdout = os.path.join(out, "logit.chain"), os.path.join(out, "holdout.csv")
         capsys.readouterr()
         outputs = []

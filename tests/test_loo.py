@@ -34,11 +34,10 @@ from test_model import _duplicated_model
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
-def _per_observation(values, fingerprint):
+def _per_observation(values):
     """A log-likelihood matrix from (draws, observations) values, whose every
     observation is its own row."""
-    return LogLikMatrix(values=values.T, inverse=np.arange(values.shape[1]),
-                        fingerprint=fingerprint)
+    return LogLikMatrix(values=values.T, inverse=np.arange(values.shape[1]))
 
 
 def _chunked_loglik(draws, model, chunk):
@@ -256,14 +255,13 @@ class TestPsisLoo:
         # Every draw assigns the same likelihood: elpd is just the sum of
         # the per-observation values and the smoothing is a no-op.
         values = np.tile(np.log([0.5, 0.25, 0.8]), (100, 1))
-        result = psis_loo(_per_observation(values, "abc"))
+        result = psis_loo(_per_observation(values))
         assert result.elpd_loo == pytest.approx(math.log(0.5 * 0.25 * 0.8), abs=1e-12)
         assert result.n_obs == 3
-        assert result.fingerprint == "abc"
 
     def test_se_uses_population_variance(self):
         values = np.tile(np.log([0.5, 0.25, 0.8]), (100, 1))
-        result = psis_loo(_per_observation(values, "x"))
+        result = psis_loo(_per_observation(values))
         expected = math.sqrt(3 * np.var(result.pointwise_elpd))
         assert result.se_elpd == pytest.approx(expected, abs=1e-12)
 
@@ -275,7 +273,6 @@ class TestPsisLoo:
         doubled = LogLikMatrix(
             values=matrix.values,
             inverse=np.append(matrix.inverse, matrix.inverse[0]),
-            fingerprint="y",
         )
         res = psis_loo(doubled)
         assert res.n_obs == 13
@@ -304,7 +301,7 @@ class TestPsisLoo:
             draws.pooled(), model.design.values
         )
         reference = psis_loo(
-            _per_observation(log_cdf_and_ratio(link, margin)[0], matrix.fingerprint)
+            _per_observation(log_cdf_and_ratio(link, margin)[0])
         )
         for name in ("elpd_loo", "se_elpd", "p_loo"):
             assert getattr(result, name) == pytest.approx(
@@ -324,7 +321,6 @@ class TestPsisLoo:
             pointwise_elpd=np.zeros(4),
             pareto_k=np.array([0.2, 0.71, np.nan, 0.9]),
             n_obs=4,
-            fingerprint="z",
         )
         assert result.n_high_k == 2
 
@@ -431,7 +427,7 @@ def _scalar_psis_loo(values):
 
 
 def _assert_matches_scalar(values):
-    result = psis_loo(_per_observation(values, "f"))
+    result = psis_loo(_per_observation(values))
     pointwise, pareto_k, lppd = _scalar_psis_loo(values)
     np.testing.assert_allclose(result.pointwise_elpd, pointwise, rtol=0, atol=1e-12)
     assert np.array_equal(np.isnan(result.pareto_k), np.isnan(pareto_k))
@@ -500,14 +496,13 @@ class TestLooDiagnostics:
             pointwise_elpd=np.zeros(8),
             pareto_k=np.array([0.2, 0.5, 0.6, 0.7, 0.71, 1.0, 1.5, np.nan]),
             n_obs=8,
-            fingerprint="k",
         )
         assert result.k_counts == {"good": 2, "ok": 2, "bad": 2, "very_bad": 1, "nan": 1}
         assert result.n_high_k == result.k_counts["bad"] + result.k_counts["very_bad"]
 
     def test_p_loo_zero_when_draws_agree(self):
         values = np.tile(np.log([0.5, 0.25, 0.8]), (100, 1))
-        result = psis_loo(_per_observation(values, "p"))
+        result = psis_loo(_per_observation(values))
         assert result.p_loo == pytest.approx(0.0, abs=1e-12)
 
     def test_p_loo_positive_and_in_comparison_output(self):
@@ -529,7 +524,6 @@ class TestLooDiagnostics:
                 pointwise_elpd=np.full(4, elpd / 4),
                 pareto_k=np.zeros(4),
                 n_obs=4,
-                fingerprint="n",
             )
 
         def reject(constant):
@@ -574,13 +568,6 @@ class TestCompare:
         assert result.rows[1].se_diff == pytest.approx(
             math.sqrt(len(delta) * np.var(delta)), abs=1e-10
         )
-
-    def test_dataset_mismatch_rejected(self):
-        good, bad = self._loo_pair()
-        other_model, other_draws = _fitted(n=31, seed=9, draws_seed=5)
-        other = psis_loo(pointwise_loglik(other_draws, other_model))
-        with pytest.raises(MismatchError, match="'other' was evaluated on different data"):
-            compare({"fitted": good, "other": other})
 
     def test_needs_two_models(self):
         good, _ = self._loo_pair()

@@ -93,7 +93,17 @@ class TestNaiveLogPosterior:
                 margin = (2.0 * model.target - 1.0) * (
                     beta[0] + model.design.values @ beta[1:])
                 kernel = log_cdf_and_ratio(link, margin, with_ratio=False)[0]
-                assert np.all(np.abs(terms - kernel) < 1e-9 * np.maximum(1.0, np.abs(kernel)))
+                assert np.all(np.abs(terms - kernel) < 1e-14 * np.maximum(1.0, np.abs(kernel)))
+
+    @pytest.mark.parametrize("eta", [-20.0, -9.0, -8.5, -5.0, 5.0, 8.5, 9.0, 20.0])
+    def test_probit_terms_match_mpmath_in_both_tails(self, eta):
+        mpmath = pytest.importorskip("mpmath")
+        prior = PriorSpec(0.0, 1.0, 0.0, 1.0)
+        for y in (0, 1):
+            term = _naive_log_posterior("probit", prior, [[]], [y], [eta])[0][0]
+            with mpmath.workdps(50):
+                exact = float(mpmath.log(mpmath.ncdf(eta if y else -eta)))
+            assert abs(term - exact) <= 1e-14 * max(1.0, abs(exact)), (y, term, exact)
 
 
 class TestGridMoments:

@@ -17,14 +17,20 @@ thread, OUT as the working directory and relative paths:
   at `--balance off` and with `--no-standardize`, each followed by
   `predict` of every row at the probability scale, in JSON: every
   training-table path and both encodings;
+- `fit` of the logit link with the same chains at `--balance before
+  --holdout 500`, then `predict --scale probability --format json` of
+  its own `holdout.csv`: with the plain `--holdout 500` fits, the split
+  on both oversampling paths;
 - `fit` of each link with 2 chains of 150 warmup + 1,000 draws at seed
   42, then `compare` of those two fits and `predict` of every row with
   each, at both scales, in JSON: at S = 2,000 a row block is 16 rows;
 - `fit` of each link on the comma-delimited copy with `--delimiter ,
   --holdout 500` and the short chains, then `compare` of those two fits
-  and `predict --delimiter , --scale probability --format json` of every
-  row with the logit fit: the stored-delimiter paths and the comma
-  holdout writer;
+  and `predict --delimiter , --scale probability --format json` of the
+  logit fit's own `holdout.csv`: the stored-delimiter paths and the comma
+  holdout writer. (Every row would not do: the `default` level `yes`, 4
+  rows of the surrogate, is not in that fit's training set, so scoring
+  it exits 5.)
 - `verify --format json`.
 
 Each command's stdout, stderr and exit code go to OUT/cmd/<name>.out,
@@ -84,6 +90,13 @@ def commands():
         out.append((f"predict-logit-{name}-probability-json",
                     ["predict", f"logit-{name}/logit.chain", "--data", "bank.csv",
                      "--scale", "probability", "--format", "json"]))
+    out.append(("fit-logit-before-holdout", ["fit", "--data", "bank.csv", "--link", "logit"]
+                + FIT + ["--balance", "before", "--holdout", "500",
+                         "--out", "logit-before-holdout"]))
+    out.append(("predict-logit-before-holdout-probability-json",
+                ["predict", "logit-before-holdout/logit.chain",
+                 "--data", "logit-before-holdout/holdout.csv",
+                 "--scale", "probability", "--format", "json"]))
     long_chains = [f"{link}-long/{link}.chain" for link in LINKS]
     for link in LINKS:
         out.append((f"fit-{link}-long", ["fit", "--data", "bank.csv", "--link", link]
@@ -102,8 +115,8 @@ def commands():
     out.append(("compare-comma-json",
                 ["compare", "--data", "bank-comma.csv", *comma_chains, "--format", "json"]))
     out.append(("predict-logit-comma-probability-json",
-                ["predict", comma_chains[0], "--data", "bank-comma.csv", "--delimiter", ",",
-                 "--scale", "probability", "--format", "json"]))
+                ["predict", comma_chains[0], "--data", "logit-comma/holdout.csv",
+                 "--delimiter", ",", "--scale", "probability", "--format", "json"]))
     out.append(("verify-json", ["verify", "--format", "json"]))
     return out
 
