@@ -230,8 +230,8 @@ def cmd_diagnose(args):
     return EXIT_OK
 
 
-def _rebuild_model(header, table, training_sets):
-    """Recreate the model a chain file header describes, checked against it.
+def _rebuild_model(path, header, table, training_sets):
+    """Recreate the model the header of chain file `path` describes, checked against it.
 
     `training_sets` holds the (design, target) of each pipeline built so
     far, keyed by its sorted JSON, so fits of one pipeline share one build.
@@ -245,14 +245,15 @@ def _rebuild_model(header, table, training_sets):
     stored = header["model"]
     if design.metadata() != stored["design"]:
         raise MismatchError(
-            "rebuilt design does not match the design stored in the chain file; "
-            "the data file differs from the one used to fit"
+            f"{path}: rebuilt design does not match the design stored in the chain "
+            "file; the data file, or the pipeline that fit stored, no longer "
+            "rebuilds its training set"
         )
     model = ModelSpec(stored["link"], PriorSpec.from_dict(stored["prior"]), design, target)
     fingerprint = dataset_fingerprint(design, target)
     if fingerprint != header["dataset"]["fingerprint"]:
         raise MismatchError(
-            f"rebuilt dataset fingerprint {fingerprint} differs from stored "
+            f"{path}: rebuilt dataset fingerprint {fingerprint} differs from stored "
             f"{header['dataset']['fingerprint']}"
         )
     return model
@@ -274,7 +275,8 @@ def cmd_compare(args):
     training_sets = {}
     # Every file is checked before any LOO, and the parsed table is freed,
     # so a D x S matrix is the one large thing held while LOO runs.
-    fits = [(draws, _rebuild_model(header, table, training_sets)) for draws, header in fits]
+    fits = [(draws, _rebuild_model(path, header, table, training_sets))
+            for path, (draws, header) in zip(args.chains, fits)]
     del table
     results = {}
     total_high_k = 0

@@ -12,11 +12,14 @@ error, and comparisons subtract the best model's pointwise values.
 `pointwise_loglik` fills a D x S matrix, the model's D distinct (x, y)
 rows by the draws, with the posterior's kernel (its log F half only),
 walking `model.row_blocks`. `psis_loo` smooths the matrix in blocks of
-the same `block_rows` rows, each a contiguous slice, then gives each of
-the N observations its row's results: copies of a row have identical
-rows of the matrix, so every aggregate stays per observation. `compare`
-ranks the results it is given: the command layer checks that the fits
-share their data before any LOO runs.
+the same `block_rows` rows, each a contiguous slice, and
+`model.map_row_ranges` splits those blocks into one range of rows per
+CPU, each smoothed in its own forked process that reads the matrix
+copy-on-write; a row's results do not depend on the split. It then
+gives each of the N observations its row's results: copies of a row
+have identical rows of the matrix, so every aggregate stays per
+observation. `compare` ranks the results it is given: the command layer
+checks that the fits share their data before any LOO runs.
 """
 
 import math
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import block_rows, log_cdf_and_ratio, row_blocks
+from .model import block_rows, log_cdf_and_ratio, map_row_ranges, row_blocks
 
 HIGH_K_THRESHOLD = 0.7
 _MIN_TAIL_DRAWS = 25
@@ -230,19 +233,28 @@ class LooResult:
         return counts
 
 
+def _psis_rows(values):
+    """(3, rows) elpd, lppd and Pareto k of each row, `block_rows` rows at a time."""
+    out = np.empty((3, values.shape[0]))
+    step = block_rows(values.shape[1])
+    for start in range(0, values.shape[0], step):
+        block = slice(start, start + step)
+        out[:, block] = _psis_block(values[block])
+    return out
+
+
 def psis_loo(loglik):
     """Smooth each distinct row's weights, give every observation its row's
     results, and aggregate the pointwise elpd over observations.
 
     Rows are taken `block_rows` at a time, so the temporaries stay at a
-    few MB whatever D is.
+    few MB whatever D is, and the blocks are split into one range per CPU
+    by `model.map_row_ranges`; a row's results are the same in any range.
     """
     values, inverse = loglik.values, loglik.inverse
-    by_row = np.empty((3, values.shape[0]))  # elpd, lppd and Pareto k
-    step = block_rows(values.shape[1])
-    for start in range(0, values.shape[0], step):
-        block = slice(start, start + step)
-        by_row[:, block] = _psis_block(values[block])
+    by_row = np.concatenate(  # elpd, lppd and Pareto k
+        map_row_ranges(lambda rows: _psis_rows(values[rows]), *values.shape), axis=1
+    )
     pointwise, lppd, pareto_k = by_row[:, inverse]
     n_obs = inverse.size
     elpd_loo = float(np.sum(pointwise))

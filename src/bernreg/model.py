@@ -21,6 +21,9 @@ the weighted rows, and pointwise LOO reads it row by row.
 """
 
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -211,6 +214,87 @@ def row_blocks(beta, x):
             eta = block @ slopes_t
         eta += intercept
         yield rows, eta
+
+
+def _cpu_count():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _run_range(work, rows, write_fd):
+    """In a forked child: send (True, work(rows)) or (False, its error), then exit."""
+    try:
+        try:
+            payload = pickle.dumps((True, work(rows)), protocol=pickle.HIGHEST_PROTOCOL)
+        except BaseException as exc:
+            try:
+                payload = pickle.dumps((False, exc), protocol=pickle.HIGHEST_PROTOCOL)
+            except Exception:
+                payload = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(payload)
+    finally:
+        os._exit(0)
+
+
+def map_row_ranges(work, n_rows, n_draws):
+    """[work(rows) for each range], for contiguous slices `rows` that cover
+    range(n_rows) in order: one per CPU of this process, each cut on a
+    `block_rows(n_draws)` boundary, so a range holds whole `row_blocks` blocks.
+
+    This process runs the first range and a forked child each other one;
+    a child inherits the inputs (a matrix is read copy-on-write, not
+    copied) and sends back only its result or its error over a pipe.
+    When several ranges fail, the first one's error is raised. Every child
+    is reaped before this returns or raises. One range, one CPU or no
+    `os.fork` runs everything in this process. `work` must give a row the
+    same result in any range; then the split never changes a bit. The
+    children are forked, not spawned, because a spawned worker would have
+    to be sent its inputs, the D x S log-likelihood matrix among them.
+    """
+    step = block_rows(n_draws)
+    n_blocks = -(-n_rows // step)
+    n_ranges = min(_cpu_count(), n_blocks) if hasattr(os, "fork") else 1
+    if n_ranges <= 1:
+        return [work(slice(0, n_rows))]
+    cuts = [min(n_rows, step * (i * n_blocks // n_ranges)) for i in range(n_ranges + 1)]
+    children = []  # (pid, read end of its pipe), in range order
+    try:
+        for start, stop in zip(cuts[1:-1], cuts[2:]):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                _run_range(work, slice(start, stop), write_fd)
+            os.close(write_fd)
+            children.append((pid, os.fdopen(read_fd, "rb")))
+        results = [work(slice(0, cuts[1]))]
+        while children:
+            pid, pipe = children[0]
+            payload = pipe.read()
+            pipe.close()
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            if not payload:
+                raise RuntimeError(f"row worker {pid} ended with status {status} and no result")
+            ok, value = pickle.loads(payload)
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        # Children are left here only when a range failed: end them unread.
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def log_cdf_and_ratio(link, margin, *, with_ratio=True):

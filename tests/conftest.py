@@ -56,6 +56,12 @@ def make_draws(array, param_names=None, seed=0):
     )
 
 
+def assert_no_child_process():
+    """No child of this process is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def total_loglik(beta, model):
     """Summed pointwise log-likelihood of a model at one coefficient vector."""
     margin = (2.0 * model.target - 1.0) * linear_predictor(beta, model.design.values)

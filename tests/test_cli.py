@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import bankgen
-from bernreg import chainfile, cli, report
+from bernreg import chainfile, cli, model, report
 from bernreg.cli import (
     EXIT_DATA,
     EXIT_MISMATCH,
@@ -37,6 +37,8 @@ from bernreg.errors import (
 )
 from bernreg.oracle import CheckResult
 from bernreg.report import render_summary_text
+
+from conftest import assert_no_child_process
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -558,7 +560,27 @@ class TestCompare:
             "--data", other,
         ])
         assert code == EXIT_MISMATCH
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: {os.path.join(logit_dir, 'logit.chain')}: rebuilt design does not "
+            "match the design stored in the chain file; the data file, or the pipeline "
+            "that fit stored, no longer rebuilds its training set\n"
+        )
+
+    def test_stored_pipeline_that_no_longer_rebuilds_exits_5_naming_the_file(
+        self, logit_dir, small_bank_csv, tmp_path, capsys
+    ):
+        # The right data file, but a stored pipeline that draws another subsample.
+        def reseed(header):
+            header["dataset"]["pipeline"]["seed"] += 1
+
+        chain = os.path.join(logit_dir, "logit.chain")
+        first, other = (_rewrite_header(chain, str(tmp_path / name), reseed)
+                        for name in ("first.chain", "other.chain"))
+        assert main(["compare", first, other, "--data", small_bank_csv]) == EXIT_MISMATCH
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {first}: rebuilt design does not match")
+        assert "the pipeline that fit stored, no longer rebuilds its training set" in err
 
 
 class TestPredict:
@@ -709,6 +731,62 @@ class TestPredict:
         target.write_text('"alpha";"beta"\n1;2\n')
         chain = os.path.join(logit_dir, "logit.chain")
         assert main(["predict", chain, "--data", str(target)]) == EXIT_DATA
+
+
+class TestWorkerCount:
+    """compare and predict print the same bytes on 1, 2 or 3 CPUs."""
+
+    @pytest.fixture(scope="class")
+    def long_fits(self, logit_dir, probit_dir, score_csv, tmp_path_factory):
+        """Each fit's draws tiled to S = 2,000 (16-row blocks), and 65 rows to
+        score: four full blocks and a lone row."""
+        directory = tmp_path_factory.mktemp("long-fits")
+        chains = []
+        for run_dir, link in ((logit_dir, "logit"), (probit_dir, "probit")):
+            draws, header = chainfile.load_chain_file(os.path.join(run_dir, f"{link}.chain"))
+            many = np.tile(draws.draws, (1, 10, 1))
+            long_draws = dataclasses.replace(
+                draws, draws=many,
+                config=dataclasses.replace(draws.config, n_draws=many.shape[1]),
+            )
+            path = str(directory / f"{link}.chain")
+            chainfile.save_chain_file(path, long_draws, header["model"], header["dataset"])
+            chains.append(path)
+        lines = _read_text(score_csv).splitlines(keepends=True)
+        score = str(directory / "score-65.csv")
+        with open(score, "w", encoding="utf-8") as handle:
+            handle.write(lines[0] + "".join((lines[1:] * 3)[:65]))
+        return chains, score
+
+    def _stdout_by_cpus(self, argv, monkeypatch, capsys):
+        outputs = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(model, "_cpu_count", lambda: cpus)
+            assert main(argv) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+            assert_no_child_process()
+        return outputs
+
+    def test_compare_bytes(self, long_fits, small_bank_csv, monkeypatch, capsys):
+        chains, _ = long_fits
+        for fmt in cli.FORMATS:
+            outputs = self._stdout_by_cpus(
+                ["compare", *chains, "--data", small_bank_csv, "--format", fmt],
+                monkeypatch, capsys,
+            )
+            assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    @pytest.mark.parametrize("scale", ["outcome", "probability"])
+    def test_predict_bytes(self, long_fits, monkeypatch, capsys, scale):
+        chains, score = long_fits
+        for chain in chains:
+            outputs = self._stdout_by_cpus(
+                ["predict", chain, "--data", score, "--scale", scale, "--seed", "3",
+                 "--format", "json"],
+                monkeypatch, capsys,
+            )
+            assert len(json.loads(outputs[0])["predictions"]) == 65
+            assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 class TestUsageErrors:

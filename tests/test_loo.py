@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from bernreg import model as model_module
 from bernreg.errors import MismatchError, NumericalError
 from bernreg.loo import (
     LogLikMatrix,
@@ -28,7 +29,7 @@ from bernreg.oracle import GridSpec, _grid_loo_terms, _synthetic_model, exact_lo
 from bernreg.report import render_comparison_json
 from bernreg.sampler import SamplerConfig, sample
 
-from conftest import make_draws, total_loglik
+from conftest import assert_no_child_process, make_draws, total_loglik
 from test_model import _duplicated_model
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -486,6 +487,28 @@ class TestPsisLooBlocks:
         counts = result.k_counts
         assert counts["good"] and counts["bad"] and counts["very_bad"]
         assert sum(counts.values()) == 150
+
+
+class TestWorkerCount:
+    def test_worker_count_changes_no_bit(self, monkeypatch):
+        rng = np.random.default_rng(37)
+        n_draws = 2000
+        n_rows = 7 * block_rows(n_draws) + 1
+        values = -rng.standard_exponential((n_rows, n_draws)) * rng.uniform(0.05, 20.0, (n_rows, 1))
+        values[[3, 50, n_rows - 1]] = -0.7  # flat rows: k is NaN
+        inverse = np.concatenate([np.arange(n_rows), rng.integers(0, n_rows, 40)])
+        matrix = LogLikMatrix(values=values, inverse=inverse)
+        results = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(model_module, "_cpu_count", lambda: cpus)
+            results.append(psis_loo(matrix))
+            assert_no_child_process()
+        assert np.isnan(results[0].pareto_k).sum() >= 3
+        for result in results[1:]:
+            assert result.pointwise_elpd.tobytes() == results[0].pointwise_elpd.tobytes()
+            assert result.pareto_k.tobytes() == results[0].pareto_k.tobytes()
+            assert (result.p_loo, result.se_elpd, result.elpd_loo) == (
+                results[0].p_loo, results[0].se_elpd, results[0].elpd_loo)
 
 
 class TestLooDiagnostics:

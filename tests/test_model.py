@@ -1,26 +1,30 @@
 import functools
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import special
 
+from bernreg import model as model_module
 from bernreg.data import DesignMatrix
 from bernreg.errors import MismatchError
 from bernreg.loo import pointwise_loglik
 from bernreg.model import (
     ModelSpec,
     PriorSpec,
+    block_rows,
     default_priors,
     linear_predictor,
     log_cdf_and_ratio,
     log_posterior_and_gradient,
+    map_row_ranges,
     success_probability,
 )
 from bernreg.oracle import finite_diff_gradient
 
-from conftest import make_draws, total_loglik
+from conftest import assert_no_child_process, make_draws, total_loglik
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -463,3 +467,55 @@ class TestWeightedRows:
         for scale in (0.5, 3.0, 15.0, 150.0):
             for _ in range(20):
                 _assert_matches_row_by_row(rng.normal(0.0, scale, 5), model)
+
+
+def _where_it_ran(rows):
+    return rows.start, rows.stop, os.getpid()
+
+
+class TestMapRowRanges:
+    N_DRAWS = 2000
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_one_range_per_cpu_on_block_boundaries(self, monkeypatch, cpus):
+        monkeypatch.setattr(model_module, "_cpu_count", lambda: cpus)
+        step = block_rows(self.N_DRAWS)
+        n_rows = 7 * step + 1
+        parts = map_row_ranges(_where_it_ran, n_rows, self.N_DRAWS)
+        assert len(parts) == cpus
+        assert parts[0][0] == 0 and parts[-1][1] == n_rows
+        assert all(a[1] == b[0] for a, b in zip(parts, parts[1:]))
+        assert all(start % step == 0 and stop > start for start, stop, _ in parts)
+        pids = [pid for _, _, pid in parts]
+        assert pids[0] == os.getpid() and len(set(pids)) == cpus
+        assert_no_child_process()
+
+    def test_fewer_blocks_than_cpus_give_fewer_ranges(self, monkeypatch):
+        monkeypatch.setattr(model_module, "_cpu_count", lambda: 3)
+        step = block_rows(self.N_DRAWS)
+        parts = map_row_ranges(_where_it_ran, step + 1, self.N_DRAWS)
+        assert [part[:2] for part in parts] == [(0, step), (step, step + 1)]
+        assert map_row_ranges(_where_it_ran, step, self.N_DRAWS) == [(0, step, os.getpid())]
+        assert map_row_ranges(_where_it_ran, 0, self.N_DRAWS) == [(0, 0, os.getpid())]
+        assert_no_child_process()
+
+    def test_without_fork_everything_runs_here(self, monkeypatch):
+        monkeypatch.setattr(model_module, "_cpu_count", lambda: 3)
+        monkeypatch.delattr(os, "fork")
+        n_rows = 7 * block_rows(self.N_DRAWS)
+        assert map_row_ranges(_where_it_ran, n_rows, self.N_DRAWS) == [
+            (0, n_rows, os.getpid())
+        ]
+
+    def test_a_worker_that_dies_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(model_module, "_cpu_count", lambda: 2)
+        parent = os.getpid()
+
+        def work(rows):
+            if os.getpid() != parent:
+                os._exit(3)
+            return rows
+
+        with pytest.raises(RuntimeError, match="no result"):
+            map_row_ranges(work, 4 * block_rows(self.N_DRAWS), self.N_DRAWS)
+        assert_no_child_process()

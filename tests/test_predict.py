@@ -11,7 +11,7 @@ from bernreg.predict import PredictionRow, _ecdf_index, posterior_predict
 from bernreg.report import render_json, render_predictions_json
 from bernreg.rngutil import substream_rng
 
-from conftest import make_draws
+from conftest import assert_no_child_process, make_draws
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -284,6 +284,42 @@ class TestBlocksAgainstRowLoop:
         values[rows_per_block + 3] = 3.0
         with pytest.raises(NumericalError, match=f"row {rows_per_block + 3}:"):
             posterior_predict(draws, values, "logit", scale="probability")
+
+
+class TestWorkerCount:
+    """Rows split across 1, 2 or 3 processes give the same rows, bit for bit."""
+
+    @pytest.mark.parametrize("link", ["logit", "probit"])
+    @pytest.mark.parametrize("scale", ["outcome", "probability"])
+    def test_worker_count_changes_no_byte(self, monkeypatch, link, scale):
+        rng = np.random.default_rng(53)
+        n_draws = 2000
+        arr = rng.normal([-0.4, 0.9, -0.7], 0.5, size=(n_draws, 3))
+        draws = make_draws(arr.reshape(2, n_draws // 2, 3), ("Intercept", "a", "b"))
+        values = rng.standard_normal((7 * block_rows(n_draws) + 1, 2)) * 1.5  # a lone last row
+        scored = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(model, "_cpu_count", lambda: cpus)
+            rows = posterior_predict(draws, values, link, scale=scale, seed=17)
+            scored.append([vars(r) for r in rows])
+            assert_no_child_process()
+        assert len(scored[0]) == len(values)
+        assert scored[1] == scored[0] and scored[2] == scored[0]
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("bad, named", [((1, 11), 1), ((11,), 11), ((5, 11), 5)])
+    def test_first_bad_row_of_the_first_failing_range(self, monkeypatch, cpus, bad, named):
+        # Two-row blocks: with 2 workers the ranges are rows 0-5 and 6-11,
+        # with 3 they are 0-3, 4-7 and 8-11.
+        monkeypatch.setattr(predict, "success_probability", lambda link, eta: eta)
+        monkeypatch.setattr(model, "_BLOCK_VALUES", 200)
+        monkeypatch.setattr(model, "_cpu_count", lambda: cpus)
+        draws = _coef_draws(np.full(100, 0.5), slopes=np.tile([1.0, -1.0], 50))
+        values = np.zeros((12, 1))
+        values[list(bad)] = 3.0
+        with pytest.raises(NumericalError, match=f"^row {named}: est_error squared exceeds"):
+            posterior_predict(draws, values, "logit", scale="probability")
+        assert_no_child_process()
 
 
 class TestValidation:
