@@ -14,6 +14,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import chainfile, report
 from .data import (
     BALANCE_MODES,
@@ -141,6 +143,14 @@ def _training_set(table, pipeline):
     return design, target, balance_report, holdout_table
 
 
+def _unseen_levels(design, table):
+    """Each category level in `table` that `design` was not trained on, as "column 'level'"."""
+    return [f"{name} {level!r}"
+            for j, name in enumerate(table.predictor_order) if name in table.levels
+            for level in (table.levels[name][k] for k in np.unique(table.values[:, j].astype(int)))
+            if level not in design.encoding_map[name]]
+
+
 # RunConfig fields that `fit` takes verbatim from its namespace; the prior
 # is assembled from --prior-intercept and --prior-slopes.
 _FIT_FIELDS = tuple(f.name for f in dataclasses.fields(RunConfig) if f.name != "prior")
@@ -203,6 +213,10 @@ def cmd_fit(args):
         write_records(
             holdout_table, os.path.join(config.out, "holdout.csv"), config.delimiter
         )
+        unseen = _unseen_levels(design, holdout_table)
+        if unseen:
+            _warn("holdout.csv has category levels that the training set lacks: "
+                  f"{', '.join(unseen)}; predict of those rows exits {EXIT_MISMATCH}")
 
     rows = summarize(draws)
     text_body = report.render_summary_text(rows)
@@ -359,7 +373,7 @@ def build_parser():
     fit.add_argument("--target-accept", type=float)
     fit.add_argument("--no-standardize", dest="standardize", action="store_false")
     fit.add_argument("--threads", type=int, default=1,
-                     help="chain scheduling only; never changes results")
+                     help="run the chains in this many forked processes; never changes results")
     fit.add_argument("--format", choices=FORMATS, default="text",
                      help="summary printed; summary.txt and summary.json are both written")
     fit.add_argument("--out", help="output directory (default runs/<link>-seed<seed>)")

@@ -13,7 +13,7 @@ error, and comparisons subtract the best model's pointwise values.
 rows by the draws, with the posterior's kernel (its log F half only),
 walking `model.row_blocks`. `psis_loo` smooths the matrix in blocks of
 the same `block_rows` rows, each a contiguous slice, and
-`model.map_row_ranges` splits those blocks into one range of rows per
+`model.map_ranges` splits those blocks into one range of rows per
 CPU, each smoothed in its own forked process that reads the matrix
 copy-on-write; a row's results do not depend on the split. It then
 gives each of the N observations its row's results: copies of a row
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import block_rows, log_cdf_and_ratio, map_row_ranges, row_blocks
+from .model import block_rows, log_cdf_and_ratio, map_ranges, row_blocks
 
 HIGH_K_THRESHOLD = 0.7
 _MIN_TAIL_DRAWS = 25
@@ -249,11 +249,12 @@ def psis_loo(loglik):
 
     Rows are taken `block_rows` at a time, so the temporaries stay at a
     few MB whatever D is, and the blocks are split into one range per CPU
-    by `model.map_row_ranges`; a row's results are the same in any range.
+    by `model.map_ranges`; a row's results are the same in any range.
     """
     values, inverse = loglik.values, loglik.inverse
+    n_rows, n_draws = values.shape
     by_row = np.concatenate(  # elpd, lppd and Pareto k
-        map_row_ranges(lambda rows: _psis_rows(values[rows]), *values.shape), axis=1
+        map_ranges(lambda rows: _psis_rows(values[rows]), n_rows, block_rows(n_draws)), axis=1
     )
     pointwise, lppd, pareto_k = by_row[:, inverse]
     n_obs = inverse.size

@@ -224,11 +224,11 @@ def _cpu_count():
         return os.cpu_count() or 1
 
 
-def _run_range(work, rows, write_fd):
-    """In a forked child: send (True, work(rows)) or (False, its error), then exit."""
+def _run_range(work, items, write_fd):
+    """In a forked child: send (True, work(items)) or (False, its error), then exit."""
     try:
         try:
-            payload = pickle.dumps((True, work(rows)), protocol=pickle.HIGHEST_PROTOCOL)
+            payload = pickle.dumps((True, work(items)), protocol=pickle.HIGHEST_PROTOCOL)
         except BaseException as exc:
             try:
                 payload = pickle.dumps((False, exc), protocol=pickle.HIGHEST_PROTOCOL)
@@ -240,27 +240,27 @@ def _run_range(work, rows, write_fd):
         os._exit(0)
 
 
-def map_row_ranges(work, n_rows, n_draws):
-    """[work(rows) for each range], for contiguous slices `rows` that cover
-    range(n_rows) in order: one per CPU of this process, each cut on a
-    `block_rows(n_draws)` boundary, so a range holds whole `row_blocks` blocks.
+def map_ranges(work, n_items, step, n_workers=None):
+    """[work(items) for each range], for contiguous slices `items` that cover
+    range(n_items) in order: at most `n_workers` (default: one per CPU of
+    this process), each cut on a multiple of `step`.
 
     This process runs the first range and a forked child each other one;
     a child inherits the inputs (a matrix is read copy-on-write, not
     copied) and sends back only its result or its error over a pipe.
     When several ranges fail, the first one's error is raised. Every child
-    is reaped before this returns or raises. One range, one CPU or no
-    `os.fork` runs everything in this process. `work` must give a row the
-    same result in any range; then the split never changes a bit. The
+    is reaped before this returns or raises. One range, one worker or no
+    `os.fork` runs everything in this process. `work` must give an item
+    the same result in any range; then the split never changes a bit. The
     children are forked, not spawned, because a spawned worker would have
-    to be sent its inputs, the D x S log-likelihood matrix among them.
+    to be sent its inputs, a D x S matrix or a target that need not pickle.
     """
-    step = block_rows(n_draws)
-    n_blocks = -(-n_rows // step)
-    n_ranges = min(_cpu_count(), n_blocks) if hasattr(os, "fork") else 1
+    n_blocks = -(-n_items // step)
+    n_workers = _cpu_count() if n_workers is None else n_workers
+    n_ranges = min(n_workers, n_blocks) if hasattr(os, "fork") else 1
     if n_ranges <= 1:
-        return [work(slice(0, n_rows))]
-    cuts = [min(n_rows, step * (i * n_blocks // n_ranges)) for i in range(n_ranges + 1)]
+        return [work(slice(0, n_items))]
+    cuts = [min(n_items, step * (i * n_blocks // n_ranges)) for i in range(n_ranges + 1)]
     children = []  # (pid, read end of its pipe), in range order
     try:
         for start, stop in zip(cuts[1:-1], cuts[2:]):
@@ -283,7 +283,7 @@ def map_row_ranges(work, n_rows, n_draws):
             _, status = os.waitpid(pid, 0)
             children.pop(0)
             if not payload:
-                raise RuntimeError(f"row worker {pid} ended with status {status} and no result")
+                raise RuntimeError(f"worker {pid} ended with status {status} and no result")
             ok, value = pickle.loads(payload)
             if not ok:
                 raise value

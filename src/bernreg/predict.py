@@ -3,7 +3,7 @@
 Probability scale summarizes the success probability draws directly;
 outcome scale draws one 0/1 outcome per posterior draw from one uniform
 stream, substream 0 of the seed: with S posterior draws, row r reads
-uniforms [r * S, (r + 1) * S) of it. `model.map_row_ranges` scores one
+uniforms [r * S, (r + 1) * S) of it. `model.map_ranges` scores one
 range of rows per CPU, each in its own process; a range that starts at
 row a takes a fresh generator on that substream, advances it by a * S
 (`bit_generator.advance`) and reads the stream block after block, in
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MismatchError, NumericalError
-from .model import LINKS, map_row_ranges, row_blocks, success_probability
+from .model import LINKS, block_rows, map_ranges, row_blocks, success_probability
 from .rngutil import substream_rng
 
 SCALES = ("outcome", "probability")
@@ -110,5 +110,5 @@ def posterior_predict(draws, values, link, *, scale="outcome", seed=0):
             out[:, block] = estimate, est_error, lower, upper
         return out
 
-    columns = np.concatenate(map_row_ranges(score, values.shape[0], n_draws), axis=1)
+    columns = np.concatenate(map_ranges(score, len(values), block_rows(n_draws)), axis=1)
     return [PredictionRow(i, *fields, scale) for i, fields in enumerate(zip(*columns.tolist()))]

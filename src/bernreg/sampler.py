@@ -21,20 +21,20 @@ tree with a closure over the transition's state, and every subtree keeps
 its two ends as (theta, r, v, grad) tuples for growth and those checks.
 
 Chain c draws from substream c of the configured seed, so any chain's
-output is independent of how many chains run, of thread count, and of
-scheduling order.
+output is independent of how many chains run, of how many processes run
+them, and of scheduling order.
 
 The target is a ModelSpec or any object with `dim`, `param_names` and
 `logp_grad(theta) -> (log density, gradient)`.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError
+from .model import map_ranges
 from .rngutil import substream_rng
 
 DIVERGENCE_THRESHOLD = 1000.0
@@ -377,20 +377,17 @@ def sample(target, config, *, threads=1):
     """Draw from a target: a ModelSpec, or any object with `dim`,
     `param_names` and `logp_grad(theta) -> (logp, grad)`.
 
-    `threads` only schedules independent chains; it never changes results.
+    `threads` processes run the chains, in contiguous ranges of chain
+    indices (`model.map_ranges`); it never changes results.
     """
     mode, metric = _laplace(target)
     chol = np.linalg.cholesky(metric)
 
-    def run(i):
-        return _run_chain(target, config, i, mode, metric, chol)
+    def run(chains):
+        return [_run_chain(target, config, c, mode, metric, chol)
+                for c in range(chains.start, chains.stop)]
 
-    indices = list(range(config.n_chains))
-    if threads <= 1:
-        results = [run(i) for i in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, indices))
+    results = [r for part in map_ranges(run, config.n_chains, 1, threads) for r in part]
 
     return PosteriorDraws(
         draws=np.stack([r[0] for r in results]),

@@ -224,6 +224,20 @@ class TestFitArtifacts:
         assert header["dataset"]["n_rows"] == 200
         assert header["dataset"]["pipeline"]["holdout"] == 30
 
+    def test_held_out_level_the_training_set_lacks_is_one_warning(
+        self, small_bank_csv, tmp_path, capsys
+    ):
+        out = str(tmp_path / "with-holdout")
+        assert _run_fit(small_bank_csv, out, "--holdout", "50") == EXIT_OK
+        held = [line for line in capsys.readouterr().err.splitlines() if "holdout" in line]
+        assert held == [
+            "warning: holdout.csv has category levels that the training set lacks: "
+            "housing 'unknown'; predict of those rows exits 5"
+        ]
+        chain, holdout = os.path.join(out, "logit.chain"), os.path.join(out, "holdout.csv")
+        assert main(["predict", chain, "--data", holdout]) == EXIT_MISMATCH
+        assert "'housing': level 'unknown'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("subsample", [200, 0])
     @pytest.mark.parametrize("balance", ["after", "before", "off"])
     def test_held_out_rows_share_no_source_row_with_training(

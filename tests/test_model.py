@@ -19,7 +19,7 @@ from bernreg.model import (
     linear_predictor,
     log_cdf_and_ratio,
     log_posterior_and_gradient,
-    map_row_ranges,
+    map_ranges,
     success_probability,
 )
 from bernreg.oracle import finite_diff_gradient
@@ -481,7 +481,7 @@ class TestMapRowRanges:
         monkeypatch.setattr(model_module, "_cpu_count", lambda: cpus)
         step = block_rows(self.N_DRAWS)
         n_rows = 7 * step + 1
-        parts = map_row_ranges(_where_it_ran, n_rows, self.N_DRAWS)
+        parts = map_ranges(_where_it_ran, n_rows, step)
         assert len(parts) == cpus
         assert parts[0][0] == 0 and parts[-1][1] == n_rows
         assert all(a[1] == b[0] for a, b in zip(parts, parts[1:]))
@@ -493,22 +493,24 @@ class TestMapRowRanges:
     def test_fewer_blocks_than_cpus_give_fewer_ranges(self, monkeypatch):
         monkeypatch.setattr(model_module, "_cpu_count", lambda: 3)
         step = block_rows(self.N_DRAWS)
-        parts = map_row_ranges(_where_it_ran, step + 1, self.N_DRAWS)
+        parts = map_ranges(_where_it_ran, step + 1, step)
         assert [part[:2] for part in parts] == [(0, step), (step, step + 1)]
-        assert map_row_ranges(_where_it_ran, step, self.N_DRAWS) == [(0, step, os.getpid())]
-        assert map_row_ranges(_where_it_ran, 0, self.N_DRAWS) == [(0, 0, os.getpid())]
+        assert map_ranges(_where_it_ran, step, step) == [(0, step, os.getpid())]
+        assert map_ranges(_where_it_ran, 0, step) == [(0, 0, os.getpid())]
         assert_no_child_process()
 
     def test_without_fork_everything_runs_here(self, monkeypatch):
         monkeypatch.setattr(model_module, "_cpu_count", lambda: 3)
         monkeypatch.delattr(os, "fork")
-        n_rows = 7 * block_rows(self.N_DRAWS)
-        assert map_row_ranges(_where_it_ran, n_rows, self.N_DRAWS) == [
+        step = block_rows(self.N_DRAWS)
+        n_rows = 7 * step
+        assert map_ranges(_where_it_ran, n_rows, step) == [
             (0, n_rows, os.getpid())
         ]
 
     def test_a_worker_that_dies_is_an_error(self, monkeypatch):
         monkeypatch.setattr(model_module, "_cpu_count", lambda: 2)
+        step = block_rows(self.N_DRAWS)
         parent = os.getpid()
 
         def work(rows):
@@ -517,5 +519,5 @@ class TestMapRowRanges:
             return rows
 
         with pytest.raises(RuntimeError, match="no result"):
-            map_row_ranges(work, 4 * block_rows(self.N_DRAWS), self.N_DRAWS)
+            map_ranges(work, 4 * step, step)
         assert_no_child_process()

@@ -20,6 +20,7 @@ from bernreg.sampler import (
 )
 
 import recursive_nuts
+from conftest import assert_no_child_process
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -301,12 +302,25 @@ class TestDeterminism:
         assert a.divergence_iterations == b.divergence_iterations
 
     def test_threads_change_nothing(self):
-        target = StandardNormalTarget(2)
+        class Local(StandardNormalTarget):
+            """Defined here, so it cannot be pickled: workers inherit it by fork.
+            log p = -inf above z = 2, so some transitions diverge."""
+
+            def logp_grad(self, theta):
+                if np.max(theta) > 2.0:
+                    return -math.inf, np.zeros(self.dim)
+                return super().logp_grad(theta)
+
         config = SamplerConfig(n_chains=3, n_warmup=150, n_draws=200, seed=8)
-        serial = sample(target, config, threads=1)
-        parallel = sample(target, config, threads=3)
-        assert np.array_equal(serial.draws, parallel.draws)
-        assert serial.step_sizes == parallel.step_sizes
+        serial = sample(Local(2), config, threads=1)
+        assert any(serial.divergence_iterations)
+        for threads in (2, 3):
+            parallel = sample(Local(2), config, threads=threads)
+            assert np.array_equal(serial.draws, parallel.draws), threads
+            assert serial.step_sizes == parallel.step_sizes, threads
+            assert serial.accept_rates == parallel.accept_rates, threads
+            assert serial.divergence_iterations == parallel.divergence_iterations, threads
+        assert_no_child_process()
 
     def test_chain_output_independent_of_chain_count(self):
         target = StandardNormalTarget(2)
@@ -546,6 +560,24 @@ class TestFailureModes:
         with pytest.raises(NumericalError, match="chain 0: log density not finite at its start"):
             sample(TruncatedNormalTarget(1), SamplerConfig(n_chains=1, n_warmup=5,
                                                            n_draws=5, seed=0))
+
+    def test_a_chain_that_fails_in_a_worker_raises_the_serial_error(self):
+        class CliffAboveTwo(StandardNormalTarget):
+            """Of seed 9's chain starts 0.40, -0.15 and 2.23, only chain 2's
+            is past the cliff."""
+
+            def logp_grad(self, theta):
+                if theta[0] > 2.0:
+                    return -math.inf, np.zeros(self.dim)
+                return super().logp_grad(theta)
+
+        config = SamplerConfig(n_chains=3, n_warmup=20, n_draws=20, seed=9)
+        message = "chain 2: log density not finite at its start"
+        for threads in (1, 3):
+            with pytest.raises(NumericalError, match=message) as raised:
+                sample(CliffAboveTwo(1), config, threads=threads)
+            assert str(raised.value) == message, threads
+        assert_no_child_process()
 
     def test_step_size_search_failure_surfaces(self):
         # Acceptance stays 0 at every step size, so the halving search runs

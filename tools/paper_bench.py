@@ -11,14 +11,19 @@ BLAS thread:
   4 chains of 1,000 warmup + 1,000 draws) with `--seed 42`;
 - `compare` of the two fits;
 - `predict` of every row with the logit fit, at both scales;
-- `verify`.
+- `verify`;
+- `fit` of each link again with `--threads 2`, whose chain file must
+  equal the serial fit's byte for byte. It is recorded apart from the
+  pipeline.
 
 Each command is launched from a small helper process, so the peak RSS
 that `wait4` reports is the command's own: a child starts from its
-parent's RSS high-water mark. Then each link is fitted again in this
-process through a gradient-counting target, for gradients per iteration
-(the Laplace fit's included) and for the minimum bulk and tail ESS per
-second of sampling. Its draws must equal the `fit` command's.
+parent's RSS high-water mark. A `--threads 2` fit's peak is that of its
+largest process, not the sum over its processes. Then each link is
+fitted again in this process through a gradient-counting target, for
+gradients per iteration (the Laplace fit's included) and for the
+minimum bulk and tail ESS per second of sampling. Its draws must equal
+the `fit` command's.
 
 The record holds wall seconds and peak RSS per command, those sampler
 figures, and the machine: CPUs, Python, numpy, scipy and numpy's BLAS.
@@ -26,6 +31,7 @@ It takes a few minutes; it is not part of the test suite.
 """
 
 import argparse
+import filecmp
 import json
 import os
 import platform
@@ -78,10 +84,13 @@ print(json.dumps([wall, usage.ru_maxrss * 1024 / 1e6, os.waitstatus_to_exitcode(
 """
 
 
+def fit_args(link, out):
+    return ["fit", "--data", "bank.csv", "--link", link, "--seed", str(SEED), "--out", out]
+
+
 def commands():
     """(name, bernreg arguments) in the order they run, in the work directory."""
-    out = [(f"fit-{link}", ["fit", "--data", "bank.csv", "--link", link,
-                            "--seed", str(SEED), "--out", link]) for link in LINKS]
+    out = [(f"fit-{link}", fit_args(link, link)) for link in LINKS]
     chains = [f"{link}/{link}.chain" for link in LINKS]
     out.append(("compare", ["compare", "--data", "bank.csv", *chains]))
     for scale in ("outcome", "probability"):
@@ -103,6 +112,12 @@ def timed_command(name, cli_args, work):
     if code != 0:
         raise RuntimeError(f"{name} exited {code}; see {stem}.err")
     return {"wall_s": round(wall, 3), "peak_rss_mb": round(rss, 1)}
+
+
+def show(label, timing):
+    """Print one command's timing line; return the timing."""
+    print(f"{label:<22}{timing['wall_s']:>9.2f} s{timing['peak_rss_mb']:>9.1f} MB", flush=True)
+    return timing
 
 
 def counted_fit(link, csv_path, chain_path):
@@ -156,11 +171,16 @@ def main(argv=None):
         os.makedirs(os.path.join(work, "cmd"), exist_ok=True)
         csv_path = bankgen.write_bank_csv(os.path.join(work, "bank.csv"),
                                           run.SURROGATE_ROWS, run.SURROGATE_SEED)
-        timings = {}
+        timings, threaded = {}, {}
         for name, cli_args in commands():
-            timings[name] = timed_command(name, cli_args, work)
-            print(f"{name:<22}{timings[name]['wall_s']:>9.2f} s"
-                  f"{timings[name]['peak_rss_mb']:>9.1f} MB", flush=True)
+            timings[name] = show(name, timed_command(name, cli_args, work))
+        for link in LINKS:
+            name, out = f"fit-{link}", f"{link}-threads2"
+            cli_args = fit_args(link, out) + ["--threads", "2"]
+            threaded[name] = show(f"{name} --threads 2", timed_command(out, cli_args, work))
+            chains = [os.path.join(work, d, f"{link}.chain") for d in (link, out)]
+            if not filecmp.cmp(*chains, shallow=False):
+                raise RuntimeError(f"{out}/{link}.chain differs from the serial fit's")
         sampler = {}
         for link in LINKS:
             sampler[link] = counted_fit(link, csv_path, os.path.join(work, link, f"{link}.chain"))
@@ -172,6 +192,7 @@ def main(argv=None):
         "machine": machine(),
         "commands": timings,
         "pipeline_s": round(sum(t["wall_s"] for t in timings.values()), 3),
+        "threads2": threaded,
         "sampler": sampler,
     }
     with open(args.out, "w", encoding="utf-8") as handle:
