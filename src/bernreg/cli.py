@@ -13,6 +13,7 @@ import datetime
 import json
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -180,8 +181,10 @@ def cmd_fit(args):
     prior = PriorSpec.from_dict(config.prior)
     log = _RunLog(os.path.join(config.out, "run.log"))
     log.note(f"fit started: link={config.link} seed={config.seed}")
+    start = time.perf_counter()
     table = parse_dataset(config.data, config.delimiter)
-    log.note(f"parsed {table.n_rows} rows")
+    cache = f"cache {table.cache}" if table.cache else "not cached"
+    log.note(f"parsed {table.n_rows} rows in {time.perf_counter() - start:.3f} s ({cache})")
     pipeline = {key: getattr(config, key) for key in chainfile.PIPELINE_KEYS}
     design, target, balance_report, holdout_table = _training_set(table, pipeline)
     log.note(f"training rows: {design.n_rows}")

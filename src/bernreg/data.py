@@ -9,13 +9,23 @@ lexicographic level order, one column per predictor) and all predictor
 columns are optionally standardized.
 `encode` learns that metadata and `encode_new` applies it, to training rows
 and scored rows alike, so new rows are coded exactly like the fit.
+
+A regular file is parsed once per content: its parsed table is kept in a
+cache of .npz entries, keyed by this module's source, the parse arguments
+and the file's bytes, so a later parse of the same bytes loads it instead.
 """
 
+import contextlib
 import csv
 import hashlib
 import io
+import json
+import os
+import stat
+import zipfile
 from array import array
 from dataclasses import dataclass, field, replace
+from functools import cache
 from itertools import islice
 
 import numpy as np
@@ -50,6 +60,9 @@ HOLDOUT_STREAM = 4
 
 BALANCE_MODES = ("before", "after", "off")
 
+# Parsed-table cache entries kept; a 41,188-row entry is 6.6 MB.
+CACHE_ENTRIES = 16
+
 
 @dataclass
 class RecordTable:
@@ -57,6 +70,8 @@ class RecordTable:
 
     Column j of `values` is predictor_order[j]. A categorical column holds
     each row's index into `levels[name]`, its sorted tuple of level names.
+    `cache` says how a parse got the table: "hit" or "miss" of the
+    parsed-table cache, or None when the input is not cached.
     """
 
     values: np.ndarray
@@ -64,6 +79,7 @@ class RecordTable:
     target: np.ndarray
     source_indices: np.ndarray
     predictor_order: tuple = PREDICTOR_ORDER
+    cache: str | None = None
 
     def __post_init__(self):
         n = len(self.target)
@@ -86,17 +102,6 @@ class RecordTable:
         idx = np.asarray(indices, dtype=np.int64)
         return replace(self, values=self.values[idx], target=self.target[idx],
                        source_indices=self.source_indices[idx])
-
-
-def _open_text(source):
-    """A seekable text stream over a path, or a copy of a stream's or a pipe's text."""
-    if hasattr(source, "read"):
-        return io.StringIO(source.read())
-    stream = open(source, "r", encoding="utf-8-sig", newline="")
-    if stream.seekable():
-        return stream
-    with stream:
-        return io.StringIO(stream.read())
 
 
 def _check_header(names, expected):
@@ -125,11 +130,105 @@ def _read_table(source, delimiter, columns, categorical, require_target):
     """RecordTable of `columns` (file order is free) plus the yes/no response.
 
     Without `require_target` the response column is optional; a file that
-    lacks it gets an all-zero target. Every number must be finite.
+    lacks it gets an all-zero target. Every number must be finite. A path
+    to a regular file goes through the parsed-table cache; a stream, a pipe
+    or any other file is parsed with no entry.
     """
     if not (isinstance(delimiter, str) and len(delimiter) == 1):
         raise ValueError(f"delimiter must be one character, got {delimiter!r}")
-    stream = _open_text(source)
+    args = (delimiter, tuple(columns), categorical, require_target)
+    if hasattr(source, "read"):
+        return _parse(io.StringIO(source.read()), *args)
+    with open(source, "rb") as handle:
+        directory = _cache_dir()
+        if directory is None or not stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+            stream = io.TextIOWrapper(handle, encoding="utf-8-sig", newline="")
+            if not stream.seekable():
+                stream = io.StringIO(stream.read())
+            return _parse(stream, *args)
+        # The lookup hashes the file in chunks, so a hit never holds its bytes.
+        table = _load_entry(os.path.join(directory, _cache_key(handle, *args) + ".npz"),
+                            columns, categorical)
+        if table is not None:
+            return table
+        handle.seek(0)
+        data = handle.read()
+    # The entry is keyed by the very bytes parsed, decoded as a text-mode open would.
+    entry = os.path.join(directory, _cache_key(io.BytesIO(data), *args) + ".npz")
+    table = _parse(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline=""), *args)
+    del data
+    _store_entry(entry, table)
+    table.cache = "miss"
+    return table
+
+
+def _cache_dir():
+    """$XDG_CACHE_HOME/bernreg, else ~/.cache/bernreg; None without an absolute home."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    return os.path.join(base, "bernreg") if os.path.isabs(base) else None
+
+
+@cache
+def _source_digest():
+    """sha256 of this module's source, so a changed parser never serves an old table."""
+    with open(__file__, "rb") as handle:
+        return hashlib.sha256(handle.read()).digest()
+
+
+def _cache_key(stream, delimiter, columns, categorical, require_target):
+    """Hex sha256 of the parser source, the parse arguments and a binary stream's bytes."""
+    digest = hashlib.sha256(_source_digest())
+    arguments = [delimiter, list(columns), [c for c in columns if c in categorical],
+                 require_target]
+    digest.update(json.dumps(arguments).encode("utf-8") + b"\n")  # JSON holds no raw newline
+    for chunk in iter(lambda: stream.read(1 << 16), b""):
+        digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _load_entry(path, columns, categorical):
+    """The cached table at `path`, or None for an entry that cannot be read whole."""
+    try:
+        with np.load(path, allow_pickle=False) as entry:  # reading a member checks its CRC-32
+            values, target = entry["values"], entry["target"]
+            levels = {name: tuple(names) for name, names in json.loads(str(entry["levels"]))}
+        if (values.dtype != np.float64 or target.dtype != np.int8
+                or list(levels) != [c for c in columns if c in categorical]):
+            return None
+        table = RecordTable(values=values, levels=levels, target=target,  # checks the shapes
+                            source_indices=np.arange(len(target), dtype=np.int64),
+                            predictor_order=tuple(columns), cache="hit")
+    except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile):
+        return None  # an entry that does not load is a miss
+    with contextlib.suppress(OSError):
+        os.utime(path)  # a hit counts as new for the entry bound
+    return table
+
+
+def _store_entry(path, table):
+    """Write `table` at `path` through a temporary file, then keep the newest
+    CACHE_ENTRIES entries. A cache that cannot be written is skipped."""
+    partial = f"{path}.{os.getpid()}.partial"
+    try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(partial, "wb") as handle:
+            np.savez(handle, values=table.values, target=table.target,
+                     levels=np.array(json.dumps(list(table.levels.items()))))
+        os.replace(partial, path)
+        with os.scandir(os.path.dirname(path)) as scan:
+            entries = sorted((e.stat().st_mtime_ns, e.path) for e in scan
+                             if e.name.endswith(".npz"))
+        for _, stale in entries[:-CACHE_ENTRIES]:
+            os.remove(stale)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(partial)
+
+
+def _parse(stream, delimiter, columns, categorical, require_target):
+    """RecordTable parsed from a seekable text stream, which it closes."""
     try:
         reader = csv.reader(stream, delimiter=delimiter)
         try:

@@ -20,6 +20,15 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
+@pytest.fixture(scope="session", autouse=True)
+def parsed_table_cache(tmp_path_factory):
+    """The parsed-table cache lives in a session directory, never the user's;
+    it is set in the environment, so CLI subprocesses use it too."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
+        yield
+
+
 @pytest.fixture(scope="session")
 def bank_csv(tmp_path_factory):
     """Full-scale marketing table: real file if configured, else surrogate."""

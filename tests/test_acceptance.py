@@ -78,7 +78,8 @@ def paper_fits(bank_csv):
         model = ModelSpec(
             link=link, prior=default_priors(link), design=design, target=target
         )
-        draws = sample(model, SamplerConfig(**FIT_CONFIG))
+        # Chains run in two processes; the draws are the serial run's, bit for bit.
+        draws = sample(model, SamplerConfig(**FIT_CONFIG), threads=2)
         out[link] = {
             "model": model,
             "draws": draws,

@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -212,6 +213,16 @@ class TestFitArtifacts:
         for line in lines:
             stamp = line.split(" ", 1)[0]
             datetime.datetime.fromisoformat(stamp)
+
+    def test_run_log_names_parse_time_and_cache_outcome(
+            self, small_bank_csv, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        for name, outcome in (("first", "miss"), ("second", "hit")):
+            out = str(tmp_path / name)
+            assert _run_fit(small_bank_csv, out) == EXIT_OK
+            lines = _read_text(os.path.join(out, "run.log")).splitlines()
+            [parsed] = [line.split(" ", 1)[1] for line in lines if " parsed " in line]
+            assert re.fullmatch(rf"parsed 600 rows in \d+\.\d{{3}} s \(cache {outcome}\)", parsed)
 
     def test_holdout_written_and_disjoint_count(self, small_bank_csv, tmp_path):
         out = str(tmp_path / "with-holdout")

@@ -9,11 +9,13 @@ import pytest
 
 import bankgen
 from bernreg.data import (
+    CACHE_ENTRIES,
     CATEGORICAL_COLUMNS,
     NUMERIC_COLUMNS,
     PREDICTOR_ORDER,
     DesignMatrix,
     RecordTable,
+    _cache_key,
     _partial_shuffle_take,
     balance_oversample,
     dataset_fingerprint,
@@ -209,6 +211,206 @@ class TestParse:
             assert _column(back, column) == _column(tiny_table, column)
         for column in NUMERIC_COLUMNS:
             assert np.array_equal(_column(back, column), _column(tiny_table, column))
+
+
+@pytest.fixture
+def cache_dir(tmp_path, monkeypatch):
+    """An empty parsed-table cache of this test's own; the directory of its entries."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    return tmp_path / "xdg" / "bernreg"
+
+
+def _entries(directory):
+    return sorted(directory.glob("*.npz")) if directory.exists() else []
+
+
+def _assert_same_table(got, expected):
+    assert got.values.tobytes() == expected.values.tobytes()
+    assert got.values.shape == expected.values.shape and got.values.flags.c_contiguous
+    assert got.levels == expected.levels
+    assert all(type(names) is tuple for names in got.levels.values())
+    assert got.target.dtype == expected.target.dtype
+    assert np.array_equal(got.target, expected.target)
+    assert np.array_equal(got.source_indices, expected.source_indices)
+    assert got.predictor_order == expected.predictor_order
+
+
+def _copy_with(path, destination, edit):
+    """Copy of the file at `path` with its bytes passed through `edit`."""
+    with open(path, "rb") as handle:
+        destination.write_bytes(edit(handle.read()))
+    return str(destination)
+
+
+class TestParseCache:
+    def test_hit_is_bit_equal_to_a_fresh_parse(self, tiny_csv, tiny_table, cache_dir):
+        metadata = encode(tiny_table)[0].metadata()
+        for parse in (lambda source: parse_dataset(source, ";"),
+                      lambda source: parse_new_rows(source, ";", metadata)):
+            with open(tiny_csv, encoding="utf-8") as handle:
+                fresh = parse(handle)
+            assert fresh.cache is None
+            miss, hit = parse(tiny_csv), parse(tiny_csv)
+            assert (miss.cache, hit.cache) == ("miss", "hit")
+            _assert_same_table(miss, fresh)
+            _assert_same_table(hit, fresh)
+        assert len(_entries(cache_dir)) == 2
+
+    def test_hit_parses_no_cell(self, tiny_csv, cache_dir, monkeypatch):
+        expected = parse_dataset(tiny_csv, ";")
+
+        def no_reader(*args, **kwargs):
+            raise AssertionError("a cache hit read the CSV")
+
+        monkeypatch.setattr(csv, "reader", no_reader)
+        hit = parse_dataset(tiny_csv, ";")
+        assert hit.cache == "hit"
+        _assert_same_table(hit, expected)
+
+    def test_key_covers_bytes_delimiter_and_metadata(self):
+        def key(data=b"age;y\n1;no\n", delimiter=";", columns=("age", "job"),
+                categorical=("job",), require_target=True):
+            return _cache_key(io.BytesIO(data), delimiter, columns, categorical, require_target)
+
+        assert key() == key()
+        for changed in [key(data=b"age;y\n2;no\n"), key(delimiter=","),
+                        key(columns=("job", "age")), key(categorical=("age", "job")),
+                        key(require_target=False)]:
+            assert changed != key()
+
+    def test_changed_byte_or_metadata_misses(self, tiny_csv, tiny_table, cache_dir, tmp_path):
+        assert parse_dataset(tiny_csv, ";").cache == "miss"
+        def first_age_plus_one(data):  # one byte: the first digit of row 2's age
+            at = data.index(b"\n") + 1
+            return data[:at] + bytes([data[at] + 1]) + data[at + 1:]
+
+        table = parse_dataset(_copy_with(tiny_csv, tmp_path / "edited.csv", first_age_plus_one),
+                              ";")
+        assert table.cache == "miss"
+        assert table.values[0, 0] == tiny_table.values[0, 0] + 10
+        metadata = encode(tiny_table)[0].metadata()
+        assert parse_new_rows(tiny_csv, ";", metadata).cache == "miss"  # target optional
+        metadata["encoding_map"]["age"] = {}  # age read as a level name
+        assert parse_new_rows(tiny_csv, ";", metadata).cache == "miss"
+        assert len(_entries(cache_dir)) == 4
+        assert parse_dataset(tiny_csv, ";").cache == "hit"
+
+    def test_other_delimiter_misses(self, tiny_csv, cache_dir):
+        assert parse_dataset(tiny_csv, ";").cache == "miss"
+        # A hit would return the ";" table; the miss parses, and at "," the header is one column.
+        with pytest.raises(DataError, match="missing columns"):
+            parse_dataset(tiny_csv, ",")
+        assert len(_entries(cache_dir)) == 1
+
+    @pytest.mark.parametrize("damage", ["truncate", "flip", "empty"])
+    def test_damaged_entry_misses_and_is_rewritten(self, tiny_csv, cache_dir, damage):
+        expected = parse_dataset(tiny_csv, ";")
+        [entry] = _entries(cache_dir)
+        data = entry.read_bytes()
+        if damage == "truncate":
+            entry.write_bytes(data[: len(data) // 2])
+        elif damage == "flip":  # a bit inside the values member: only its CRC-32 tells
+            at = data.index(expected.values.tobytes()[:16]) + 8
+            entry.write_bytes(data[:at] + bytes([data[at] ^ 1]) + data[at + 1:])
+        else:
+            entry.write_bytes(b"")
+        again = parse_dataset(tiny_csv, ";")
+        assert again.cache == "miss"
+        _assert_same_table(again, expected)
+        assert entry.read_bytes() == data
+        assert parse_dataset(tiny_csv, ";").cache == "hit"
+
+    @pytest.mark.parametrize("change", ["values", "target", "levels", "dtype"])
+    def test_entry_of_another_shape_misses(self, tiny_csv, cache_dir, change):
+        expected = parse_dataset(tiny_csv, ";")
+        [entry] = _entries(cache_dir)
+        with np.load(entry) as stored:
+            members = dict(stored)
+        if change == "values":
+            members["values"] = members["values"][:, :-1]
+        elif change == "target":
+            members["target"] = members["target"][:-1]
+        elif change == "levels":
+            members["levels"] = np.array(str(members["levels"]).replace('"job"', '"jobs"'))
+        else:
+            members["values"] = members["values"].astype(np.float32)
+        with open(entry, "wb") as handle:
+            np.savez(handle, **members)
+        again = parse_dataset(tiny_csv, ";")
+        assert again.cache == "miss"
+        _assert_same_table(again, expected)
+
+    def test_changed_parser_source_misses(self, tiny_csv, cache_dir, monkeypatch):
+        assert parse_dataset(tiny_csv, ";").cache == "miss"
+        monkeypatch.setattr("bernreg.data._source_digest", lambda: b"another parser")
+        assert parse_dataset(tiny_csv, ";").cache == "miss"
+        assert len(_entries(cache_dir)) == 2
+
+    def test_unwritable_cache_is_skipped(self, tiny_csv, tiny_table, tmp_path, monkeypatch):
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        for _ in range(2):
+            table = parse_dataset(tiny_csv, ";")
+            assert table.cache == "miss"
+            _assert_same_table(table, tiny_table)
+        assert blocker.read_text() == ""
+
+    def test_relative_home_keeps_no_entry(self, tiny_csv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("XDG_CACHE_HOME", "xdg")
+        monkeypatch.setenv("HOME", "home")
+        assert parse_dataset(tiny_csv, ";").cache is None
+        assert os.listdir(tmp_path) == []
+
+    def test_stream_and_pipe_keep_no_entry(self, tiny_csv, tiny_table, cache_dir):
+        text = open(tiny_csv, encoding="utf-8").read()
+        _assert_same_table(parse_dataset(io.StringIO(text), ";"), tiny_table)
+        read_end, write_end = os.pipe()
+        os.write(write_end, text.encode("utf-8"))
+        os.close(write_end)
+        try:
+            table = parse_dataset(f"/dev/fd/{read_end}", ";")
+        finally:
+            os.close(read_end)
+        assert table.cache is None
+        _assert_same_table(table, tiny_table)
+        assert not cache_dir.exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda data: re.sub(rb'"no"(\r?\n)', rb'"maybe"\1', data, count=1),
+         r"^row \d+: target label 'maybe' is not yes/no$"),
+        (lambda data: data.replace(b"\n4", b"\n4;", 1), r"^row \d+: expected 21 fields, got 22$"),
+        (lambda data: data[:len(data) // 2] + b"\xff" + data[len(data) // 2:],
+         r"^'utf-8' codec can't decode byte 0xff in position \d+"),
+    ])
+    def test_bad_file_raises_as_before_and_keeps_no_entry(
+            self, bank_5000_csv, cache_dir, tmp_path, monkeypatch, edit, message):
+        bad = _copy_with(bank_5000_csv, tmp_path / "bad.csv", edit)
+        with pytest.raises((DataError, ValueError), match=message) as cached:
+            parse_dataset(bad, ";")
+        assert _entries(cache_dir) == []
+        monkeypatch.setenv("XDG_CACHE_HOME", "")
+        monkeypatch.setenv("HOME", "")  # no cache: the file is parsed as it is read
+        with pytest.raises((DataError, ValueError)) as uncached:
+            parse_dataset(bad, ";")
+        assert (type(cached.value), str(cached.value)) == (type(uncached.value),
+                                                           str(uncached.value))
+
+    def test_least_recently_used_entry_removed(self, tiny_csv, cache_dir, tmp_path):
+        entries = []
+        for k in range(CACHE_ENTRIES + 1):
+            path = _copy_with(tiny_csv, tmp_path / f"copy{k}.csv",
+                              lambda data: data + b"\n" * k)  # blank lines: same rows
+            before = set(_entries(cache_dir))
+            assert parse_dataset(path, ";").cache == "miss"
+            [entry] = set(_entries(cache_dir)) - before
+            entries.append(entry)
+            os.utime(entry, (1e9 + k, 1e9 + k))  # distinct ages, whatever the clock's grain
+            if k == CACHE_ENTRIES - 1:  # full: a hit makes the oldest entry the newest
+                assert parse_dataset(str(tmp_path / "copy0.csv"), ";").cache == "hit"
+        assert _entries(cache_dir) == sorted(entries[:1] + entries[2:])
+        assert parse_dataset(str(tmp_path / "copy1.csv"), ";").cache == "miss"
 
 
 class TestParseMemory:

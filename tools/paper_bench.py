@@ -16,6 +16,14 @@ BLAS thread:
   equal the serial fit's byte for byte. It is recorded apart from the
   pipeline.
 
+The run starts from an empty parsed-table cache, `cache/` under the work
+directory, which every command and this process use: the user's cache is
+never read. A command whose parse finds no entry is cold and adds one.
+The first `fit` is cold, and so is the first `predict`, whose rows are
+read with other arguments. The record gives the first fit's wall
+seconds (`cold_s`) apart from the later commands' (`warm_s`), and the
+entries each command added.
+
 Each command is launched from a small helper process, so the peak RSS
 that `wait4` reports is the command's own: a child starts from its
 parent's RSS high-water mark. A `--threads 2` fit's peak is that of its
@@ -35,6 +43,7 @@ import filecmp
 import json
 import os
 import platform
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -101,17 +110,25 @@ def commands():
     return out
 
 
+def cache_entries(work):
+    """Entries in the run's parsed-table cache."""
+    cache = os.path.join(work, "cache", "bernreg")
+    return len(os.listdir(cache)) if os.path.isdir(cache) else 0
+
+
 def timed_command(name, cli_args, work):
-    """{wall_s, peak_rss_mb} of one command; raises if it exits non-zero."""
+    """{wall_s, peak_rss_mb, new_cache_entries} of one command; raises if it exits non-zero."""
     stem = os.path.join(work, "cmd", name)
     spec = [[sys.executable, "-m", "bernreg.cli", *cli_args], work, stem + ".out", stem + ".err"]
+    entries = cache_entries(work)
     done = subprocess.run([sys.executable, "-S", "-c", _LAUNCHER, json.dumps(spec)],
                           env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
                           text=True, check=True)
     wall, rss, code = json.loads(done.stdout)
     if code != 0:
         raise RuntimeError(f"{name} exited {code}; see {stem}.err")
-    return {"wall_s": round(wall, 3), "peak_rss_mb": round(rss, 1)}
+    return {"wall_s": round(wall, 3), "peak_rss_mb": round(rss, 1),
+            "new_cache_entries": cache_entries(work) - entries}
 
 
 def show(label, timing):
@@ -169,6 +186,8 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as scratch:
         work = os.path.abspath(args.work or scratch)
         os.makedirs(os.path.join(work, "cmd"), exist_ok=True)
+        shutil.rmtree(os.path.join(work, "cache"), ignore_errors=True)
+        os.environ["XDG_CACHE_HOME"] = os.path.join(work, "cache")
         csv_path = bankgen.write_bank_csv(os.path.join(work, "bank.csv"),
                                           run.SURROGATE_ROWS, run.SURROGATE_SEED)
         timings, threaded = {}, {}
@@ -186,12 +205,15 @@ def main(argv=None):
             sampler[link] = counted_fit(link, csv_path, os.path.join(work, link, f"{link}.chain"))
             print(f"{link:<8}{json.dumps(sampler[link])}", flush=True)
 
+    cold, *warm = timings.values()
     record = {
         "workload": {"surrogate_rows": run.SURROGATE_ROWS, "surrogate_seed": run.SURROGATE_SEED,
                      "seed": SEED, "predict_link": PREDICT_LINK},
         "machine": machine(),
         "commands": timings,
         "pipeline_s": round(sum(t["wall_s"] for t in timings.values()), 3),
+        "cold_s": cold["wall_s"],
+        "warm_s": round(sum(t["wall_s"] for t in warm), 3),
         "threads2": threaded,
         "sampler": sampler,
     }
