@@ -29,6 +29,7 @@ from .data import (
     prepare_training_table,
     write_records,
     HOLDOUT_STREAM,
+    PREDICTOR_ORDER,
 )
 from .diagnostics import MIN_DRAWS, summarize
 from .errors import BernregError, DataError, MismatchError, NumericalError
@@ -147,7 +148,7 @@ def _training_set(table, pipeline):
 def _unseen_levels(design, table):
     """Each category level in `table` that `design` was not trained on, as "column 'level'"."""
     return [f"{name} {level!r}"
-            for j, name in enumerate(table.predictor_order) if name in table.levels
+            for j, name in enumerate(PREDICTOR_ORDER) if name in table.levels
             for level in (table.levels[name][k] for k in np.unique(table.values[:, j].astype(int)))
             if level not in design.encoding_map[name]]
 
@@ -325,7 +326,7 @@ def cmd_predict(args):
     metadata = header["model"]["design"]
     if args.delimiter is None:
         args.delimiter = header["dataset"]["pipeline"]["delimiter"]
-    table = parse_new_rows(args.data, args.delimiter, metadata)
+    table = parse_new_rows(args.data, args.delimiter)
     rows = posterior_predict(
         draws,
         encode_new(metadata, table),

@@ -1,18 +1,18 @@
 """Delimited-file parsing, sampling, class balancing, and design encoding.
 
-The expected input is the 21-column direct-marketing table: ten categorical
-predictors, ten numeric predictors, and a yes/no response. A parsed table
-holds one (rows, predictors) float64 matrix in predictor order, in which a
-categorical column holds each row's index into that column's sorted tuple
-of level names. Categorical columns are label-encoded (codes 1..L in
-lexicographic level order, one column per predictor) and all predictor
-columns are optionally standardized.
+Every file is read in one layout, which this module alone fixes: the
+21-column direct-marketing table, in any column order. A parsed table holds
+one (rows, predictors) float64 matrix in PREDICTOR_ORDER, in which each of
+the CATEGORICAL_COLUMNS holds a row's index into its sorted level names.
+Categorical columns are label-encoded (codes 1..L in lexicographic level
+order, one column per predictor) and all predictor columns are optionally
+standardized.
 `encode` learns that metadata and `encode_new` applies it, to training rows
 and scored rows alike, so new rows are coded exactly like the fit.
 
 A regular file is parsed once per content: its parsed table is kept in a
-cache of .npz entries, keyed by this module's source, the parse arguments
-and the file's bytes, so a later parse of the same bytes loads it instead.
+cache of .npz entries, keyed by this module's source, the delimiter and the
+file's bytes, so any later parse of the same bytes loads it instead.
 """
 
 import contextlib
@@ -68,22 +68,22 @@ CACHE_ENTRIES = 16
 class RecordTable:
     """Parsed rows: a C-contiguous (rows, predictors) float64 matrix, 0/1 target.
 
-    Column j of `values` is predictor_order[j]. A categorical column holds
+    Column j of `values` is PREDICTOR_ORDER[j]. A categorical column holds
     each row's index into `levels[name]`, its sorted tuple of level names.
-    `cache` says how a parse got the table: "hit" or "miss" of the
-    parsed-table cache, or None when the input is not cached.
+    `labelled` says whether the file had the response. `cache` says how a
+    parse got the table: "hit" or "miss" of the parsed-table cache, or None.
     """
 
     values: np.ndarray
     levels: dict
     target: np.ndarray
     source_indices: np.ndarray
-    predictor_order: tuple = PREDICTOR_ORDER
+    labelled: bool
     cache: str | None = None
 
     def __post_init__(self):
         n = len(self.target)
-        if self.values.shape != (n, len(self.predictor_order)):
+        if self.values.shape != (n, len(PREDICTOR_ORDER)):
             raise ValueError("values shape differs from (target length, predictors)")
         if len(self.source_indices) != n:
             raise ValueError("source_indices length differs from target")
@@ -126,39 +126,38 @@ class _Levels(dict):
         return code
 
 
-def _read_table(source, delimiter, columns, categorical, require_target):
-    """RecordTable of `columns` (file order is free) plus the yes/no response.
+def _read_table(source, delimiter, require_target):
+    """RecordTable of the predictors (file order is free) plus the yes/no response.
 
     Without `require_target` the response column is optional; a file that
     lacks it gets an all-zero target. Every number must be finite. A path
-    to a regular file goes through the parsed-table cache; a stream, a pipe
-    or any other file is parsed with no entry.
+    is read whole, as bytes. A regular file's table goes through the cache
+    of parsed tables; a stream, a pipe or any other file gets no entry.
     """
     if not (isinstance(delimiter, str) and len(delimiter) == 1):
         raise ValueError(f"delimiter must be one character, got {delimiter!r}")
-    args = (delimiter, tuple(columns), categorical, require_target)
     if hasattr(source, "read"):
-        return _parse(io.StringIO(source.read()), *args)
+        return _parse(io.StringIO(source.read()), delimiter, require_target)
     with open(source, "rb") as handle:
         directory = _cache_dir()
-        if directory is None or not stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
-            stream = io.TextIOWrapper(handle, encoding="utf-8-sig", newline="")
-            if not stream.seekable():
-                stream = io.StringIO(stream.read())
-            return _parse(stream, *args)
-        # The lookup hashes the file in chunks, so a hit never holds its bytes.
-        table = _load_entry(os.path.join(directory, _cache_key(handle, *args) + ".npz"),
-                            columns, categorical)
-        if table is not None:
-            return table
-        handle.seek(0)
+        cached = directory is not None and stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
+        if cached:
+            # The lookup hashes the file in chunks, so a hit never holds its bytes.
+            table = _load_entry(os.path.join(directory, _cache_key(handle, delimiter) + ".npz"))
+            # An entry without the response never serves a parse that requires
+            # it: the parse below raises the header error a fresh parse raises.
+            if table is not None and (table.labelled or not require_target):
+                return table
+            handle.seek(0)
         data = handle.read()
-    # The entry is keyed by the very bytes parsed, decoded as a text-mode open would.
-    entry = os.path.join(directory, _cache_key(io.BytesIO(data), *args) + ".npz")
-    table = _parse(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline=""), *args)
+    if cached:  # the entry is keyed by the very bytes parsed
+        entry = os.path.join(directory, _cache_key(io.BytesIO(data), delimiter) + ".npz")
+    table = _parse(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline=""),
+                   delimiter, require_target)
     del data
-    _store_entry(entry, table)
-    table.cache = "miss"
+    if cached:
+        _store_entry(entry, table)
+        table.cache = "miss"
     return table
 
 
@@ -177,29 +176,27 @@ def _source_digest():
         return hashlib.sha256(handle.read()).digest()
 
 
-def _cache_key(stream, delimiter, columns, categorical, require_target):
-    """Hex sha256 of the parser source, the parse arguments and a binary stream's bytes."""
+def _cache_key(stream, delimiter):
+    """Hex sha256 of the parser source, the delimiter and a binary stream's bytes."""
     digest = hashlib.sha256(_source_digest())
-    arguments = [delimiter, list(columns), [c for c in columns if c in categorical],
-                 require_target]
-    digest.update(json.dumps(arguments).encode("utf-8") + b"\n")  # JSON holds no raw newline
+    digest.update(json.dumps(delimiter).encode("utf-8") + b"\n")  # JSON holds no raw newline
     for chunk in iter(lambda: stream.read(1 << 16), b""):
         digest.update(chunk)
     return digest.hexdigest()
 
 
-def _load_entry(path, columns, categorical):
+def _load_entry(path):
     """The cached table at `path`, or None for an entry that cannot be read whole."""
     try:
         with np.load(path, allow_pickle=False) as entry:  # reading a member checks its CRC-32
-            values, target = entry["values"], entry["target"]
+            values, target, labelled = entry["values"], entry["target"], entry["labelled"]
             levels = {name: tuple(names) for name, names in json.loads(str(entry["levels"]))}
-        if (values.dtype != np.float64 or target.dtype != np.int8
-                or list(levels) != [c for c in columns if c in categorical]):
+        if (values.dtype != np.float64 or target.dtype != np.int8 or labelled.dtype != bool
+                or list(levels) != [c for c in PREDICTOR_ORDER if c in CATEGORICAL_COLUMNS]):
             return None
         table = RecordTable(values=values, levels=levels, target=target,  # checks the shapes
                             source_indices=np.arange(len(target), dtype=np.int64),
-                            predictor_order=tuple(columns), cache="hit")
+                            labelled=bool(labelled), cache="hit")
     except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile):
         return None  # an entry that does not load is a miss
     with contextlib.suppress(OSError):
@@ -215,6 +212,7 @@ def _store_entry(path, table):
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(partial, "wb") as handle:
             np.savez(handle, values=table.values, target=table.target,
+                     labelled=np.array(table.labelled),
                      levels=np.array(json.dumps(list(table.levels.items()))))
         os.replace(partial, path)
         with os.scandir(os.path.dirname(path)) as scan:
@@ -227,7 +225,7 @@ def _store_entry(path, table):
             os.remove(partial)
 
 
-def _parse(stream, delimiter, columns, categorical, require_target):
+def _parse(stream, delimiter, require_target):
     """RecordTable parsed from a seekable text stream, which it closes."""
     try:
         reader = csv.reader(stream, delimiter=delimiter)
@@ -236,13 +234,13 @@ def _parse(stream, delimiter, columns, categorical, require_target):
         except StopIteration:
             raise DataError("empty input: no header row") from None
         names = [c.strip().strip('"') for c in header]
-        has_target = require_target or TARGET_COLUMN in names
-        _check_header(names, list(columns) + ([TARGET_COLUMN] if has_target else []))
+        labelled = require_target or TARGET_COLUMN in names
+        _check_header(names, list(PREDICTOR_ORDER) + ([TARGET_COLUMN] if labelled else []))
         pos = {c: names.index(c) for c in names}
 
-        coders = {j: _Levels() for j, c in enumerate(columns) if c in categorical}
+        coders = {j: _Levels() for j, c in enumerate(PREDICTOR_ORDER) if c in CATEGORICAL_COLUMNS}
         fields = [(pos[c], coders[j].__getitem__ if j in coders else float)
-                  for j, c in enumerate(columns)]
+                  for j, c in enumerate(PREDICTOR_ORDER)]
         flat, target = array("d"), array("b")
         append = flat.append
         for row_number, row in enumerate(reader, start=2):
@@ -256,56 +254,54 @@ def _parse(stream, delimiter, columns, categorical, require_target):
             except ValueError:
                 raise DataError(f"row {row_number}, column {names[i]!r}: "
                                 f"{row[i].strip()!r} is not a number") from None
-            label = row[pos[TARGET_COLUMN]].strip() if has_target else "no"
+            label = row[pos[TARGET_COLUMN]].strip() if labelled else "no"
             if label not in TARGET_LABELS:
                 raise DataError(f"row {row_number}: target label {label!r} is not yes/no")
             target.append(TARGET_LABELS[label])
 
-        values = np.frombuffer(flat).reshape(len(target), len(columns))
+        values = np.frombuffer(flat).reshape(len(target), len(PREDICTOR_ORDER))
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:  # read the cell again, to name its record and its text as written
-            r, j = divmod(int(bad[0]), len(columns))
+            r, j = divmod(int(bad[0]), len(PREDICTOR_ORDER))
             stream.seek(0)
             records = (item for item in enumerate(csv.reader(stream, delimiter=delimiter), 1)
                        if item[1])
             row_number, row = next(islice(records, r + 1, None))
-            text = row[pos[columns[j]]].strip()
-            raise DataError(f"row {row_number}, column {columns[j]!r}: {text!r} is not finite")
+            text = row[pos[PREDICTOR_ORDER[j]]].strip()
+            raise DataError(f"row {row_number}, column {PREDICTOR_ORDER[j]!r}: "
+                            f"{text!r} is not finite")
     finally:
         stream.close()
 
     levels = {}
     for j, coder in coders.items():  # recode from first-seen text to sorted level order
         first_seen = [text.strip() for text in coder]
-        levels[columns[j]] = tuple(sorted(set(first_seen)))
-        rank = {name: k for k, name in enumerate(levels[columns[j]])}
+        levels[PREDICTOR_ORDER[j]] = tuple(sorted(set(first_seen)))
+        rank = {name: k for k, name in enumerate(levels[PREDICTOR_ORDER[j]])}
         values[:, j] = np.array([rank[name] for name in first_seen])[values[:, j].astype(int)]
     return RecordTable(values=values, levels=levels, target=np.frombuffer(target, np.int8),
-                       source_indices=np.arange(len(target), dtype=np.int64),
-                       predictor_order=tuple(columns))
+                       source_indices=np.arange(len(target), dtype=np.int64), labelled=labelled)
 
 
 def parse_dataset(source, delimiter=";"):
     """Read the full 21-column table from a path or text stream."""
-    return _read_table(source, delimiter, PREDICTOR_ORDER, CATEGORICAL_COLUMNS, True)
+    return _read_table(source, delimiter, True)
 
 
-def parse_new_rows(source, delimiter, metadata):
-    """Read predictor-only rows for scoring, using stored design metadata.
+def parse_new_rows(source, delimiter):
+    """Read rows to score: the full table's layout, with the response optional.
 
-    The response column is optional; when present its labels are kept so
-    callers can report them alongside predictions.
+    A response that is present keeps its labels. A file shares its cache
+    entry with `parse_dataset`, so rows that a fit parsed are not parsed again.
     """
-    return _read_table(
-        source, delimiter, metadata["column_names"], metadata["encoding_map"], False
-    )
+    return _read_table(source, delimiter, False)
 
 
 def write_records(table, path, delimiter=";"):
     """Write a table back out in the input file layout (strings quoted)."""
-    columns = list(table.predictor_order) + [TARGET_COLUMN]
+    columns = list(PREDICTOR_ORDER) + [TARGET_COLUMN]
     inverse = {v: k for k, v in TARGET_LABELS.items()}
-    levels = [table.levels.get(c) for c in table.predictor_order]
+    levels = [table.levels.get(c) for c in PREDICTOR_ORDER]
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, delimiter=delimiter, quoting=csv.QUOTE_NONNUMERIC)
         writer.writerow(columns)
@@ -500,7 +496,7 @@ def encode(table, standardize=True):
     """
     if table.n_rows == 0:
         raise DataError("cannot encode an empty table")
-    names = tuple(table.predictor_order)
+    names = PREDICTOR_ORDER
     # Levels are stored sorted, so the codes that occur, ascending, give them in order.
     present = {name: np.flatnonzero(np.bincount(col.astype(int)))
                for name, col in zip(names, table.values.T) if name in table.levels}
@@ -531,18 +527,20 @@ def encode(table, standardize=True):
 def encode_new(metadata, table):
     """Design values for new rows under stored metadata.
 
-    Raises MismatchError for a category absent from training or columns
-    that do not line up with the stored design, and ValueError for a
-    stored center or scale that is not finite or a scale that is not positive.
+    The one check of a stored design against the layout: raises
+    MismatchError for stored columns or categorical columns other than the
+    table's, or a category absent from training; and ValueError for a stored
+    center or scale that is not finite or a scale that is not positive.
     """
     columns = list(metadata["column_names"])
-    if list(table.predictor_order) != columns:
-        raise MismatchError(
-            "new data columns do not match the stored design: "
-            f"{list(table.predictor_order)} vs {columns}"
-        )
-    n = table.n_rows
+    if columns != list(PREDICTOR_ORDER):
+        raise MismatchError("new data columns do not match the stored design: "
+                            f"{list(PREDICTOR_ORDER)} vs {columns}")
     encoding_map = metadata["encoding_map"]
+    if sorted(encoding_map) != sorted(table.levels):
+        raise MismatchError("new data categorical columns do not match the stored design: "
+                            f"{sorted(table.levels)} vs {sorted(encoding_map)}")
+    n = table.n_rows
     scaling = metadata["scaling"]
     out = np.empty((n, len(columns)), dtype=np.float64)
     for j, name in enumerate(columns):

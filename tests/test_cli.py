@@ -118,6 +118,15 @@ def _comma_copy(data_path, out_path):
     return out_path
 
 
+def _unlabelled_copy(data_path, out_path):
+    """Write a copy of a semicolon-delimited file without its last column, the response."""
+    with open(data_path, encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle, delimiter=";"))
+    with open(out_path, "w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle, delimiter=";").writerows(row[:-1] for row in rows)
+    return out_path
+
+
 def _rewrite_header(chain_path, out_path, change):
     """Copy a chain file, passing its header dict through `change` first."""
     first, rest = _read_bytes(chain_path).split(b"\n", 1)
@@ -607,6 +616,26 @@ class TestCompare:
         assert err.startswith(f"error: {first}: rebuilt design does not match")
         assert "the pipeline that fit stored, no longer rebuilds its training set" in err
 
+    def test_unlabelled_cache_entry_is_refused_as_with_no_cache(
+        self, logit_dir, probit_dir, score_csv, tmp_path, monkeypatch, capsys
+    ):
+        """`predict` stores the parsed table of a file without the response;
+        `compare` of that file still exits 3 with the header error."""
+        data = _unlabelled_copy(score_csv, str(tmp_path / "nolabel.csv"))
+        chains = [os.path.join(logit_dir, "logit.chain"), os.path.join(probit_dir, "probit.chain")]
+        cache = tmp_path / "xdg"
+        monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+        assert main(["predict", chains[0], "--data", data]) == EXIT_OK
+        assert len(list((cache / "bernreg").glob("*.npz"))) == 1
+        errors = []
+        for home in (str(cache), ""):  # the cache, then none
+            monkeypatch.setenv("XDG_CACHE_HOME", home)
+            monkeypatch.setenv("HOME", home)
+            capsys.readouterr()
+            assert main(["compare", *chains, "--data", data]) == EXIT_DATA
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] == "error: missing columns: y\n"
+
 
 class TestPredict:
     def test_outcome_scale_rows(self, logit_dir, score_csv, capsys):
@@ -718,6 +747,44 @@ class TestPredict:
         # An explicit flag still overrides the stored delimiter.
         assert main(["predict", chain, "--data", holdout, "--delimiter", ";"]) == EXIT_DATA
         assert "missing columns" in capsys.readouterr().err
+
+    def test_rows_a_fit_parsed_add_no_cache_entry(
+        self, small_bank_csv, tmp_path, monkeypatch, capsys
+    ):
+        """`predict` of the file `fit` parsed loads fit's entry and prints
+        what it prints from an empty cache."""
+        warm, cold = tmp_path / "warm", tmp_path / "cold"
+        monkeypatch.setenv("XDG_CACHE_HOME", str(warm))
+        out = str(tmp_path / "fit")
+        # The whole table trains, so the fit has seen every level it scores.
+        assert _run_fit(small_bank_csv, out, "--subsample", "0") == EXIT_OK
+        entries = sorted((warm / "bernreg").glob("*.npz"))
+        assert len(entries) == 1
+        argv = ["predict", os.path.join(out, "logit.chain"), "--data", small_bank_csv,
+                "--format", "json"]
+        capsys.readouterr()
+        printed = []
+        for cache in (warm, cold):
+            monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+            assert main(argv) == EXIT_OK
+            printed.append(capsys.readouterr().out)
+        assert sorted((warm / "bernreg").glob("*.npz")) == entries
+        assert len(list((cold / "bernreg").glob("*.npz"))) == 1
+        assert printed[0] == printed[1]
+
+    def test_stored_design_without_a_categorical_column_exits_5(
+        self, logit_dir, score_csv, tmp_path, capsys
+    ):
+        """Read as a number, a level code of `job` would be scored silently."""
+        def drop_job(header):
+            del header["model"]["design"]["encoding_map"]["job"]
+
+        chain = _rewrite_header(os.path.join(logit_dir, "logit.chain"),
+                                str(tmp_path / "no-job.chain"), drop_job)
+        assert main(["predict", chain, "--data", score_csv]) == EXIT_MISMATCH
+        err = capsys.readouterr().err
+        assert err.startswith("error: new data categorical columns do not match")
+        assert err.count("\n") == 1
 
     def test_unseen_level_exits_5(self, logit_dir, score_csv, tmp_path, capsys):
         with open(score_csv, encoding="utf-8", newline="") as handle:

@@ -14,7 +14,6 @@ from bernreg.data import (
     NUMERIC_COLUMNS,
     PREDICTOR_ORDER,
     DesignMatrix,
-    RecordTable,
     _cache_key,
     _partial_shuffle_take,
     balance_oversample,
@@ -63,7 +62,7 @@ def _csv_lines(path):
 
 def _column(table, name):
     """One parsed column: its level names if categorical, else its numbers."""
-    col = table.values[:, table.predictor_order.index(name)]
+    col = table.values[:, PREDICTOR_ORDER.index(name)]
     if name in table.levels:
         return [table.levels[name][int(code)] for code in col]
     return col
@@ -75,7 +74,7 @@ def _set_column(table, name, cells):
         levels = tuple(sorted(set(cells)))
         table.levels = {**table.levels, name: levels}
         cells = [levels.index(cell) for cell in cells]
-    table.values[:, table.predictor_order.index(name)] = cells
+    table.values[:, PREDICTOR_ORDER.index(name)] = cells
 
 
 def _shuffle_take_per_call(n_total, n_take, rng):
@@ -96,7 +95,9 @@ class TestParse:
         assert tiny_table.values.flags.c_contiguous
         assert tiny_table.target.dtype == np.int8
         assert set(np.unique(tiny_table.target)) <= {0, 1}
-        assert tiny_table.predictor_order == PREDICTOR_ORDER
+        assert tiny_table.labelled is True
+        assert [name for name in PREDICTOR_ORDER if name in tiny_table.levels] == list(
+            tiny_table.levels)
 
     def test_reads_values_exactly(self, tiny_csv, tiny_table):
         lines = _csv_lines(tiny_csv)
@@ -177,9 +178,8 @@ class TestParse:
         message = f"^row 5, column 'duration': '{re.escape(text)}' is not finite$"
         with pytest.raises(DataError, match=message):
             parse_dataset(io.StringIO(out.getvalue()), delimiter=";")
-        design, _ = encode(tiny_table)
         with pytest.raises(DataError, match=message):
-            parse_new_rows(io.StringIO(out.getvalue()), ";", design.metadata())
+            parse_new_rows(io.StringIO(out.getvalue()), ";")
         # A path that cannot seek, such as a pipe, is read again all the same.
         read_end, write_end = os.pipe()
         os.write(write_end, out.getvalue().encode("utf-8"))
@@ -232,7 +232,7 @@ def _assert_same_table(got, expected):
     assert got.target.dtype == expected.target.dtype
     assert np.array_equal(got.target, expected.target)
     assert np.array_equal(got.source_indices, expected.source_indices)
-    assert got.predictor_order == expected.predictor_order
+    assert got.labelled == expected.labelled
 
 
 def _copy_with(path, destination, edit):
@@ -244,17 +244,18 @@ def _copy_with(path, destination, edit):
 
 class TestParseCache:
     def test_hit_is_bit_equal_to_a_fresh_parse(self, tiny_csv, tiny_table, cache_dir):
-        metadata = encode(tiny_table)[0].metadata()
-        for parse in (lambda source: parse_dataset(source, ";"),
-                      lambda source: parse_new_rows(source, ";", metadata)):
+        # Training rows and rows to score share the layout, so one entry serves both.
+        for parse, outcomes in ((parse_dataset, ("miss", "hit")),
+                                (parse_new_rows, ("hit", "hit"))):
             with open(tiny_csv, encoding="utf-8") as handle:
-                fresh = parse(handle)
+                fresh = parse(handle, ";")
             assert fresh.cache is None
-            miss, hit = parse(tiny_csv), parse(tiny_csv)
-            assert (miss.cache, hit.cache) == ("miss", "hit")
-            _assert_same_table(miss, fresh)
-            _assert_same_table(hit, fresh)
-        assert len(_entries(cache_dir)) == 2
+            first, second = parse(tiny_csv, ";"), parse(tiny_csv, ";")
+            assert (first.cache, second.cache) == outcomes
+            _assert_same_table(first, fresh)
+            _assert_same_table(second, fresh)
+            _assert_same_table(second, tiny_table)
+        assert len(_entries(cache_dir)) == 1
 
     def test_hit_parses_no_cell(self, tiny_csv, cache_dir, monkeypatch):
         expected = parse_dataset(tiny_csv, ";")
@@ -267,16 +268,17 @@ class TestParseCache:
         assert hit.cache == "hit"
         _assert_same_table(hit, expected)
 
-    def test_key_covers_bytes_delimiter_and_metadata(self):
-        def key(data=b"age;y\n1;no\n", delimiter=";", columns=("age", "job"),
-                categorical=("job",), require_target=True):
-            return _cache_key(io.BytesIO(data), delimiter, columns, categorical, require_target)
+    def test_key_covers_bytes_delimiter_and_metadata(self, monkeypatch):
+        # Bytes, delimiter and parser source: no stored design can change the key.
+        def key(data=b"age;y\n1;no\n", delimiter=";"):
+            return _cache_key(io.BytesIO(data), delimiter)
 
-        assert key() == key()
-        for changed in [key(data=b"age;y\n2;no\n"), key(delimiter=","),
-                        key(columns=("job", "age")), key(categorical=("age", "job")),
-                        key(require_target=False)]:
-            assert changed != key()
+        plain = key()
+        assert key() == plain
+        for changed in [key(data=b"age;y\n2;no\n"), key(delimiter=",")]:
+            assert changed != plain
+        monkeypatch.setattr("bernreg.data._source_digest", lambda: b"another parser")
+        assert key() != plain
 
     def test_changed_byte_or_metadata_misses(self, tiny_csv, tiny_table, cache_dir, tmp_path):
         assert parse_dataset(tiny_csv, ";").cache == "miss"
@@ -288,12 +290,26 @@ class TestParseCache:
                               ";")
         assert table.cache == "miss"
         assert table.values[0, 0] == tiny_table.values[0, 0] + 10
-        metadata = encode(tiny_table)[0].metadata()
-        assert parse_new_rows(tiny_csv, ";", metadata).cache == "miss"  # target optional
-        metadata["encoding_map"]["age"] = {}  # age read as a level name
-        assert parse_new_rows(tiny_csv, ";", metadata).cache == "miss"
-        assert len(_entries(cache_dir)) == 4
+        # Rows to score hit, whichever stored design scores them.
+        table = parse_new_rows(tiny_csv, ";")
+        assert table.cache == "hit"
+        for standardize in (True, False):
+            design, _ = encode(tiny_table, standardize=standardize)
+            assert encode_new(design.metadata(), table).tobytes() == design.values.tobytes()
+        assert len(_entries(cache_dir)) == 2
         assert parse_dataset(tiny_csv, ";").cache == "hit"
+
+    def test_unlabelled_entry_never_serves_a_parse_that_requires_the_response(
+            self, tiny_csv, cache_dir, tmp_path):
+        unlabelled = _copy_with(tiny_csv, tmp_path / "nolabel.csv", lambda data: re.sub(
+            rb";[^;\r\n]*(\r?\n)", rb"\1", data))  # drop the last column, the response
+        table = parse_new_rows(unlabelled, ";")
+        assert (table.cache, table.labelled) == ("miss", False)
+        for _ in range(2):
+            with pytest.raises(DataError, match="^missing columns: y$"):
+                parse_dataset(unlabelled, ";")
+        assert parse_new_rows(unlabelled, ";").cache == "hit"
+        assert len(_entries(cache_dir)) == 1
 
     def test_other_delimiter_misses(self, tiny_csv, cache_dir):
         assert parse_dataset(tiny_csv, ";").cache == "miss"
@@ -320,7 +336,8 @@ class TestParseCache:
         assert entry.read_bytes() == data
         assert parse_dataset(tiny_csv, ";").cache == "hit"
 
-    @pytest.mark.parametrize("change", ["values", "target", "levels", "dtype"])
+    @pytest.mark.parametrize("change", ["values", "target", "levels", "dtype", "labelled",
+                                        "labelled-dtype"])
     def test_entry_of_another_shape_misses(self, tiny_csv, cache_dir, change):
         expected = parse_dataset(tiny_csv, ";")
         [entry] = _entries(cache_dir)
@@ -332,6 +349,10 @@ class TestParseCache:
             members["target"] = members["target"][:-1]
         elif change == "levels":
             members["levels"] = np.array(str(members["levels"]).replace('"job"', '"jobs"'))
+        elif change == "labelled":
+            del members["labelled"]
+        elif change == "labelled-dtype":
+            members["labelled"] = np.array(1)
         else:
             members["values"] = members["values"].astype(np.float32)
         with open(entry, "wb") as handle:
@@ -391,7 +412,7 @@ class TestParseCache:
             parse_dataset(bad, ";")
         assert _entries(cache_dir) == []
         monkeypatch.setenv("XDG_CACHE_HOME", "")
-        monkeypatch.setenv("HOME", "")  # no cache: the file is parsed as it is read
+        monkeypatch.setenv("HOME", "")  # no cache: no entry is looked up or written
         with pytest.raises((DataError, ValueError)) as uncached:
             parse_dataset(bad, ";")
         assert (type(cached.value), str(cached.value)) == (type(uncached.value),
@@ -662,21 +683,25 @@ class TestEncodeNew:
             encode_new(design.metadata(), clone)
 
     def test_column_mismatch_rejected(self, tiny_table):
-        design, _ = encode(tiny_table)
-        reordered = RecordTable(
-            values=tiny_table.values,
-            levels=tiny_table.levels,
-            target=tiny_table.target,
-            source_indices=tiny_table.source_indices,
-            predictor_order=tuple(reversed(PREDICTOR_ORDER)),
-        )
+        metadata = encode(tiny_table)[0].metadata()
+        metadata["column_names"].reverse()
         with pytest.raises(MismatchError, match="new data columns do not match"):
-            encode_new(design.metadata(), reordered)
+            encode_new(metadata, tiny_table)
+
+    def test_categorical_column_mismatch_rejected(self, tiny_table):
+        # Without this check a stored design lacking `job` would score its codes as numbers.
+        metadata = encode(tiny_table)[0].metadata()
+        del metadata["encoding_map"]["job"]
+        with pytest.raises(MismatchError, match="categorical columns do not match"):
+            encode_new(metadata, tiny_table)
+        metadata = encode(tiny_table)[0].metadata()
+        metadata["encoding_map"]["age"] = {}
+        with pytest.raises(MismatchError, match="categorical columns do not match"):
+            encode_new(metadata, tiny_table)
 
     def test_parse_new_rows_with_and_without_target(self, tiny_csv, tiny_table):
-        design, _ = encode(tiny_table)
-        with_target = parse_new_rows(tiny_csv, ";", design.metadata())
-        assert with_target.n_rows == 40
+        with_target = parse_new_rows(tiny_csv, ";")
+        assert with_target.n_rows == 40 and with_target.labelled
         assert np.array_equal(with_target.target, tiny_table.target)
 
         lines = _csv_lines(tiny_csv)
@@ -686,23 +711,21 @@ class TestEncodeNew:
         writer = csv.writer(out, delimiter=";")
         for row in rows:
             writer.writerow(row[:-1])
-        without = parse_new_rows(io.StringIO(out.getvalue()), ";", design.metadata())
-        assert without.n_rows == 40
+        without = parse_new_rows(io.StringIO(out.getvalue()), ";")
+        assert without.n_rows == 40 and not without.labelled
         assert not without.target.any()
 
-    def test_parse_new_rows_header_mismatch(self, tiny_csv, tiny_table):
-        design, _ = encode(tiny_table)
+    def test_parse_new_rows_header_mismatch(self, tiny_csv):
         lines = _csv_lines(tiny_csv)
         bad = [lines[0].replace('"age"', '"years"')] + lines[1:]
         with pytest.raises(DataError, match="missing columns: age; unexpected columns: years"):
-            parse_new_rows(io.StringIO("\n".join(bad)), ";", design.metadata())
+            parse_new_rows(io.StringIO("\n".join(bad)), ";")
 
-    def test_parse_new_rows_duplicate_column(self, tiny_csv, tiny_table):
-        design, _ = encode(tiny_table)
+    def test_parse_new_rows_duplicate_column(self, tiny_csv):
         lines = _csv_lines(tiny_csv)
         doubled = [lines[0] + ';"age"'] + [line + ";41" for line in lines[1:]]
         with pytest.raises(DataError, match="duplicate columns in header"):
-            parse_new_rows(io.StringIO("\n".join(doubled)), ";", design.metadata())
+            parse_new_rows(io.StringIO("\n".join(doubled)), ";")
 
 
 class TestFingerprint:

@@ -3,9 +3,10 @@
     PYTHONPATH=src python tools/artifacts.py OUT
 
 Writes the 41,188-row surrogate (`tests/bankgen.py`, the benchmark's seed)
-to OUT/bank.csv, and a comma-delimited copy of it to OUT/bank-comma.csv,
-and runs, each as `python -m bernreg.cli` in its own process with one BLAS
-thread, OUT as the working directory and relative paths:
+to OUT/bank.csv, a comma-delimited copy of it to OUT/bank-comma.csv and a
+copy without the response column to OUT/bank-nolabel.csv, and runs, each
+as `python -m bernreg.cli` in its own process with one BLAS thread, OUT as
+the working directory and relative paths:
 
 - `fit` of each link with 2 chains of 150 warmup + 100 draws at seed 42,
   plain, with `--holdout 500` and with `--threads 2`;
@@ -13,6 +14,9 @@ thread, OUT as the working directory and relative paths:
 - `compare` of the two plain fits, in both formats;
 - `predict` of every row with each plain fit, at both scales and in
   both formats;
+- `predict --scale probability --format json` of every row of the copy
+  without the response, with the plain logit fit: the rows-to-score path
+  that the benchmark's `new-rows.csv` takes;
 - `fit` of the logit link with the same chains at `--balance before`,
   at `--balance off` and with `--no-standardize`, each followed by
   `predict` of every row at the probability scale, in JSON: every
@@ -84,6 +88,9 @@ def commands():
                 out.append((f"predict-{link}-{scale}-{fmt}",
                             ["predict", chain, "--data", "bank.csv", "--scale", scale,
                              "--format", fmt]))
+    out.append(("predict-logit-nolabel-probability-json",
+                ["predict", chains[0], "--data", "bank-nolabel.csv", "--scale", "probability",
+                 "--format", "json"]))
     for name, extra in VARIANTS:
         out.append((f"fit-logit-{name}", ["fit", "--data", "bank.csv", "--link", "logit"]
                     + FIT + extra + ["--out", f"logit-{name}"]))
@@ -136,6 +143,9 @@ def main(argv=None):
     with open(os.path.join(args.out, "bank-comma.csv"), "w", encoding="utf-8",
               newline="") as handle:
         csv.writer(handle, delimiter=",").writerows(rows)
+    with open(os.path.join(args.out, "bank-nolabel.csv"), "w", encoding="utf-8",
+              newline="") as handle:
+        csv.writer(handle, delimiter=";").writerows(row[:-1] for row in rows)  # y is last
 
     # The commands run in OUT, so relative PYTHONPATH entries are resolved here.
     path = [os.path.abspath(p) for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]

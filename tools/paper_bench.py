@@ -19,8 +19,8 @@ BLAS thread:
 The run starts from an empty parsed-table cache, `cache/` under the work
 directory, which every command and this process use: the user's cache is
 never read. A command whose parse finds no entry is cold and adds one.
-The first `fit` is cold, and so is the first `predict`, whose rows are
-read with other arguments. The record gives the first fit's wall
+The first `fit` is cold; every later command, `predict` of the same
+file included, finds the entry that fit added. The record gives the first fit's wall
 seconds (`cold_s`) apart from the later commands' (`warm_s`), and the
 entries each command added.
 
