@@ -6,7 +6,8 @@ facts, the model's link and prior, the design encoding metadata, and the
 dataset fingerprint plus pipeline settings. Floats are written with
 repr (shortest round-trip), so loading reproduces the draws bit-for-bit
 and rewriting produces identical bytes. Any damage reads back as
-CorruptChainFile (exit 3) with the byte offset where parsing stopped.
+CorruptChainFile (exit 3) with the byte offset where parsing stopped; the
+draws are built from the rows read, so no header value sizes an allocation.
 HEADER_SCHEMA, in the header's shape, lists each value that loading or a
 command reads, down to the design's column names, level codes and (center,
 scale) pairs. One that is missing or of another JSON type than `fit`
@@ -20,6 +21,7 @@ scale exits 2.
 import dataclasses
 import json
 import math
+from array import array
 
 import numpy as np
 
@@ -129,7 +131,8 @@ def load_chain_file(path):
         fail("column header does not match the parameter names")
     offset += len(lines[1]) + 1
 
-    draws = np.empty((n_chains, n_draws, len(param_names)))
+    # The draws grow with the rows read, so no header value sizes an allocation.
+    flat = array("d")
     row_count = 0
     for line in lines[2:]:
         if not line:
@@ -157,14 +160,14 @@ def load_chain_file(path):
             )
         if not all(math.isfinite(v) for v in values):
             fail(f"row {row_count}: non-finite draw value")
-        draws[chain, iteration] = values
+        flat.extend(values)
         row_count += 1
         offset += len(line) + 1
     if row_count != n_chains * n_draws:
         fail(f"expected {n_chains * n_draws} draw rows, found {row_count}")
 
     restored = PosteriorDraws(
-        draws=draws,
+        draws=np.frombuffer(flat).reshape(n_chains, n_draws, len(param_names)),
         param_names=param_names,
         config=config,
         step_sizes=tuple(header["step_sizes"]),

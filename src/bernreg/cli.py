@@ -2,7 +2,9 @@
 
 Every run is reproducible from its config: outputs carry no timestamps
 (the run.log sidecar is the one documented exception) and default output
-directories are derived from the link and seed. Exit codes: 0 success
+directories are derived from the link and seed. `fit` writes its text
+files through one helper: config.json before sampling, the rest after
+(run.log last, with the summaries). Exit codes: 0 success
 (warnings allowed), 2 usage, and otherwise the `exit_code` of the package
 error raised (see `errors`).
 """
@@ -99,20 +101,18 @@ class RunConfig:
         )
 
 
-class _RunLog:
-    """Timestamped sidecar; the only artifact allowed to differ between reruns."""
+def _stamped(message):
+    """A run.log line: the UTC time, then `message`. run.log is the only
+    artifact allowed to differ between reruns."""
+    return f"{datetime.datetime.now(datetime.timezone.utc).isoformat()} {message}"
 
-    def __init__(self, path):
-        self._path = path
-        self._entries = []
 
-    def note(self, message):
-        stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        self._entries.append(f"{stamp} {message}")
-
-    def flush(self):
-        with open(self._path, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(self._entries) + "\n")
+def _write_run_files(directory, files):
+    """Write each {file name: text} of `files` into the run directory, made if absent."""
+    os.makedirs(directory, exist_ok=True)
+    for name, text in files.items():
+        with open(os.path.join(directory, name), "w", encoding="utf-8") as handle:
+            handle.write(text)
 
 
 def _emit(render_text, render_json, value, fmt):
@@ -180,23 +180,20 @@ def cmd_fit(args):
     # Everything that can reject the run happens before the first write.
     sampler_config = config.sampler_config()
     prior = PriorSpec.from_dict(config.prior)
-    log = _RunLog(os.path.join(config.out, "run.log"))
-    log.note(f"fit started: link={config.link} seed={config.seed}")
+    log = [_stamped(f"fit started: link={config.link} seed={config.seed}")]
     start = time.perf_counter()
     table = parse_dataset(config.data, config.delimiter)
     cache = f"cache {table.cache}" if table.cache else "not cached"
-    log.note(f"parsed {table.n_rows} rows in {time.perf_counter() - start:.3f} s ({cache})")
+    log.append(_stamped(f"parsed {table.n_rows} rows in {time.perf_counter() - start:.3f} s "
+                        f"({cache})"))
     pipeline = {key: getattr(config, key) for key in chainfile.PIPELINE_KEYS}
     design, target, balance_report, holdout_table = _training_set(table, pipeline)
-    log.note(f"training rows: {design.n_rows}")
+    log.append(_stamped(f"training rows: {design.n_rows}"))
     model = ModelSpec(link=config.link, prior=prior, design=design, target=target)
 
-    os.makedirs(config.out, exist_ok=True)
-    with open(os.path.join(config.out, "config.json"), "w", encoding="utf-8") as h:
-        h.write(report.render_json(config))
-
+    _write_run_files(config.out, {"config.json": report.render_json(config)})
     draws = sample(model, sampler_config, threads=args.threads)
-    log.note("sampling finished")
+    log.append(_stamped("sampling finished"))
 
     model_info = {"link": config.link, "prior": prior.to_dict(), "design": design.metadata()}
     dataset_info = {
@@ -207,36 +204,28 @@ def cmd_fit(args):
     }
     chain_path = os.path.join(config.out, f"{config.link}.chain")
     chainfile.save_chain_file(chain_path, draws, model_info, dataset_info)
-
-    with open(os.path.join(config.out, "encoding.json"), "w", encoding="utf-8") as h:
-        h.write(report.render_json(design.metadata()))
+    _write_run_files(config.out, {"encoding.json": report.render_json(design.metadata())})
     if balance_report is not None:
-        with open(os.path.join(config.out, "balance.json"), "w", encoding="utf-8") as h:
-            h.write(report.render_json(balance_report))
+        _write_run_files(config.out, {"balance.json": report.render_json(balance_report)})
     if holdout_table is not None:
-        write_records(
-            holdout_table, os.path.join(config.out, "holdout.csv"), config.delimiter
-        )
+        write_records(holdout_table, os.path.join(config.out, "holdout.csv"), config.delimiter)
         unseen = _unseen_levels(design, holdout_table)
         if unseen:
             _warn("holdout.csv has category levels that the training set lacks: "
                   f"{', '.join(unseen)}; predict of those rows exits {EXIT_MISMATCH}")
 
     rows = summarize(draws)
-    text_body = report.render_summary_text(rows)
-    json_body = report.render_summary_json(rows)
-    # Both summaries are written whatever --format prints.
-    for name, body in (("summary.txt", text_body), ("summary.json", json_body)):
-        with open(os.path.join(config.out, name), "w", encoding="utf-8") as h:
-            h.write(body)
-    sys.stdout.write(json_body if args.format == "json" else text_body)
-
     total_divergences = sum(draws.divergence_counts)
+    log.append(_stamped(f"fit finished: {total_divergences} divergences"))
+    # Both summaries are written whatever --format prints.
+    summaries = {"summary.txt": report.render_summary_text(rows),
+                 "summary.json": report.render_summary_json(rows)}
+    _write_run_files(config.out, {**summaries, "run.log": "\n".join(log) + "\n"})
+    sys.stdout.write(summaries["summary.json" if args.format == "json" else "summary.txt"])
+
     if total_divergences:
         _warn(f"{total_divergences} divergent transitions after warmup")
     _warn_rhat(rows)
-    log.note(f"fit finished: {total_divergences} divergences")
-    log.flush()
     return EXIT_OK
 
 
@@ -297,25 +286,15 @@ def cmd_compare(args):
             for path, (draws, header) in zip(args.chains, fits)]
     del table
     results = {}
-    total_high_k = 0
-    for draws, model in fits:
+    for i, (draws, model) in enumerate(fits):
+        # The k-th fit of a link is <link>_model_k, the first <link>_model.
+        copies = [m.link for _, m in fits[:i]].count(model.link)
+        name = f"{model.link}_model" + (f"_{copies + 1}" if copies else "")
         # No name holds the distinct rows x draws matrix: it is freed before the next.
-        loo_result = psis_loo(pointwise_loglik(draws, model))
-        total_high_k += loo_result.n_high_k
-        base = f"{model.link}_model"
-        name = base
-        counter = 2
-        while name in results:
-            name = f"{base}_{counter}"
-            counter += 1
-        results[name] = loo_result
+        results[name] = psis_loo(pointwise_loglik(draws, model))
     comparison = loo_compare(results)
-    _emit(
-        report.render_comparison_text,
-        report.render_comparison_json,
-        comparison,
-        args.format,
-    )
+    _emit(report.render_comparison_text, report.render_comparison_json, comparison, args.format)
+    total_high_k = sum(row.n_high_k for row in comparison.rows)
     if total_high_k:
         _warn(f"{total_high_k} observations with Pareto k above {HIGH_K_THRESHOLD}")
     return EXIT_OK
@@ -327,16 +306,9 @@ def cmd_predict(args):
     if args.delimiter is None:
         args.delimiter = header["dataset"]["pipeline"]["delimiter"]
     table = parse_new_rows(args.data, args.delimiter)
-    rows = posterior_predict(
-        draws,
-        encode_new(metadata, table),
-        header["model"]["link"],
-        scale=args.scale,
-        seed=args.seed,
-    )
-    _emit(
-        report.render_predictions_text, report.render_predictions_json, rows, args.format
-    )
+    rows = posterior_predict(draws, encode_new(metadata, table), header["model"]["link"],
+                             scale=args.scale, seed=args.seed)
+    _emit(report.render_predictions_text, report.render_predictions_json, rows, args.format)
     return EXIT_OK
 
 

@@ -3,7 +3,8 @@
 Every file is read in one layout, which this module alone fixes: the
 21-column direct-marketing table, in any column order. A parsed table holds
 one (rows, predictors) float64 matrix in PREDICTOR_ORDER, in which each of
-the CATEGORICAL_COLUMNS holds a row's index into its sorted level names.
+the CATEGORICAL_COLUMNS holds a row's index into its sorted level names;
+NUMERIC_COLUMNS are the other predictors.
 Categorical columns are label-encoded (codes 1..L in lexicographic level
 order, one column per predictor) and all predictor columns are optionally
 standardized.
@@ -12,7 +13,9 @@ and scored rows alike, so new rows are coded exactly like the fit.
 
 A regular file is parsed once per content: its parsed table is kept in a
 cache of .npz entries, keyed by this module's source, the delimiter and the
-file's bytes, so any later parse of the same bytes loads it instead.
+file's bytes, so any later parse of the same bytes loads it instead. An
+entry is outside input: one that does not load whole, or holds what no parse
+makes, is a miss, and the fresh parse replaces it.
 """
 
 import contextlib
@@ -37,11 +40,6 @@ CATEGORICAL_COLUMNS = (
     "job", "marital", "education", "default", "housing", "loan",
     "contact", "month", "day_of_week", "poutcome",
 )
-NUMERIC_COLUMNS = (
-    "age", "duration", "campaign", "pdays", "previous",
-    "emp.var.rate", "cons.price.idx", "cons.conf.idx", "euribor3m",
-    "nr.employed",
-)
 # File order of the twenty predictors; also the row order of reports.
 PREDICTOR_ORDER = (
     "age", "job", "marital", "education", "default", "housing", "loan",
@@ -49,6 +47,7 @@ PREDICTOR_ORDER = (
     "previous", "poutcome", "emp.var.rate", "cons.price.idx",
     "cons.conf.idx", "euribor3m", "nr.employed",
 )
+NUMERIC_COLUMNS = tuple(c for c in PREDICTOR_ORDER if c not in CATEGORICAL_COLUMNS)
 TARGET_COLUMN = "y"
 TARGET_LABELS = {"no": 0, "yes": 1}
 
@@ -144,9 +143,11 @@ def _read_table(source, delimiter, require_target):
         if cached:
             # The lookup hashes the file in chunks, so a hit never holds its bytes.
             table = _load_entry(os.path.join(directory, _cache_key(handle, delimiter) + ".npz"))
-            # An entry without the response never serves a parse that requires
-            # it: the parse below raises the header error a fresh parse raises.
-            if table is not None and (table.labelled or not require_target):
+            if table is not None:
+                if require_target and not table.labelled:
+                    # The entry's file has every predictor and no response:
+                    # raise the header error a fresh parse of it raises.
+                    _check_header(PREDICTOR_ORDER, PREDICTOR_ORDER + (TARGET_COLUMN,))
                 return table
             handle.seek(0)
         data = handle.read()
@@ -186,7 +187,7 @@ def _cache_key(stream, delimiter):
 
 
 def _load_entry(path):
-    """The cached table at `path`, or None for an entry that cannot be read whole."""
+    """The cached table at `path`, or None for an entry that is not a parse's table."""
     try:
         with np.load(path, allow_pickle=False) as entry:  # reading a member checks its CRC-32
             values, target, labelled = entry["values"], entry["target"], entry["labelled"]
@@ -197,11 +198,29 @@ def _load_entry(path):
         table = RecordTable(values=values, levels=levels, target=target,  # checks the shapes
                             source_indices=np.arange(len(target), dtype=np.int64),
                             labelled=bool(labelled), cache="hit")
+        if not _parsed_values(table):
+            return None
     except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile):
-        return None  # an entry that does not load is a miss
+        return None  # an entry that does not load whole, or holds what no parse makes, misses
     with contextlib.suppress(OSError):
         os.utime(path)  # a hit counts as new for the entry bound
     return table
+
+
+def _parsed_values(table):
+    """Whether `table` holds only what a parse makes: finite values, whole level
+    codes into sorted level names, and a 0/1 target. The values are read
+    2,048 rows at a time, so a hit makes no table-sized temporary."""
+    levels = [j for j, c in enumerate(PREDICTOR_ORDER) if c in table.levels]
+    top = np.array([len(names) - 1 for names in table.levels.values()])
+    for start in range(0, table.n_rows, 2048):
+        block = table.values[start:start + 2048]
+        codes = block[:, levels]
+        if not (np.isfinite(block).all() and (codes >= 0).all() and (codes <= top).all()
+                and (np.trunc(codes) == codes).all()):
+            return False
+    return (all(list(names) == sorted(set(map(str, names))) for names in table.levels.values())
+            and table.target.min(initial=0) >= 0 and table.target.max(initial=0) <= 1)
 
 
 def _store_entry(path, table):

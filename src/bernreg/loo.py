@@ -8,6 +8,9 @@ weights and a light prior on the shape; everything is truncated at the
 raw maximum. Small draw counts (S < 25) pass through unsmoothed with the
 shape reported as NaN. Aggregates use the population-variance standard
 error, and comparisons subtract the best model's pointwise values.
+`K_BINS` is the one statement of the Pareto k bin edges: the bin counts,
+`HIGH_K_THRESHOLD` and its count `n_high_k`, and `report`'s bin labels
+all read it.
 
 `pointwise_loglik` fills a D x S matrix, the model's D distinct (x, y)
 rows by the draws, with the posterior's kernel (its log F half only),
@@ -29,7 +32,10 @@ import numpy as np
 
 from .model import block_rows, log_cdf_and_ratio, map_ranges, row_blocks
 
-HIGH_K_THRESHOLD = 0.7
+# Pareto k bins (Vehtari et al., arXiv:1507.02646): name and upper edge.
+K_BINS = (("good", 0.5), ("ok", 0.7), ("bad", 1.0), ("very_bad", math.inf))
+# The upper edge of the "ok" bin: the bins above it hold the unreliable estimates.
+HIGH_K_THRESHOLD = dict(K_BINS)["ok"]
 _MIN_TAIL_DRAWS = 25
 
 
@@ -196,10 +202,6 @@ def _psis_block(loglik):
     return _logsumexp_rows(lw), lppd, pareto_k
 
 
-# Pareto k bins (Vehtari et al., arXiv:1507.02646): name and upper edge.
-K_BINS = (("good", 0.5), ("ok", HIGH_K_THRESHOLD), ("bad", 1.0), ("very_bad", math.inf))
-
-
 @dataclass
 class LooResult:
     """PSIS-LOO expected log pointwise predictive density.
@@ -217,20 +219,18 @@ class LooResult:
 
     @property
     def n_high_k(self):
-        finite = self.pareto_k[np.isfinite(self.pareto_k)]
-        return int(np.sum(finite > HIGH_K_THRESHOLD))
+        """Observations in the K_BINS bins above HIGH_K_THRESHOLD."""
+        counts = self.k_counts
+        return sum(counts[name] for name, upper in K_BINS if upper > HIGH_K_THRESHOLD)
 
     @property
     def k_counts(self):
         """Observations per K_BINS bin (each includes its upper edge), and NaN k."""
         k = self.pareto_k[~np.isnan(self.pareto_k)]
-        counts = {}
-        lower = -math.inf
-        for name, upper in K_BINS:
-            counts[name] = int(np.sum((k > lower) & (k <= upper)))
-            lower = upper
-        counts["nan"] = int(self.pareto_k.size - k.size)
-        return counts
+        per_bin = np.bincount(np.searchsorted([upper for _, upper in K_BINS], k),
+                              minlength=len(K_BINS))
+        counts = {name: int(n) for (name, _), n in zip(K_BINS, per_bin)}
+        return {**counts, "nan": int(self.pareto_k.size - k.size)}
 
 
 def _psis_rows(values):

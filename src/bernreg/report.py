@@ -13,6 +13,8 @@ import json
 import math
 from json.encoder import encode_basestring_ascii
 
+from .loo import K_BINS
+
 
 def _fmt(value, places, width):
     if value is None or (isinstance(value, float) and math.isnan(value)):
@@ -55,16 +57,19 @@ def render_summary_json(rows):
     return render_json({"parameters": rows})
 
 
+def _k_bin_labels():
+    """Column labels of the K_BINS bins, as k<=0.5 0.5-0.7 0.7-1 k>1, then k=NA."""
+    edges = [f"{upper:g}" for _, upper in K_BINS[:-1]]
+    return [f"k<={edges[0]}", *map("-".join, zip(edges, edges[1:])), f"k>{edges[-1]}", "k=NA"]
+
+
 def render_comparison_text(comparison):
     """Model ranking, best first, differences against the best, then each
     model's p_loo and its observations per Pareto k bin."""
-    name_width = max(
-        len("model"), max((len(r.name) for r in comparison.rows), default=0)
-    )
+    name_width = max([len("model")] + [len(r.name) for r in comparison.rows])
     lines = [
-        f"{'model'.ljust(name_width)}  {'elpd_diff':>10}  {'se_diff':>8}  "
-        f"{'p_loo':>7}  {'k<=0.5':>7}  {'0.5-0.7':>7}  {'0.7-1':>7}  {'k>1':>7}  "
-        f"{'k=NA':>7}"
+        f"{'model'.ljust(name_width)}  {'elpd_diff':>10}  {'se_diff':>8}  {'p_loo':>7}  "
+        + "  ".join(f"{label:>7}" for label in _k_bin_labels())
     ]
     for r in comparison.rows:
         counts = "  ".join(f"{n:>7}" for n in r.pareto_k_counts.values())

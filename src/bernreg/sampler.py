@@ -100,10 +100,6 @@ class PosteriorDraws:
         return self.draws.shape[1]
 
     @property
-    def n_params(self):
-        return self.draws.shape[2]
-
-    @property
     def divergence_counts(self):
         return tuple(len(d) for d in self.divergence_iterations)
 

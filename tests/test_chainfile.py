@@ -10,6 +10,7 @@ from bernreg.chainfile import (
     save_chain_file,
     schema_errors,
 )
+from bernreg.cli import main
 from bernreg.errors import CorruptChainFile
 
 from conftest import make_draws
@@ -182,6 +183,24 @@ class TestCorruption:
             handle.write(b"0,0,1.0,1.0,1.0\n")
         with pytest.raises(CorruptChainFile, match="more draw rows"):
             load_chain_file(path)
+
+    def test_inflated_draw_count_is_damage_not_an_allocation(
+            self, tmp_path, sample_draws, capsys):
+        # numpy refuses (2, 10**15, 3) draws at once: draws sized from the header
+        # would die with a MemoryError, so they must come from the rows read.
+        path, raw = _write_and_read_lines(tmp_path, sample_draws)
+        lines = raw.split(b"\n")
+        header = json.loads(lines[0])
+        header["config"]["n_draws"] = 10**15
+        lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        open(path, "wb").write(b"\n".join(lines))
+        # Chain 0 now holds every row read, so chain 1's first row is out of sequence.
+        with pytest.raises(CorruptChainFile, match="^row 5: expected chain 0 iteration 5, "
+                                                   "found chain 1 iteration 0") as info:
+            load_chain_file(path)
+        assert info.value.offset == sum(len(line) + 1 for line in lines[:7])
+        assert main(["diagnose", path]) == 3
+        assert capsys.readouterr().err == f"error: {info.value}\n"
 
     def test_bad_config_in_header(self, tmp_path, sample_draws):
         path, raw = _write_and_read_lines(tmp_path, sample_draws)

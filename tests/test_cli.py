@@ -28,6 +28,7 @@ from bernreg.cli import (
     RunConfig,
     main,
 )
+from bernreg.data import PREDICTOR_ORDER, parse_dataset
 from bernreg.diagnostics import summarize
 from bernreg.errors import (
     CorruptChainFile,
@@ -232,6 +233,25 @@ class TestFitArtifacts:
             lines = _read_text(os.path.join(out, "run.log")).splitlines()
             [parsed] = [line.split(" ", 1)[1] for line in lines if " parsed " in line]
             assert re.fullmatch(rf"parsed 600 rows in \d+\.\d{{3}} s \(cache {outcome}\)", parsed)
+
+    def test_entry_with_a_level_code_outside_its_levels_refits_from_a_fresh_parse(
+            self, logit_dir, small_bank_csv, tmp_path, monkeypatch):
+        cache = tmp_path / "xdg"
+        monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+        parse_dataset(small_bank_csv, ";")
+        [entry] = (cache / "bernreg").glob("*.npz")
+        with np.load(entry) as stored:
+            members = dict(stored)
+        # np.savez writes the member's CRC anew, so only the codes are wrong; every
+        # row's, so the subsample holds one.
+        members["values"][:, PREDICTOR_ORDER.index("job")] = 99.0
+        with open(entry, "wb") as handle:
+            np.savez(handle, **members)
+        out = str(tmp_path / "refit")
+        assert _run_fit(small_bank_csv, out) == EXIT_OK
+        assert "(cache miss)" in _read_text(os.path.join(out, "run.log"))
+        assert _read_bytes(os.path.join(out, "logit.chain")) == _read_bytes(
+            os.path.join(logit_dir, "logit.chain"))
 
     def test_holdout_written_and_disjoint_count(self, small_bank_csv, tmp_path):
         out = str(tmp_path / "with-holdout")

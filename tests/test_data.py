@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import os
 import re
 import tracemalloc
@@ -311,6 +312,19 @@ class TestParseCache:
         assert parse_new_rows(unlabelled, ";").cache == "hit"
         assert len(_entries(cache_dir)) == 1
 
+    def test_unlabelled_entry_raises_the_header_error_without_parsing(
+            self, tiny_csv, cache_dir, tmp_path, monkeypatch):
+        unlabelled = _copy_with(tiny_csv, tmp_path / "nolabel.csv", lambda data: re.sub(
+            rb";[^;\r\n]*(\r?\n)", rb"\1", data))  # drop the last column, the response
+        assert parse_new_rows(unlabelled, ";").cache == "miss"
+
+        def no_reader(*args, **kwargs):
+            raise AssertionError("the entry's header error read the CSV")
+
+        monkeypatch.setattr(csv, "reader", no_reader)
+        with pytest.raises(DataError, match="^missing columns: y$"):
+            parse_dataset(unlabelled, ";")
+
     def test_other_delimiter_misses(self, tiny_csv, cache_dir):
         assert parse_dataset(tiny_csv, ";").cache == "miss"
         # A hit would return the ";" table; the miss parses, and at "," the header is one column.
@@ -360,6 +374,43 @@ class TestParseCache:
         again = parse_dataset(tiny_csv, ";")
         assert again.cache == "miss"
         _assert_same_table(again, expected)
+
+    @pytest.mark.parametrize("change", ["code-above-levels", "negative-code", "fractional-code",
+                                        "nan", "inf", "target", "unsorted-levels",
+                                        "level-not-text"])
+    def test_entry_holding_what_no_parse_makes_misses_and_is_rewritten(
+            self, bank_5000_csv, cache_dir, change):
+        expected = parse_dataset(bank_5000_csv, ";")
+        [entry] = _entries(cache_dir)
+        data = entry.read_bytes()
+        with np.load(entry) as stored:
+            members = dict(stored)
+        # The last row, so a check that stops early misses the damage.
+        values, job = members["values"], PREDICTOR_ORDER.index("job")
+        if change == "code-above-levels":  # the CRC stays valid: np.savez writes it anew
+            values[-1, job] = 99.0
+        elif change == "negative-code":
+            values[-1, job] = -1.0
+        elif change == "fractional-code":
+            values[-1, job] = 0.5  # inside the level range
+        elif change == "nan":
+            values[-1, PREDICTOR_ORDER.index("age")] = np.nan
+        elif change == "inf":
+            values[-1, PREDICTOR_ORDER.index("duration")] = -np.inf
+        elif change == "target":
+            members["target"][-1] = 2
+        else:
+            levels = json.loads(str(members["levels"]))
+            levels[0][1] = (levels[0][1][::-1] if change == "unsorted-levels"
+                            else [1] + levels[0][1][1:])
+            members["levels"] = np.array(json.dumps(levels))
+        with open(entry, "wb") as handle:
+            np.savez(handle, **members)
+        again = parse_dataset(bank_5000_csv, ";")
+        assert again.cache == "miss"
+        _assert_same_table(again, expected)
+        assert entry.read_bytes() == data
+        assert parse_dataset(bank_5000_csv, ";").cache == "hit"
 
     def test_changed_parser_source_misses(self, tiny_csv, cache_dir, monkeypatch):
         assert parse_dataset(tiny_csv, ";").cache == "miss"

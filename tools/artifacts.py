@@ -35,7 +35,7 @@ the working directory and relative paths:
   holdout writer. (Every row would not do: the `default` level `yes`, 4
   rows of the surrogate, is not in that fit's training set, so scoring
   it exits 5.)
-- `verify --format json`.
+- `verify` in both formats.
 
 Each command's stdout, stderr and exit code go to OUT/cmd/<name>.out,
 .err and .code. Every fit's `run.log` is deleted, because it holds wall
@@ -124,7 +124,8 @@ def commands():
     out.append(("predict-logit-comma-probability-json",
                 ["predict", comma_chains[0], "--data", "logit-comma/holdout.csv",
                  "--delimiter", ",", "--scale", "probability", "--format", "json"]))
-    out.append(("verify-json", ["verify", "--format", "json"]))
+    for fmt in FORMATS:
+        out.append((f"verify-{fmt}", ["verify", "--format", fmt]))
     return out
 
 
